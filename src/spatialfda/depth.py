@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import GridMismatchError
 from .funcspace import Curve, FunctionalSample
-from .spatialdist import _sign_mean, empirical_spatial_dist, zero_threshold
+from .spatialdist import _sign_mean, empirical_spatial_dist
 
 
 def spatial_depth(x: Curve, sample: FunctionalSample) -> float:
@@ -27,19 +26,8 @@ def spatial_depth(x: Curve, sample: FunctionalSample) -> float:
 
 
 def _batch_depth(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Depth of each query row; split across worker threads in index order."""
-    ref = float(np.sqrt(np.max(np.sum(queries * queries * weights, axis=1), initial=0.0)))
-    ref += float(np.sqrt(np.max(np.sum(data * data * weights, axis=1), initial=0.0)))
-    thresh = zero_threshold(ref)
-
-    m = queries.shape[0]
-    workers = min(parallel.max_threads(), m)
-    blocks = np.array_split(np.arange(m), workers)
-    parts = parallel.run_indexed(
-        lambda idx: _sign_mean(queries[idx], data, weights, thresh=thresh),
-        [b for b in blocks if b.size],
-    )
-    signs = np.concatenate(parts, axis=0)
+    """Depth of each query row."""
+    signs = _sign_mean(queries, data, weights)
     # same reduction as funcspace.norm so batch and single-query depths match
     norms = np.sqrt(np.sum(weights * signs * signs, axis=1))
     return 1.0 - np.minimum(norms, 1.0)

@@ -11,8 +11,8 @@ The weights row is recognized by the literal first cell ``#weights``; plain
 comments use ``#`` followed by a space. When the weights row is absent,
 equispaced grids get trapezoid weights and anything else equal weights 1/D.
 All numbers are written with ``repr``, so a write/read round trip preserves
-every float bit for bit. Parse failures raise ParseError tagged with the
-1-based line number.
+every float bit for bit. Every cell must be a finite number. Parse failures
+raise ParseError tagged with the 1-based line number.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ def _parse_row(cells: list[str], lineno: int) -> np.ndarray:
             raise ParseError(
                 f"cell {j + 1} is not a number: {cell.strip()!r}", line=lineno
             ) from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        j = int(bad[0])
+        raise ParseError(f"cell {j + 1} is not finite: {cells[j].strip()!r}", line=lineno)
     return out
 
 

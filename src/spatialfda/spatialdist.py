@@ -9,6 +9,30 @@ object plays the role of a centered CDF; its norm never exceeds 1, and
 All Hilbert-space geometry is the weighted grid inner product from
 funcspace. The l_p variant of the sign map is provided for plain coefficient
 vectors only.
+
+Every batch evaluation goes through one kernel, _sign_mean. It never forms
+the differences q - X_i for all pairs. With r = ||q - x||, the Gram identity
+r^2 = ||q||^2 + ||x||^2 - 2 <q, x> gives all distances of a block of queries
+from one matrix product, and the signs sum to q * sum_i 1/r_i - sum_i X_i / r_i,
+a second product. Three details keep this as accurate and as reproducible as
+the direct sum:
+
+- Centering. Queries and data are shifted by the data mean first. The sign
+  mean is translation invariant, and centering keeps ||q||^2 + ||x||^2 near
+  the scale of the distances themselves, so the Gram values keep their
+  digits and almost every pair stays on the matrix-product path.
+- Cancellation. A pair whose Gram value is small against its norms has lost
+  digits to cancellation; it is computed directly from q - x instead. A
+  coincident pair then has distance exactly 0 and contributes the zero sign.
+- Fixed shape. Queries reach BLAS in tiles of a constant count, the last
+  one zero-padded, and each product keeps the tile on its last axis.
+  OpenBLAS does not round a product identically at every row count (a 1-row
+  product goes to gemv), and for some shapes it rounds rows of the other
+  axis differently by position. A fixed shape with the tile on the last axis
+  is what makes a query's result independent of the batch it arrives in,
+  and hence of any split a caller makes.
+
+The workspace is O(tile * n) floats plus one centered copy of the data.
 """
 
 from __future__ import annotations
@@ -75,6 +99,27 @@ def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
     return np.sign(v) * np.abs(v) ** (p - 1.0) / nx ** (p - 1.0)
 
 
+def _max_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.einsum("nd,d,nd->n", values, weights, values), initial=0.0)))
+
+
+def coincidence_threshold(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> float:
+    """Distance at or below which a query and a datum count as coincident.
+
+    It scales with the largest weighted norms in the batch. A caller that
+    splits a batch computes it once for the whole batch, so the split cannot
+    move a coincidence decision.
+    """
+    return zero_threshold(_max_norm(queries, weights) + _max_norm(data, weights))
+
+
+# Queries go to BLAS in tiles of exactly this many; see the module notes.
+_TILE = 16
+# A pair with Gram value r^2 <= _CANCEL * (||q||^2 + max ||x||^2) is computed
+# directly from q - x: the Gram value keeps only ~12 of its digits there.
+_CANCEL = 1e-4
+
+
 def _sign_mean(
     queries: np.ndarray,
     data: np.ndarray,
@@ -83,31 +128,77 @@ def _sign_mean(
 ) -> np.ndarray:
     """Average spatial sign of (query - X_i) for each query row.
 
-    queries (m, D), data (n, D) -> (m, D). Chunked over queries to bound
-    the (chunk, n, D) difference tensor; coincident pairs contribute zero.
-    The result does not depend on the chunking. Callers that split a batch
-    themselves pass a precomputed coincidence threshold so the split does
-    not move the coincidence decision either.
+    queries (m, D), data (n, D) -> (m, D). Pairs at distance <= thresh
+    (default: coincidence_threshold of this batch) contribute zero.
+
+    In centered coordinates each tile of _TILE queries costs two GEMMs:
+    G = Xc @ (tile * w).T gives r^2 = ||q||^2 + ||x||^2 - 2 G, and the sum
+    of signs is tile * sum_j 1/r_j - sum_j Xc_j / r_j, both sums from
+    [Xc | 1].T @ (1/r). Pairs with
+    r^2 <= max(_CANCEL * (||q||^2 + max_j ||x_j||^2), thresh^2), a per-query
+    bound that covers the pairwise rule r^2 <= _CANCEL * (||q||^2 + ||x_j||^2)
+    and every coincident pair, leave the GEMMs; their distance and sign are
+    recomputed from q - x.
+
+    Every query goes through the same operations at the same shapes, so
+    given the same thresh the result is bitwise independent of m and of how
+    a caller splits the queries. Workspace: O(_TILE * n) floats plus one
+    centered copy of the data.
     """
     m, D = queries.shape
     n = data.shape[0]
     if thresh is None:
-        ref = float(
-            np.sqrt(np.max(np.sum(queries * queries * weights, axis=1), initial=0.0))
-        )
-        ref += float(np.sqrt(np.max(np.sum(data * data * weights, axis=1), initial=0.0)))
-        thresh = zero_threshold(ref)
+        thresh = coincidence_threshold(queries, data, weights)
+    mean = data.mean(axis=0)
+    # xc = [X - mean | 1]: the ones column makes the second GEMM also
+    # return sum_j 1/r_j, in the same position-stable shape
+    xc = np.empty((n, D + 1))
+    x = xc[:, :D]
+    np.subtract(data, mean, out=x)
+    xc[:, D] = 1.0
+    qc = queries - mean
+    xx = np.einsum("nd,d,nd->n", x, weights, x)
+    xx_max = float(xx.max(initial=0.0))
+    tile = np.zeros((_TILE, D))
     out = np.empty((m, D))
-    chunk = max(1, int(4_000_000 / max(1, n * D)))
-    for start in range(0, m, chunk):
-        block = queries[start : start + chunk]
-        diff = block[:, None, :] - data[None, :, :]  # (mb, n, D)
-        r = np.sqrt(np.einsum("bnd,d,bnd->bn", diff, weights, diff))
-        keep = r > thresh
-        np.divide(1.0, r, out=r, where=keep)
-        r[~keep] = 0.0
-        out[start : start + chunk] = np.einsum("bn,bnd->bd", r, diff) / n
+    for start in range(0, m, _TILE):
+        k = min(_TILE, m - start)
+        tile[:k] = qc[start : start + k]
+        tile[k:] = 0.0
+        qq = np.einsum("td,d,td->t", tile, weights, tile)
+        g = x @ (tile * weights).T  # (n, _TILE) inner products
+        inv = g[:, :k]
+        inv *= -2.0
+        inv += xx[:, None]
+        inv += qq[:k]  # r^2 by the Gram identity
+        bound = np.maximum(_CANCEL * (qq[:k] + xx_max), thresh * thresh)
+        near = inv <= bound
+        inv[near] = np.inf
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)  # 1/r, and 0 on near pairs
+        g[:, k:] = 0.0
+        sums = xc.T @ g  # (D + 1, _TILE): sum_j x_j / r_j, then sum_j 1/r_j
+        s = tile * sums[D][:, None] - sums[:D].T
+        _add_near_signs(s, tile, x, weights, near, thresh)
+        out[start : start + k] = s[:k] / n
     return out
+
+
+def _add_near_signs(s, tile, x, weights, near, thresh) -> None:
+    """Add sign(q_i - x_j) to s[i] for the near pairs, from q - x itself.
+
+    near is (n, k). np.add.at adds in pair order, so each query receives its
+    terms in increasing j however the pairs are chunked; a chunk holds about
+    one tile's worth of floats.
+    """
+    xj, qi = np.nonzero(near)
+    step = max(1, near.size // tile.shape[1])
+    for lo in range(0, qi.size, step):
+        rows, cols = qi[lo : lo + step], xj[lo : lo + step]
+        diff = tile[rows] - x[cols]
+        r = np.sqrt(np.einsum("kd,d,kd->k", diff, weights, diff))
+        keep = r > thresh
+        np.add.at(s, rows[keep], diff[keep] / r[keep, None])
 
 
 def empirical_spatial_dist(x: Curve, sample: FunctionalSample) -> SpatialDistValue:

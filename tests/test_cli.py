@@ -267,6 +267,21 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in doc["error"]["message"]
 
 
+def test_non_finite_cell_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("0.0,1.0\n1.0,2.0\nnan,3.0\n")
+    good = simulate(tmp_path, "good.csv", n=5, grid=2)
+    for args in (
+        ["depth", "--in", str(bad), "--out", str(tmp_path / "d.csv")],
+        ["ddplot", "--a", str(bad), "--b", str(good), "--out", str(tmp_path / "dd.csv")],
+    ):
+        capsys.readouterr()
+        assert run_cli(args) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "error"
+        assert doc["error"]["type"] == "ParseError"
+        assert "line 3" in doc["error"]["message"]
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "spatialfda", "--version"],

@@ -86,6 +86,23 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, fragment, line):
     assert f"line {line}:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "content,line",
+    [
+        ("0.0,1.0\n1.0,2.0\n3.0,nan\n", 3),
+        ("0.0,1.0\n-inf,2.0\n", 2),
+        ("0.0,inf\n1.0,2.0\n", 1),
+        ("0.0,1.0\n#weights,0.5,NaN\n1.0,2.0\n", 2),
+    ],
+)
+def test_non_finite_cells_are_rejected(tmp_path, content, line):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(content)
+    with pytest.raises(ParseError) as err:
+        read_sample(p)
+    assert "not finite" in str(err.value)
+    assert err.value.line == line
+
 def test_write_table(tmp_path):
     p = tmp_path / "t.csv"
     write_table(

@@ -148,3 +148,81 @@ def test_sign_mean_chunk_invariance():
         [_sign_mean(q[None, :], s.values, w, thresh=th) for q in queries]
     )
     np.testing.assert_array_equal(batch, singles)
+
+
+BM = ProcessSpec(KernelSpec.brownian())
+
+
+def direct_sign_mean(queries, data, w):
+    """Per-pair reference: mean of (q - x) / ||q - x|| over the data, x != q."""
+    out = np.zeros_like(queries)
+    for i, q in enumerate(queries):
+        diff = q - data
+        r = np.sqrt(np.sum(diff * diff * w, axis=1))
+        keep = r > 0.0
+        out[i] = (diff[keep] / r[keep, None]).sum(axis=0) / len(data)
+    return out
+
+
+@pytest.mark.parametrize("shift,scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+def test_sign_mean_matches_direct_reference(shift, scale):
+    from spatialfda.spatialdist import _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 32)
+    data = sample_process(BM, g, 300, seed=8).values * scale + shift
+    queries = sample_process(BM, g, 37, seed=9).values * scale + shift
+    got = _sign_mean(queries, data, g.weights)
+    want = direct_sign_mean(queries, data, g.weights)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_coincident_and_duplicated_data_contribute_exactly_zero():
+    from spatialfda.spatialdist import _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    w = g.weights
+    base = sample_process(BM, g, 40, seed=10).values
+    # every datum coincides with the query: the sign mean is exactly zero
+    same = np.repeat(base[:1], 6, axis=0)
+    assert np.all(_sign_mean(base[:1], same, w) == 0.0)
+    # queries equal to data rows that appear twice: both copies drop out
+    data = np.vstack([base, base[:5]])
+    got = _sign_mean(base[:3], data, w)
+    np.testing.assert_allclose(got, direct_sign_mean(base[:3], data, w), rtol=0.0, atol=1e-12)
+
+
+def test_near_pair_keeps_a_unit_sign():
+    # a query 1e-7 (relative) away from a datum: the Gram identity alone
+    # would lose most digits of that distance, so the pair must still give
+    # a unit vector through the direct recomputation
+    from spatialfda.spatialdist import _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    w = g.weights
+    data = sample_process(BM, g, 50, seed=12).values
+    x = data[7]
+    e = np.sin(np.pi * g.points)
+    e /= np.sqrt(np.sum(e * e * w))
+    q = x + 1e-7 * np.sqrt(np.sum(x * x * w)) * e
+    total = _sign_mean(q[None, :], data, w)[0] * len(data)
+    others = np.delete(data, 7, axis=0)
+    near_term = total - direct_sign_mean(q[None, :], others, w)[0] * len(others)
+    assert np.sqrt(np.sum(near_term * near_term * w)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+def test_sign_mean_bitwise_independent_of_batch_split(offset):
+    from spatialfda.spatialdist import _TILE, _sign_mean, coincidence_threshold
+
+    m = 2 * _TILE + 1 if offset is None else _TILE + offset
+    g = Grid.uniform(0.0, 1.0, 32)
+    w = g.weights
+    data = sample_process(BM, g, 500, seed=13).values
+    queries = sample_process(BM, g, m, seed=14).values.copy()
+    queries[m // 2] = data[3]  # one coincident pair on the direct path
+    th = coincidence_threshold(queries, data, w)
+    batch = _sign_mean(queries, data, w)
+    singles = np.vstack([_sign_mean(q[None, :], data, w, thresh=th) for q in queries])
+    halves = np.vstack([_sign_mean(p, data, w, thresh=th) for p in np.array_split(queries, 2)])
+    np.testing.assert_array_equal(batch, singles)
+    np.testing.assert_array_equal(batch, halves)
