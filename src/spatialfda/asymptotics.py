@@ -30,13 +30,7 @@ import numpy as np
 
 from . import parallel
 from .funcspace import Curve, FunctionalSample, Grid, pca, project_sample
-from .quantile import (
-    DirectionU,
-    _coincidence_threshold,
-    _hessian_raw,
-    _solve_coeffs,
-    _stable_inverse,
-)
+from .quantile import DirectionU, bahadur_split, linearization
 from .simulate import ProcessSpec, sample_process, stream_seed
 from .spatialdist import SpatialDistValue, _sign_mean, empirical_spatial_dist
 
@@ -242,34 +236,13 @@ def bahadur_rate_study(
     elif u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     b = u.coefficients
-
-    C_ref = project_sample(ref_data, basis)
-    ref_sol = _solve_coeffs(C_ref, b)
-    q_ref = ref_sol.q
-    cmax_ref = float(np.linalg.norm(C_ref, axis=1).max())
-    diff_ref = q_ref - C_ref
-    r_ref = np.linalg.norm(diff_ref, axis=1)
-    keep = r_ref > _coincidence_threshold(q_ref, cmax_ref)
-    inv_r = np.zeros_like(r_ref)
-    np.divide(1.0, r_ref, out=inv_r, where=keep)
-    J = _hessian_raw(inv_r, diff_ref, C_ref.shape[0], d)
-    J_inv = _stable_inverse(J, "reference Hessian")
+    q_ref, J_inv = linearization(project_sample(ref_data, basis), b)
 
     def one(job):
         i_n, rep = job
         n = n_values[i_n]
         data = sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep))
-        C = project_sample(data, basis)
-        sol = _solve_coeffs(C, b)
-        diff = q_ref - C
-        r = np.linalg.norm(diff, axis=1)
-        keep_s = r > _coincidence_threshold(q_ref, float(np.linalg.norm(C, axis=1).max()))
-        inv_rs = np.zeros_like(r)
-        np.divide(1.0, r, out=inv_rs, where=keep_s)
-        scores = diff * inv_rs[:, None] - b[None, :]
-        linear = J_inv @ scores.mean(axis=0)
-        residual = (sol.q - q_ref) + linear
-        return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))
+        return bahadur_split(project_sample(data, basis), b, q_ref, J_inv)
 
     jobs = [(i, r) for i in range(len(n_values)) for r in range(reps)]
     results = parallel.run_indexed(one, jobs)

@@ -197,20 +197,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Config-file values fill in unset flags; built-in defaults fill the rest."""
+# Options that must be positive integers; seed must be a nonnegative one.
+_POSITIVE_INTS = ("n", "threads", "grid_size", "mc", "reps", "n_ref", "probes", "d")
+
+
+def _merge(args: argparse.Namespace, parser) -> dict:
+    """Config-file values fill in unset flags; built-in defaults fill the rest.
+
+    The merged values are checked once, so a bad config value is a usage
+    error (exit 2) just like a bad flag, and so is a config key that names
+    no option of the subcommand.
+    """
     cfg = dict(DEFAULTS.get(args.subcommand, {}))
+    options = vars(args)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        cfg.update({str(k).replace("-", "_"): v for k, v in loaded.items()})
-    for key, value in vars(args).items():
+        for key, value in loaded.items():
+            key = str(key).replace("-", "_")
+            if key not in options:
+                parser.error(f"config key {key!r} is not an option of {args.subcommand}")
+            cfg[key] = value
+    for key, value in options.items():
         if key in ("config",):
             continue
         if value is not None:
             cfg[key] = value
+    for key in (*_POSITIVE_INTS, "seed"):
+        value = cfg.get(key)
+        low = 0 if key == "seed" else 1
+        if value is not None and (type(value) is not int or value < low):
+            parser.error(f"--{key.replace('_', '-')} must be an integer >= {low}, got {value!r}")
     return cfg
 
 
@@ -294,6 +313,8 @@ def _parse_u_vector(text: str, d: int, parser) -> np.ndarray:
             parser.error(f'--u-spec entry {part!r} is not "k:c"')
         if not 1 <= k <= d:
             parser.error(f"--u-spec index {k} outside 1..{d}")
+        if not math.isfinite(c):
+            parser.error(f"--u-spec coefficient {c_str!r} is not finite")
         vec[k - 1] = c
     return vec
 
@@ -412,10 +433,6 @@ def _cmd_ddplot(cfg, parser) -> int:
     return 0
 
 
-def _report_dict(rep) -> dict:
-    return dataclasses.asdict(rep)
-
-
 def _cmd_efficiency(cfg, parser) -> int:
     if cfg.get("table"):
         seed = cfg.get("seed")
@@ -433,7 +450,7 @@ def _cmd_efficiency(cfg, parser) -> int:
                 {
                     "label": r.label,
                     "reference": r.reference,
-                    "report": _report_dict(r.report),
+                    "report": dataclasses.asdict(r.report),
                 }
                 for r in rows
             ],
@@ -454,7 +471,7 @@ def _cmd_efficiency(cfg, parser) -> int:
         "kind": "efficiency-report",
         "version": __version__,
         "generator": GENERATOR_NAME,
-        "report": _report_dict(rep),
+        "report": dataclasses.asdict(rep),
     }
     emit_json(doc, cfg.get("out"))
     return 0
@@ -490,7 +507,7 @@ def _cmd_converge(cfg, parser) -> int:
         "kind": "rate-report",
         "version": __version__,
         "generator": GENERATOR_NAME,
-        "report": _report_dict(rep),
+        "report": dataclasses.asdict(rep),
     }
     emit_json(doc, cfg.get("out"))
     if cfg.get("csv_path"):
@@ -517,7 +534,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge(args)
+        cfg = _merge(args, parser)
         if cfg.get("threads") is not None:
             parallel.set_max_threads(int(cfg["threads"]))
         return _HANDLERS[args.subcommand](cfg, parser)

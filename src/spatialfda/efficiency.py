@@ -23,7 +23,6 @@ re-seed.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import zlib
 from dataclasses import dataclass
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ConditioningError
 from .funcspace import Grid
+from .quantile import floored_inverse
 from .simulate import (
     GAUSSIAN_LAW,
     STUDENT_T_LAW,
@@ -43,11 +42,8 @@ from .simulate import (
     stream_seed,
 )
 
-log = logging.getLogger(__name__)
-
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
-CONDITION_LIMIT = 1e12
 
 # Stream tags. Every named substream of a study seed gets its own fixed tag,
 # so adding streams later cannot silently shift existing ones.
@@ -58,17 +54,13 @@ _TAG_GRID = 3
 _TAG_CELL_BASE = 16
 
 
-def _subseed(seed: int, tag: int) -> int:
-    return stream_seed(seed, tag)
-
-
 def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
     """The N(0, 1/2) point grid belonging to a study seed.
 
     Drawn once from the seed's grid substream, so every real-line cell of
     the same study shares it.
     """
-    return Grid.gaussian(grid_size, seed=_subseed(seed, _TAG_GRID))
+    return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
 
 
 def _centered(spec: ProcessSpec) -> ProcessSpec:
@@ -130,30 +122,10 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     centered = _centered(spec)
     tilde = _whitened_loadings(centered, grid)
     total = 0.0
-    for y in coefficient_chunks(centered, mc, tilde.shape[0], _subseed(seed, _TAG_SIGMA)):
+    for y in coefficient_chunks(centered, mc, tilde.shape[0], stream_seed(seed, _TAG_SIGMA)):
         x = y @ tilde
         total += float(np.sum(x * x))
     return total / mc
-
-
-def _j_inverse(J: np.ndarray) -> np.ndarray:
-    """Inverse of the estimated J with a relative eigenvalue floor."""
-    evals, evecs = np.linalg.eigh(J)
-    lam_max = float(evals[-1])
-    if lam_max <= 0.0:
-        raise ConditioningError(
-            "estimated J is not positive definite; increase mc or add a ridge term"
-        )
-    if lam_max / max(float(evals[0]), 1e-300) > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"estimated J has condition number above {CONDITION_LIMIT:.0e}; "
-            f"add a ridge term or use a coarser grid"
-        )
-    floor = 1e-10 * lam_max
-    n_floored = int(np.sum(evals < floor))
-    if n_floored:
-        log.info("floored %d eigenvalue(s) of J at %.3e", n_floored, floor)
-    return (evecs / np.maximum(evals, floor)) @ evecs.T
 
 
 def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> float:
@@ -172,7 +144,7 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
 
     j_outer = np.zeros((D, D))
     j_inv_r = 0.0
-    for y in coefficient_chunks(centered, mc, k, _subseed(seed, _TAG_J)):
+    for y in coefficient_chunks(centered, mc, k, stream_seed(seed, _TAG_J)):
         x = y @ tilde
         r = np.linalg.norm(x, axis=1)
         keep = r > 1e-300
@@ -183,7 +155,7 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     J = (j_inv_r * np.eye(D) - j_outer) / mc
 
     lam_sum = np.zeros((D, D))
-    for y in coefficient_chunks(centered, mc, k, _subseed(seed, _TAG_LAMBDA)):
+    for y in coefficient_chunks(centered, mc, k, stream_seed(seed, _TAG_LAMBDA)):
         x = y @ tilde
         r = np.linalg.norm(x, axis=1)
         keep = r > 1e-300
@@ -191,7 +163,7 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
         lam_sum += v.T @ v
     Lam = lam_sum / mc
 
-    J_inv = _j_inverse(J)
+    J_inv = floored_inverse(J, "estimated J")
     return float(np.trace(J_inv @ Lam @ J_inv))
 
 
@@ -314,7 +286,7 @@ def efficiency_table(
 
     def run(cell: TableCell) -> TableRow:
         grid = unit if cell.domain == "unit-interval" else real
-        rep = are(cell.spec, grid, mc, _subseed(seed, cell_tag(cell)))
+        rep = are(cell.spec, grid, mc, stream_seed(seed, cell_tag(cell)))
         return TableRow(cell.label, rep, cell.reference)
 
     return parallel.run_indexed(run, cells)

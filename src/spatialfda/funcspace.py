@@ -113,6 +113,12 @@ class Grid:
         )
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    # min and max propagate NaN, so no n x D temporary is needed
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{what} values must be finite")
+
+
 def _check_same_grid(a, b):
     if not a.grid.matches(b.grid):
         raise GridMismatchError("objects live on different grids")
@@ -131,6 +137,7 @@ class Curve:
             raise GridMismatchError(
                 f"curve has {self.values.shape} values on a grid of size {self.grid.size}"
             )
+        _check_finite(self.values, "curve")
 
     def __add__(self, other: "Curve") -> "Curve":
         _check_same_grid(self, other)
@@ -166,6 +173,7 @@ class FunctionalSample:
             )
         if vals.shape[0] < 1:
             raise ValueError("empty sample")
+        _check_finite(vals, "sample")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -325,30 +333,19 @@ def pca(sample: FunctionalSample, d: int) -> Basis:
     sw = np.sqrt(sample.grid.weights)
     A = (sample.values - sample.values.mean(axis=0)) * sw  # whitened, centered
     if n < D:
-        G = A @ A.T
-        evals, evecs = np.linalg.eigh(G)  # ascending
-        evals = evals[::-1][:d]
-        evecs = evecs[:, ::-1][:, :d]
-        scale = np.sqrt(np.maximum(evals, 0.0))
-        rank_tol = max(n, D) * np.finfo(float).eps * max(evals[0], 0.0) if evals.size else 0.0
-        if evals[d - 1] <= rank_tol or evals[d - 1] <= 0.0:
-            raise RankDeficiencyError(
-                f"sample has numerical rank below {d} (degenerate directions)"
-            )
-        vt = (A.T @ evecs) / scale  # (D, d), orthonormal columns in Euclidean
+        evals, evecs = np.linalg.eigh(A @ A.T)  # ascending
+    else:
+        evals, evecs = np.linalg.eigh((A.T @ A) / n)
+    evals = evals[::-1][:d]
+    evecs = evecs[:, ::-1][:, :d]
+    rank_tol = max(n, D) * np.finfo(float).eps * max(evals[0], 0.0)
+    if evals[d - 1] <= rank_tol or evals[d - 1] <= 0.0:
+        raise RankDeficiencyError(f"sample has numerical rank below {d} (degenerate directions)")
+    if n < D:
+        vt = (A.T @ evecs) / np.sqrt(evals)  # (D, d), orthonormal columns in Euclidean
         variances = evals / n
     else:
-        C = (A.T @ A) / n
-        evals, evecs = np.linalg.eigh(C)
-        evals = evals[::-1][:d]
-        evecs = evecs[:, ::-1][:, :d]
-        rank_tol = max(n, D) * np.finfo(float).eps * max(evals[0], 0.0) if evals.size else 0.0
-        if evals[d - 1] <= rank_tol or evals[d - 1] <= 0.0:
-            raise RankDeficiencyError(
-                f"sample has numerical rank below {d} (degenerate directions)"
-            )
-        vt = evecs
-        variances = evals
+        vt, variances = evecs, evals
     functions = (vt / sw[:, None]).T  # un-whiten, rows are eigenfunctions
     return Basis(sample.grid, functions, variances)
 

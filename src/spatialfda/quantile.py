@@ -36,7 +36,7 @@ from .funcspace import (
     reconstruct,
 )
 from .parallel import run_indexed
-from .spatialdist import ZERO_RTOL
+from .spatialdist import zero_threshold
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +56,8 @@ class DirectionU:
         c = np.array(self.coefficients, dtype=float, copy=True)
         if c.ndim != 1:
             raise ValueError("direction coefficients must be a 1-d array")
-        if np.linalg.norm(c) >= 1.0:
-            raise ValueError("direction must satisfy ||u|| < 1 strictly")
+        if not np.linalg.norm(c) < 1.0:
+            raise ValueError("direction must be finite with ||u|| < 1 strictly")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
@@ -111,30 +111,62 @@ class BahadurReport:
 # Coefficient-space kernels. C is the (n, d) data matrix, b the direction.
 
 
-def _coincidence_threshold(q: np.ndarray, cmax: float) -> float:
-    return ZERO_RTOL * (1.0 + float(np.linalg.norm(q)) + cmax)
-
-
 def _objective_raw(q, C, b, c_norm_mean):
     r = np.linalg.norm(C - q, axis=1)
     return float(np.mean(r) - c_norm_mean - b @ q)
 
 
-def _gradient_raw(q, C, b, cmax):
-    """Gradient over non-coincident terms; also returns the coincident count."""
+def _inverse_distances(q, C, cmax=None):
+    """Differences q - C_i, distances r_i, inverses 1/r_i and the coincident count.
+
+    C_i coincides with q when r_i <= zero_threshold(||q|| + cmax), cmax being
+    the largest row norm of C (computed when not given); its inverse is 0, so
+    coincident points drop out of every sum built on inv_r.
+    """
+    if cmax is None:
+        cmax = float(np.linalg.norm(C, axis=1).max())
     diff = q - C
     r = np.linalg.norm(diff, axis=1)
-    coin = r <= _coincidence_threshold(q, cmax)
+    coin = r <= zero_threshold(float(np.linalg.norm(q)) + cmax)
     inv_r = np.zeros_like(r)
     np.divide(1.0, r, out=inv_r, where=~coin)
+    return diff, r, inv_r, int(coin.sum())
+
+
+def _gradient_raw(q, C, b, cmax=None):
+    """Gradient over non-coincident terms, the coincident count, diff, r and inv_r."""
+    diff, r, inv_r, m = _inverse_distances(q, C, cmax)
     grad = (diff * inv_r[:, None]).sum(axis=0) / C.shape[0] - b
-    return grad, int(coin.sum()), r, inv_r
+    return grad, m, diff, r, inv_r
 
 
-def _hessian_raw(inv_r, diff, n, d):
+def _hessian_raw(inv_r, diff):
     """(1/n) sum_i [ I/r_i - d_i d_i^T / r_i^3 ], precomputed pieces."""
+    n, d = diff.shape
     m = diff * (inv_r ** 1.5)[:, None]
     return (np.sum(inv_r) * np.eye(d) - m.T @ m) / n
+
+
+def floored_inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a symmetric matrix, its eigenvalues floored at 1e-10 of the largest.
+
+    Raises ConditioningError, naming ``what``, when the largest eigenvalue is
+    not positive or the condition number exceeds CONDITION_LIMIT.
+    """
+    evals, evecs = np.linalg.eigh(mat)
+    lam_max = float(evals[-1])
+    if lam_max <= 0:
+        raise ConditioningError(f"{what} is not positive definite")
+    if lam_max / max(float(evals[0]), 1e-300) > CONDITION_LIMIT:
+        raise ConditioningError(
+            f"{what} condition number exceeds {CONDITION_LIMIT:.0e}; "
+            f"use a smaller dimension or more draws"
+        )
+    floor = 1e-10 * lam_max
+    n_floored = int(np.sum(evals < floor))
+    if n_floored:
+        log.info("floored %d eigenvalue(s) of %s at %.3e", n_floored, what, floor)
+    return (evecs / np.maximum(evals, floor)) @ evecs.T
 
 
 def _datum_test(C, b, j, cmax):
@@ -144,7 +176,7 @@ def _datum_test(C, b, j, cmax):
     minus b, has norm at most m/n where m is the multiplicity of C[j].
     """
     n = C.shape[0]
-    grad, m, _, _ = _gradient_raw(C[j], C, b, cmax)
+    grad, m, *_ = _gradient_raw(C[j], C, b, cmax)
     gn = float(np.linalg.norm(grad))
     return gn <= m / n + 1e-15, gn
 
@@ -164,7 +196,7 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
     """Minimize g over R^d. Objective decreases monotonically along iterates."""
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
-    n, d = C.shape
+    n = C.shape[0]
     c_norms = np.linalg.norm(C, axis=1)
     cmax = float(c_norms.max())
     c_norm_mean = float(c_norms.mean())
@@ -173,28 +205,20 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
     trace = [fq] if track else None
 
     def finish(qv, its, gn, anchored):
-        return _RawSolution(
-            qv,
-            its,
-            gn,
-            _objective_raw(qv, C, b, c_norm_mean),
-            True,
-            anchored,
-            tuple(trace) if track else None,
-        )
+        fv = _objective_raw(qv, C, b, c_norm_mean)
+        return _RawSolution(qv, its, gn, fv, True, anchored, tuple(trace) if track else None)
+
+    def fail(message, its, gn):
+        # the error carries the current iterate q and its objective fq
+        last = _RawSolution(q, its, gn, fq, False, None, tuple(trace) if track else None)
+        return ConvergenceError(message, last=last)
 
     for it in range(1, max_iter + 1):
-        diff = q - C
-        r = np.linalg.norm(diff, axis=1)
-        coin = r <= _coincidence_threshold(q, cmax)
-        m = int(coin.sum())
-        inv_r = np.zeros_like(r)
-        np.divide(1.0, r, out=inv_r, where=~coin)
-        grad = (diff * inv_r[:, None]).sum(axis=0) / n - b
+        grad, m, diff, r, inv_r = _gradient_raw(q, C, b, cmax)
         gn = float(np.linalg.norm(grad))
+        j = int(np.argmin(r))
 
         if m > 0:
-            j = int(np.argmin(r))
             if gn <= m / n + 1e-15:
                 return finish(C[j].copy(), it, gn, j)
             # Not optimal at the datum: the reduced negative gradient is a
@@ -203,14 +227,13 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
         else:
             if gn <= tol:
                 return finish(q, it, gn, None)
-            j = int(np.argmin(r))
             if r[j] <= 1e-3 * float(np.median(r)):
                 # Close to a datum; an exact certificate may end things now.
                 ok, red = _datum_test(C, b, j, cmax)
                 if ok:
                     return finish(C[j].copy(), it, red, j)
             step = None
-            hess = _hessian_raw(inv_r, diff, n, d)
+            hess = _hessian_raw(inv_r, diff)
             cond = np.linalg.cond(hess)
             if np.isfinite(cond) and cond <= CONDITION_LIMIT:
                 try:
@@ -237,54 +260,41 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
                 break
             t *= 0.5
         if not accepted:
-            ok, red = _datum_test(C, b, int(np.argmin(r)), cmax)
+            ok, red = _datum_test(C, b, j, cmax)
             if ok:
-                return finish(C[int(np.argmin(r))].copy(), it, red, int(np.argmin(r)))
-            raise ConvergenceError(
-                f"no decrease found at iteration {it} (grad norm {gn:.3e})",
-                last=_RawSolution(q, it, gn, fq, False, None, tuple(trace) if track else None),
-            )
+                return finish(C[j].copy(), it, red, j)
+            raise fail(f"no decrease found at iteration {it} (grad norm {gn:.3e})", it, gn)
         moved = t * float(np.linalg.norm(step))
         q = q_new
         fq = f_new
         if track:
             trace.append(fq)
         if moved <= step_tol * (1.0 + float(np.linalg.norm(q))):
-            j = int(np.argmin(np.linalg.norm(q - C, axis=1)))
+            grad, m, _, r, _ = _gradient_raw(q, C, b, cmax)
+            j = int(np.argmin(r))
             ok, red = _datum_test(C, b, j, cmax)
             if ok:
                 return finish(C[j].copy(), it, red, j)
-            grad, m, _, _ = _gradient_raw(q, C, b, cmax)
             gn = float(np.linalg.norm(grad))
             if gn <= tol or (m > 0 and gn <= m / n + 1e-15):
                 return finish(q, it, gn, None if m == 0 else j)
-            raise ConvergenceError(
-                f"step stalled below tolerance at iteration {it} "
-                f"(grad norm {gn:.3e})",
-                last=_RawSolution(q, it, gn, fq, False, None, tuple(trace) if track else None),
+            raise fail(
+                f"step stalled below tolerance at iteration {it} (grad norm {gn:.3e})", it, gn
             )
 
-    grad, m, _, _ = _gradient_raw(q, C, b, cmax)
-    gn = float(np.linalg.norm(grad))
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (grad norm {gn:.3e})",
-        last=_RawSolution(q, max_iter, gn, fq, False, None, tuple(trace) if track else None),
-    )
+    gn = float(np.linalg.norm(_gradient_raw(q, C, b, cmax)[0]))
+    raise fail(f"no convergence in {max_iter} iterations (grad norm {gn:.3e})", max_iter, gn)
 
 
 # ---------------------------------------------------------------------------
 # Public operations on curves, samples and bases.
 
 
-def _project_for(Q_basis: Basis, sample: FunctionalSample) -> np.ndarray:
-    return project_sample(sample, Q_basis)
-
-
 def objective(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> float:
     """Value of the quantile objective at Q, with the sample projected to Q's basis."""
     if u.dimension != Q.basis.dimension:
         raise ValueError("direction and coefficients have different dimensions")
-    C = _project_for(Q.basis, sample)
+    C = project_sample(sample, Q.basis)
     c_norms = np.linalg.norm(C, axis=1)
     return _objective_raw(Q.values, C, u.coefficients, float(c_norms.mean()))
 
@@ -293,9 +303,7 @@ def gradient(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> Coeffi
     """Gradient of the objective at Q; Q must not coincide with a datum."""
     if u.dimension != Q.basis.dimension:
         raise ValueError("direction and coefficients have different dimensions")
-    C = _project_for(Q.basis, sample)
-    cmax = float(np.linalg.norm(C, axis=1).max())
-    grad, m, _, _ = _gradient_raw(Q.values, C, u.coefficients, cmax)
+    grad, m, *_ = _gradient_raw(Q.values, project_sample(sample, Q.basis), u.coefficients)
     if m > 0:
         raise ValueError(
             "gradient undefined at a data point; the solver handles this case "
@@ -306,14 +314,10 @@ def gradient(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> Coeffi
 
 def hessian(Q: Coefficients, sample: FunctionalSample) -> np.ndarray:
     """Hessian matrix of the objective at Q (independent of u)."""
-    C = _project_for(Q.basis, sample)
-    n, d = C.shape
-    diff = Q.values - C
-    r = np.linalg.norm(diff, axis=1)
-    cmax = float(np.linalg.norm(C, axis=1).max())
-    if np.any(r <= _coincidence_threshold(Q.values, cmax)):
+    diff, _, inv_r, m = _inverse_distances(Q.values, project_sample(sample, Q.basis))
+    if m > 0:
         raise ValueError("hessian undefined at a data point")
-    return _hessian_raw(1.0 / r, diff, n, d)
+    return _hessian_raw(inv_r, diff)
 
 
 def _resolve_basis(sample, basis, d):
@@ -374,11 +378,10 @@ def solve_quantile(
         raw = _solve_coeffs(data, u.coefficients, tol, step_tol, max_iter, track_objective)
         q_centered = raw.q if center else raw.q - mb
 
+    coeffs = Coefficients(q_centered + mb, basis)
     if center or degenerate:
-        coeffs = Coefficients(q_centered + mb, basis)
         curve = mean_curve(sample) + reconstruct(Coefficients(q_centered, basis))
     else:
-        coeffs = Coefficients(q_centered + mb, basis)
         curve = reconstruct(coeffs)
     return QuantileSolution(
         coefficients=coeffs,
@@ -441,23 +444,33 @@ def quantile_fan(
     return QuantileFan(median=solutions[0], entries=entries)
 
 
-def _stable_inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    """Inverse through symmetric eigendecomposition with a relative floor."""
-    evals, evecs = np.linalg.eigh(mat)
-    lam_max = float(evals[-1])
-    if lam_max <= 0:
-        raise ConditioningError(f"{what} is not positive definite")
-    if lam_max / max(float(evals[0]), 1e-300) > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"{what} condition number exceeds {CONDITION_LIMIT:.0e}; "
-            f"consider a smaller working dimension"
-        )
-    floor = 1e-10 * lam_max
-    n_floored = int(np.sum(evals < floor))
-    if n_floored:
-        log.info("floored %d eigenvalue(s) of %s at %.3e", n_floored, what, floor)
-    floored = np.maximum(evals, floor)
-    return (evecs / floored) @ evecs.T
+def linearization(C_ref: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference u-quantile q_ref of the rows of C_ref and the inverse Hessian there.
+
+    b holds the direction coefficients. J at q_ref is inverted by
+    floored_inverse; q_ref and J^{-1} are the fixed centre and slope of
+    every bahadur_split against this reference.
+    """
+    q_ref = _solve_coeffs(C_ref, b).q
+    diff, _, inv_r, _ = _inverse_distances(q_ref, C_ref)
+    return q_ref, floored_inverse(_hessian_raw(inv_r, diff), "reference Hessian")
+
+
+def bahadur_split(
+    C: np.ndarray, b: np.ndarray, q_ref: np.ndarray, J_inv: np.ndarray
+) -> tuple[float, float]:
+    """Norms of the remainder and of the linear term for the sample C.
+
+    The linear term is J^{-1} mean_i(score_i), score_i being the unit
+    vector from C_i to q_ref minus b (zero for a C_i at q_ref), and the
+    remainder is (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
+    """
+    q_hat = _solve_coeffs(C, b).q
+    diff, _, inv_r, _ = _inverse_distances(q_ref, C)
+    scores = diff * inv_r[:, None] - b[None, :]
+    linear = J_inv @ scores.mean(axis=0)
+    residual = (q_hat - q_ref) + linear
+    return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))
 
 
 def bahadur_residual(
@@ -481,34 +494,13 @@ def bahadur_residual(
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     work = basis.truncated(d) if basis.dimension != d else basis
-    C_s = project_sample(sample, work)
-    C_r = project_sample(reference, work)
     b = u.coefficients
-    sol_hat = _solve_coeffs(C_s, b)
-    sol_ref = _solve_coeffs(C_r, b)
-    q_ref = sol_ref.q
-
-    diff = q_ref - C_r
-    r = np.linalg.norm(diff, axis=1)
-    cmax = float(np.linalg.norm(C_r, axis=1).max())
-    keep = r > _coincidence_threshold(q_ref, cmax)
-    J = _hessian_raw(
-        np.where(keep, 1.0 / np.where(keep, r, 1.0), 0.0), diff, C_r.shape[0], d
-    )
-    J_inv = _stable_inverse(J, "reference Hessian")
-
-    diff_s = q_ref - C_s
-    r_s = np.linalg.norm(diff_s, axis=1)
-    keep_s = r_s > _coincidence_threshold(q_ref, float(np.linalg.norm(C_s, axis=1).max()))
-    inv_rs = np.zeros_like(r_s)
-    np.divide(1.0, r_s, out=inv_rs, where=keep_s)
-    scores = diff_s * inv_rs[:, None] - b[None, :]
-    linear = J_inv @ scores.mean(axis=0)
-    residual = (sol_hat.q - q_ref) + linear
+    q_ref, J_inv = linearization(project_sample(reference, work), b)
+    residual, linear = bahadur_split(project_sample(sample, work), b, q_ref, J_inv)
     return BahadurReport(
-        residual_norm=float(np.linalg.norm(residual)),
-        linear_term_norm=float(np.linalg.norm(linear)),
-        n=C_s.shape[0],
+        residual_norm=residual,
+        linear_term_norm=linear,
+        n=len(sample),
         d=d,
-        reference_n=C_r.shape[0],
+        reference_n=len(reference),
     )

@@ -106,11 +106,13 @@ def _max_norm(values: np.ndarray, weights: np.ndarray) -> float:
 def coincidence_threshold(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> float:
     """Distance at or below which a query and a datum count as coincident.
 
-    It scales with the largest weighted norms in the batch. A caller that
-    splits a batch computes it once for the whole batch, so the split cannot
-    move a coincidence decision.
+    It is ZERO_RTOL times the largest weighted norms in the batch, with no
+    absolute floor, so scaling queries and data together scales it too and
+    depth stays scale invariant at any magnitude. A caller that splits a
+    batch computes it once for the whole batch, so the split cannot move a
+    coincidence decision.
     """
-    return zero_threshold(_max_norm(queries, weights) + _max_norm(data, weights))
+    return ZERO_RTOL * (_max_norm(queries, weights) + _max_norm(data, weights))
 
 
 # Queries go to BLAS in tiles of exactly this many; see the module notes.

@@ -314,3 +314,37 @@ def test_emitted_json_validates_against_shipped_schema(tmp_path):
     )
     assert rc == 0
     jsonschema.validate(json.loads(out.read_text()), _schema())
+
+
+def test_non_finite_u_spec_is_usage_error(tmp_path, capsys):
+    src = simulate(tmp_path, n=30, grid=12)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["quantile", "--in", str(src), "--u-spec", "1:nan"])
+    assert exc.value.code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--n", "0"), ("--seed", "-1"), ("--threads", "0"), ("--grid-size", "0")]
+)
+def test_out_of_range_count_is_usage_error(tmp_path, capsys, flag, value):
+    args = {"--process": "bm", "--n": "5", "--seed": "1", "--out": str(tmp_path / "s.csv")}
+    args[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", *[x for kv in args.items() for x in kv]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "conf,message",
+    [({"nn": 7}, "'nn'"), ({"n": 0}, "--n"), ({"n": 7.5}, "--n"), ({"seed": -3}, "--seed")],
+)
+def test_bad_config_entry_is_usage_error(tmp_path, capsys, conf, message):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"process": "bm", "seed": 1, **conf}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

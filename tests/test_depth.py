@@ -128,3 +128,17 @@ def test_dd_plot_separates_different_scales():
     above = np.mean(pts2[:, 1] > pts2[:, 0])
     assert above > 0.7
     assert outer.shape == (20, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e20])
+def test_depth_scale_invariant_at_extreme_scales(scale):
+    # the coincidence threshold has no absolute floor, so tiny samples keep
+    # their depths instead of collapsing to 1
+    s = bm_sample(50, seed=4)
+    queries = np.concatenate([s.values[:3], bm_sample(3, seed=5).values])
+    base = depth_profile(s, FunctionalSample(s.grid, queries))
+    scaled = depth_profile(
+        FunctionalSample(s.grid, s.values * scale),
+        FunctionalSample(s.grid, queries * scale),
+    )
+    np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-12)

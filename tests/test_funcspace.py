@@ -206,3 +206,19 @@ def test_coefficients_validate_dimension():
     b = orthonormalize(np.vstack([np.ones(20), g.points]), g)
     with pytest.raises(ValueError):
         Coefficients(np.zeros(3), b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_values(bad):
+    g = Grid.uniform(0.0, 1.0, 4)
+    vals = np.zeros((3, 4))
+    vals[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FunctionalSample(g, vals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_rejects_non_finite_values(bad):
+    g = Grid.uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="finite"):
+        Curve(g, np.array([0.0, 1.0, bad, 2.0]))

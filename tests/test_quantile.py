@@ -255,3 +255,9 @@ def test_bahadur_report_smaller_residual():
     assert rep.d == 3
     assert rep.reference_n == 4000
     assert 0.0 < rep.residual_norm < rep.linear_term_norm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_direction_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        DirectionU(np.array([bad, 0.0]))
