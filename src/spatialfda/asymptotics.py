@@ -16,9 +16,9 @@ medians estimates the rate exponent.
     score) against the norm of the linear term itself; the remainder decays
     strictly faster than n^{-1/2}, the linear term at n^{-1/2}.
 
-Replications run on the shared thread pool; every (sample size, replicate)
-pair has its own tagged substream of the study seed, so reports are
-reproducible bit for bit at any thread count.
+All three share one replicate loop, run in order on the calling thread;
+every (sample size, replicate) pair has its own tagged substream of the
+study seed, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .funcspace import Curve, FunctionalSample, Grid, pca, project_sample
 from .quantile import DirectionU, bahadur_split, linearization
 from .simulate import ProcessSpec, sample_process, stream_seed
@@ -110,10 +109,35 @@ def _fit_slope(n_values, medians) -> float:
     return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(medians), 1)[0])
 
 
-def _median_matrix(job_errors, n_count: int, reps: int) -> np.ndarray:
-    """(n_count * reps) job results in n-major order -> per-n medians."""
-    arr = np.asarray(job_errors, dtype=float).reshape(n_count, reps)
-    return np.median(arr, axis=1)
+def _replicates(spec: ProcessSpec, grid: Grid, n_values, reps: int, seed: int, score):
+    """score of a fresh sample for each (sample size, replicate), as one array in that order."""
+    return np.array(
+        [
+            [
+                score(sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep)))
+                for rep in range(reps)
+            ]
+            for i_n, n in enumerate(n_values)
+        ]
+    )
+
+
+def _sign_errors(
+    spec: ProcessSpec, probes: FunctionalSample, n_values, reps: int, seed: int, n_ref: int
+) -> np.ndarray:
+    """Squared sign-mean error at each probe, indexed (size, replicate, probe).
+
+    The reference sign mean comes from n_ref paths on the reference substream.
+    """
+    w = probes.grid.weights
+    ref_data = sample_process(spec, probes.grid, n_ref, stream_seed(seed, _TAG_REF))
+    s_ref = _sign_mean(probes.values, ref_data.values, w)
+
+    def score(data):
+        diff = _sign_mean(probes.values, data.values, w) - s_ref
+        return np.sum(w * diff * diff, axis=1)
+
+    return _replicates(spec, probes.grid, n_values, reps, seed, score)
 
 
 def gc_rate_study(
@@ -132,23 +156,8 @@ def gc_rate_study(
     feed the slope fit; the expected exponent is -1/2.
     """
     n_values = [int(n) for n in n_values]
-    grid = K.grid
-    w = grid.weights
-    ref_data = sample_process(spec, grid, n_ref, stream_seed(seed, _TAG_REF))
-    s_ref = _sign_mean(K.values, ref_data.values, w)
-
-    def one(job):
-        i_n, rep = job
-        n = n_values[i_n]
-        data = sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep))
-        s_hat = _sign_mean(K.values, data.values, w)
-        diff = s_hat - s_ref
-        norms = np.sqrt(np.sum(w * diff * diff, axis=1))
-        return float(norms.max())
-
-    jobs = [(i, r) for i in range(len(n_values)) for r in range(reps)]
-    errors = parallel.run_indexed(one, jobs)
-    med = _median_matrix(errors, len(n_values), reps)
+    sq = _sign_errors(spec, K, n_values, reps, seed, n_ref)
+    med = np.median(np.sqrt(sq.max(axis=2)), axis=1)
     return RateReport(
         study="gc",
         n_values=tuple(n_values),
@@ -178,22 +187,9 @@ def integrated_error_study(
     The expected log-log slope is -1.
     """
     n_values = [int(n) for n in n_values]
-    w = grid.weights
     probes = sample_process(spec, grid, n_probes, stream_seed(seed, _TAG_PROBES))
-    ref_data = sample_process(spec, grid, n_ref, stream_seed(seed, _TAG_REF))
-    s_ref = _sign_mean(probes.values, ref_data.values, w)
-
-    def one(job):
-        i_n, rep = job
-        n = n_values[i_n]
-        data = sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep))
-        s_hat = _sign_mean(probes.values, data.values, w)
-        diff = s_hat - s_ref
-        return float(np.mean(np.sum(w * diff * diff, axis=1)))
-
-    jobs = [(i, r) for i in range(len(n_values)) for r in range(reps)]
-    errors = parallel.run_indexed(one, jobs)
-    med = _median_matrix(errors, len(n_values), reps)
+    sq = _sign_errors(spec, probes, n_values, reps, seed, n_ref)
+    med = np.median(sq.mean(axis=2), axis=1)
     return RateReport(
         study="integrated",
         n_values=tuple(n_values),
@@ -219,10 +215,11 @@ def bahadur_rate_study(
     """Decay of the quantile linearization remainder versus its linear term.
 
     A reference sample of n_ref paths fixes the working basis (its PCA),
-    the reference quantile and the inverse Hessian once. Each (n, replicate)
-    job then solves the sample quantile in that basis and splits the
-    estimation error into the linear score term and the remainder; the two
-    norms are tracked on the same draws so their slopes are comparable.
+    the reference quantile and the inverse Hessian once. For each (n,
+    replicate) sample, the quantile is solved in that basis and the
+    estimation error is split into the linear score term and the remainder;
+    the two norms are tracked on the same draws so their slopes are
+    comparable.
     The remainder slope should sit strictly below -1/2, the linear term
     close to -1/2.
     """
@@ -238,16 +235,11 @@ def bahadur_rate_study(
     b = u.coefficients
     q_ref, J_inv = linearization(project_sample(ref_data, basis), b)
 
-    def one(job):
-        i_n, rep = job
-        n = n_values[i_n]
-        data = sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep))
+    def score(data):
         return bahadur_split(project_sample(data, basis), b, q_ref, J_inv)
 
-    jobs = [(i, r) for i in range(len(n_values)) for r in range(reps)]
-    results = parallel.run_indexed(one, jobs)
-    res_med = _median_matrix([a for a, _ in results], len(n_values), reps)
-    lin_med = _median_matrix([b_ for _, b_ in results], len(n_values), reps)
+    splits = _replicates(spec, grid, n_values, reps, seed, score)
+    res_med, lin_med = np.median(splits, axis=1).T
     return RateReport(
         study="bahadur",
         n_values=tuple(n_values),

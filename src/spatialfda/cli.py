@@ -128,7 +128,12 @@ def ingest(path) -> FunctionalSample:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with option defaults; flags win")
-    common.add_argument("--threads", type=int, help="cap worker threads")
+    common.add_argument(
+        "--threads",
+        type=int,
+        help="accepted and checked (>= 1); the work runs on one thread and "
+        "BLAS threads follow OPENBLAS_NUM_THREADS",
+    )
 
     p = argparse.ArgumentParser(prog="spatialfda", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -360,9 +365,7 @@ def _cmd_quantile(cfg, parser) -> int:
     if not jobs:
         jobs.append(("median", DirectionU.zero(d)))
 
-    sols = parallel.run_indexed(
-        lambda j: solve_quantile(sample, u=j[1], basis=basis, d=d), jobs
-    )
+    sols = [solve_quantile(sample, u=u, basis=basis, d=d) for _, u in jobs]
     labels = [label for label, _ in jobs]
 
     out = cfg.get("out")

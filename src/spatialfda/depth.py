@@ -85,7 +85,6 @@ def dd_plot(sample1: FunctionalSample, sample2: FunctionalSample) -> DDPlotData:
     meta = {
         "n1": len(sample1),
         "n2": len(sample2),
-        "grid_kind": sample1.grid.kind,
         "grid_size": sample1.grid.size,
         "own_observation": "included; contributes a zero sign term",
     }

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .funcspace import Grid
 from .quantile import floored_inverse
 from .simulate import (
@@ -260,7 +259,7 @@ def efficiency_table(
     grid_size: int = DEFAULT_GRID_SIZE,
     cells: list[TableCell] | None = None,
 ) -> list[TableRow]:
-    """Run the efficiency sweep; one row per cell, cells in parallel.
+    """Run the efficiency sweep; one row per cell, in the order of cells.
 
     The unit-interval cells share one equispaced grid; the real-line cells
     share one batch of N(0, 1/2) points drawn from the study seed's grid
@@ -289,4 +288,4 @@ def efficiency_table(
         rep = are(cell.spec, grid, mc, stream_seed(seed, cell_tag(cell)))
         return TableRow(cell.label, rep, cell.reference)
 
-    return parallel.run_indexed(run, cells)
+    return [run(cell) for cell in cells]

@@ -20,12 +20,6 @@ import numpy as np
 
 from .errors import GridMismatchError, RankDeficiencyError
 
-# Kinds a Grid can advertise. "custom" makes no promise about the weights
-# beyond positivity.
-UNIFORM_INTERVAL = "uniform-interval"
-GAUSSIAN_MEASURE = "gaussian-measure"
-CUSTOM = "custom"
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
@@ -43,13 +37,10 @@ class Grid:
         Strictly increasing evaluation points, D >= 2.
     weights : array of shape (D,)
         Positive quadrature weights.
-    kind : str
-        One of "uniform-interval", "gaussian-measure", "custom".
     """
 
     points: np.ndarray
     weights: np.ndarray
-    kind: str = CUSTOM
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
@@ -66,8 +57,6 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         if not np.all(self.weights > 0):
             raise ValueError("grid weights must be positive")
-        if self.kind not in (UNIFORM_INTERVAL, GAUSSIAN_MEASURE, CUSTOM):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
 
     @property
     def size(self) -> int:
@@ -82,7 +71,7 @@ class Grid:
         h = (b - a) / (num - 1)
         w = np.full(num, h)
         w[0] = w[-1] = h / 2.0
-        return Grid(pts, w, UNIFORM_INTERVAL)
+        return Grid(pts, w)
 
     @staticmethod
     def gaussian(num: int, seed: int, mean: float = 0.0, var: float = 0.5) -> "Grid":
@@ -99,11 +88,11 @@ class Grid:
         while np.any(np.diff(pts) <= 0):
             pts = np.sort(rng.normal(mean, np.sqrt(var), size=num))
         w = np.full(num, 1.0 / num)
-        return Grid(pts, w, GAUSSIAN_MEASURE)
+        return Grid(pts, w)
 
     @staticmethod
     def custom(points, weights) -> "Grid":
-        return Grid(np.asarray(points, dtype=float), np.asarray(weights, dtype=float), CUSTOM)
+        return Grid(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
 
     def matches(self, other: "Grid") -> bool:
         return (

@@ -1,20 +1,20 @@
-"""Package-wide cap on worker threads for embarrassingly parallel loops.
+"""Package-wide thread cap, kept for the ``--threads`` flag and the public API.
 
-Solvers and Monte Carlo replications are pure functions, so batches of them
-run on a thread pool. Results are always collected in task-index order,
-which keeps outputs identical for any thread count, including 1.
+Every Monte Carlo loop and batch of solves runs as a plain ordered loop on
+the calling thread, so outputs are identical for any cap by construction.
+No code path reads the cap; BLAS sizes its own thread pool, following
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 _max_threads: int | None = None
 
 
 def set_max_threads(k: int | None) -> None:
-    """Cap the pool size; None restores the machine default."""
+    """Set the cap (>= 1); None restores the machine default."""
     global _max_threads
     if k is not None and k < 1:
         raise ValueError("thread cap must be >= 1")
@@ -23,12 +23,3 @@ def set_max_threads(k: int | None) -> None:
 
 def max_threads() -> int:
     return _max_threads if _max_threads is not None else (os.cpu_count() or 1)
-
-
-def run_indexed(fn, args_list):
-    """Map fn over args_list on the shared pool, results in input order."""
-    workers = min(max_threads(), max(1, len(args_list)))
-    if workers == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))

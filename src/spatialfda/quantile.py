@@ -35,7 +35,6 @@ from .funcspace import (
     project_sample,
     reconstruct,
 )
-from .parallel import run_indexed
 from .spatialdist import zero_threshold
 
 log = logging.getLogger(__name__)
@@ -419,8 +418,8 @@ def quantile_fan(
 ) -> QuantileFan:
     """Quantiles along +-c phi_k for all requested k and c, plus the median.
 
-    All solves share one working basis (PCA by default) and run in
-    parallel; entries come back ordered by (k, then c, then sign).
+    All solves share one working basis (PCA by default); entries come back
+    ordered by (k, then c, then sign).
     """
     basis, d = _resolve_basis(sample, basis, d)
     jobs = [(None, 0.0)]  # the median
@@ -437,7 +436,7 @@ def quantile_fan(
         u = DirectionU.zero(d) if k is None or c == 0.0 else DirectionU.along(k, c, d)
         return solve_quantile(sample, u, basis=basis, d=d, **solve_opts)
 
-    solutions = run_indexed(run, jobs)
+    solutions = [run(job) for job in jobs]
     entries = tuple(
         FanEntry(k, c, sol) for (k, c), sol in zip(jobs[1:], solutions[1:], strict=True)
     )

@@ -67,7 +67,7 @@ class SpatialDistValue:
     norm: float
 
     def __post_init__(self):
-        if self.norm > 1.0 + 1e-10 or self.norm < 0.0:
+        if not 0.0 <= self.norm <= 1.0 + 1e-10:
             raise ValueError(f"spatial distribution norm {self.norm} outside [0, 1]")
 
 
@@ -88,15 +88,20 @@ def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
 
     Component i is sign(x_i) |x_i|^(p-1) / ||x||_p^(p-1); the result has
     l_q norm exactly 1 (q conjugate to p), and p = 2 recovers x / ||x||.
-    Zero input maps to zero.
+    Zero input maps to zero. The map is evaluated on x / max|x_i|, which
+    leaves it unchanged and keeps the norm and the powers finite.
     """
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError("p must lie in (1, inf)")
     v = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(v, ord=p))
-    if nx <= zero_threshold(0.0):
+    vmax = float(np.max(np.abs(v), initial=0.0))
+    if vmax == 0.0:
         return np.zeros_like(v)
-    return np.sign(v) * np.abs(v) ** (p - 1.0) / nx ** (p - 1.0)
+    a = v / vmax
+    na = float(np.linalg.norm(a, ord=p))
+    if vmax * na <= zero_threshold(0.0):
+        return np.zeros_like(v)
+    return np.sign(a) * np.abs(a) ** (p - 1.0) / na ** (p - 1.0)
 
 
 def _max_norm(values: np.ndarray, weights: np.ndarray) -> float:
@@ -233,7 +238,7 @@ class MonotonicityReport:
     """Per-pair values of <S_x - S_y, x - y> and the violation count."""
 
     values: np.ndarray
-    degenerate: np.ndarray  # True where x = y (value pinned to 0)
+    degenerate: np.ndarray  # True where x and y coincide (value pinned to 0)
     violations: int
 
     @property
@@ -249,7 +254,9 @@ def monotonicity_probe(
     For each pair (x, y) computes <S_x - S_y, x - y> under the grid inner
     product. For distinct points of a nonatomic law this is positive in
     population; a nonpositive value for a distinct pair counts as a
-    violation. Pairs with x = y are flagged degenerate and not counted.
+    violation. Pairs with ||x - y|| <= ZERO_RTOL * (||x|| + ||y||) are
+    flagged degenerate and not counted; the test is relative, so the flags
+    do not change when the sample and the pairs are scaled together.
     """
     w = sample.grid.weights
     xs = np.array([p[0].values for p in pairs])
@@ -259,7 +266,8 @@ def monotonicity_probe(
     dxy = xs - ys
     values = np.sum((sx - sy) * dxy * w, axis=1)
     scale = np.sqrt(np.sum(dxy * dxy * w, axis=1))
-    degenerate = scale <= zero_threshold(0.0)
+    size = np.sqrt(np.sum(xs * xs * w, axis=1)) + np.sqrt(np.sum(ys * ys * w, axis=1))
+    degenerate = scale <= ZERO_RTOL * size
     values = np.where(degenerate, 0.0, values)
     violations = int(np.sum((values <= 0.0) & ~degenerate))
     return MonotonicityReport(values, degenerate, violations)

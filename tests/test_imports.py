@@ -32,3 +32,20 @@ def private_imports():
 
 def test_only_pinned_private_names_cross_modules():
     assert private_imports() == ALLOWED
+
+
+def test_no_module_starts_threads_or_processes():
+    # every loop runs on the calling thread, so outputs cannot depend on
+    # scheduling; a pool would bring back a second code path
+    banned = {"concurrent", "threading", "multiprocessing"}
+    found = set()
+    for path in Path(spatialfda.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found |= {(path.stem, n) for n in names if n.split(".")[0] in banned}
+    assert found == set()

@@ -226,3 +226,35 @@ def test_sign_mean_bitwise_independent_of_batch_split(offset):
     halves = np.vstack([_sign_mean(p, data, w, thresh=th) for p in np.array_split(queries, 2)])
     np.testing.assert_array_equal(batch, singles)
     np.testing.assert_array_equal(batch, halves)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-20, 1e20])
+def test_monotonicity_probe_is_scale_free(scale):
+    # the degeneracy test is relative to the pair's norms, so tiny samples
+    # are still probed instead of being flagged degenerate throughout
+    g = Grid.uniform(0.0, 1.0, 20)
+    base_values = sample_process(BM, g, 50, seed=0).values
+
+    def probe(c):
+        v = base_values * c
+        pairs = [(Curve(g, v[i]), Curve(g, v[i + 1])) for i in range(10)]
+        pairs.append((Curve(g, v[0]), Curve(g, v[0])))
+        return monotonicity_probe(FunctionalSample(g, v), pairs)
+
+    base, scaled = probe(1.0), probe(scale)
+    np.testing.assert_array_equal(scaled.degenerate, base.degenerate)
+    assert list(base.degenerate) == [False] * 10 + [True]
+    assert scaled.violations == base.violations
+    np.testing.assert_allclose(scaled.values / scale, base.values, rtol=1e-12, atol=0.0)
+
+
+def test_sgn_lp_stays_finite_for_huge_inputs():
+    x = np.array([10.0, 1.0])
+    np.testing.assert_allclose(sgn_lp(1e200 * x, 3.0), sgn_lp(x, 3.0), rtol=0.0, atol=1e-14)
+
+
+def test_spatial_dist_value_rejects_nan_norm():
+    from spatialfda import SpatialDistValue
+
+    with pytest.raises(ValueError):
+        SpatialDistValue(np.zeros(2), float("nan"))
