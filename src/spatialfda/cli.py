@@ -250,11 +250,13 @@ def _process_spec(cfg: dict, parser) -> tuple[ProcessSpec, str]:
     name = _require(cfg, "process", parser, "--process")
     hurst = cfg.get("hurst")
     df = cfg.get("df")
+    if df is not None and (type(df) is not int or df < 3):
+        parser.error(f"--df must be an integer >= 3, got {df!r}")
     if name == "bm":
         return ProcessSpec(KernelSpec.brownian(), GAUSSIAN_LAW), "unit-interval"
     if name == "fbm":
-        if hurst is None:
-            parser.error("--hurst is required for fbm")
+        if not (isinstance(hurst, (int, float)) and 0 < hurst < 1):
+            parser.error(f"--hurst in (0, 1) is required for fbm, got {hurst!r}")
         return ProcessSpec(KernelSpec.fractional_brownian(hurst), GAUSSIAN_LAW), "unit-interval"
     if name == "t":
         if df is None:
@@ -480,11 +482,19 @@ def _cmd_efficiency(cfg, parser) -> int:
     return 0
 
 
+def _n_list(text: str, parser) -> list[int]:
+    """Two or more strictly increasing sample sizes >= 1, from "250,1000,4000"."""
+    sizes = [int(p) if p.strip().isdigit() else 0 for p in text.split(",")]
+    if len(sizes) < 2 or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        parser.error(f"--n-list needs 2+ strictly increasing integers >= 1, got {text!r}")
+    return sizes
+
+
 def _cmd_converge(cfg, parser) -> int:
     study = _require(cfg, "study", parser, "--study")
     spec, domain = _process_spec(cfg, parser)
     seed = _require(cfg, "seed", parser, "--seed")
-    n_values = [int(s) for s in str(cfg["n_list"]).split(",")]
+    n_values = _n_list(str(cfg["n_list"]), parser)
     grid = _grid_for(domain, cfg["grid_size"], seed)
     reps, n_ref = cfg["reps"], cfg["n_ref"]
 

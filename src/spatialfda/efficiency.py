@@ -22,7 +22,6 @@ re-seed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -62,14 +61,24 @@ def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
     return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
 
 
-def _centered(spec: ProcessSpec) -> ProcessSpec:
-    return dataclasses.replace(spec, mean=None) if spec.mean is not None else spec
+def _whitened_draws(spec: ProcessSpec, grid: Grid):
+    """Sampler of whitened centered paths sqrt(w) * (X - m), KL system built once.
 
-
-def _whitened_loadings(spec: ProcessSpec, grid: Grid) -> np.ndarray:
-    """(k, D) matrix mapping iid coefficients to whitened path values."""
+    draws(mc, seed) yields (x, r) blocks, mc paths in all, and their norms;
+    paths with r <= 1e-300 (never in practice) have no sign and are left out.
+    _kl_system and coefficient_chunks stay module globals (perfbench wraps them).
+    """
     scales, functions = _kl_system(spec, grid)
-    return (scales[:, None] * functions) * np.sqrt(grid.weights)[None, :]
+    tilde = (scales[:, None] * functions) * np.sqrt(grid.weights)[None, :]
+
+    def draws(mc: int, seed: int):
+        for y in coefficient_chunks(spec, mc, tilde.shape[0], seed):
+            x = y @ tilde
+            r = np.linalg.norm(x, axis=1)
+            keep = r > 1e-300
+            yield x[keep], r[keep]
+
+    return draws
 
 
 @dataclass(frozen=True)
@@ -118,11 +127,8 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     if mc <= 0:
         diag = spec.kernel.diagonal(grid.points)
         return float(var_y * np.sum(grid.weights * diag))
-    centered = _centered(spec)
-    tilde = _whitened_loadings(centered, grid)
     total = 0.0
-    for y in coefficient_chunks(centered, mc, tilde.shape[0], stream_seed(seed, _TAG_SIGMA)):
-        x = y @ tilde
+    for x, _ in _whitened_draws(spec, grid)(mc, stream_seed(seed, _TAG_SIGMA)):
         total += float(np.sum(x * x))
     return total / mc
 
@@ -137,28 +143,20 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     """
     if mc < 1:
         raise ValueError("mc must be >= 1")
-    centered = _centered(spec)
-    tilde = _whitened_loadings(centered, grid)
-    k, D = tilde.shape
+    draws = _whitened_draws(spec, grid)
+    D = grid.size
 
     j_outer = np.zeros((D, D))
     j_inv_r = 0.0
-    for y in coefficient_chunks(centered, mc, k, stream_seed(seed, _TAG_J)):
-        x = y @ tilde
-        r = np.linalg.norm(x, axis=1)
-        keep = r > 1e-300
-        x, r = x[keep], r[keep]
+    for x, r in draws(mc, stream_seed(seed, _TAG_J)):
         j_inv_r += float(np.sum(1.0 / r))
         m = x / (r**1.5)[:, None]
         j_outer += m.T @ m
     J = (j_inv_r * np.eye(D) - j_outer) / mc
 
     lam_sum = np.zeros((D, D))
-    for y in coefficient_chunks(centered, mc, k, stream_seed(seed, _TAG_LAMBDA)):
-        x = y @ tilde
-        r = np.linalg.norm(x, axis=1)
-        keep = r > 1e-300
-        v = x[keep] / r[keep, None]
+    for x, r in draws(mc, stream_seed(seed, _TAG_LAMBDA)):
+        v = x / r[:, None]
         lam_sum += v.T @ v
     Lam = lam_sum / mc
 

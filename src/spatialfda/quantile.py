@@ -35,7 +35,7 @@ from .funcspace import (
     project_sample,
     reconstruct,
 )
-from .spatialdist import zero_threshold
+from .spatialdist import coincident
 
 log = logging.getLogger(__name__)
 
@@ -115,26 +115,26 @@ def _objective_raw(q, C, b, c_norm_mean):
     return float(np.mean(r) - c_norm_mean - b @ q)
 
 
-def _inverse_distances(q, C, cmax=None):
+def _inverse_distances(q, C, c_norms=None):
     """Differences q - C_i, distances r_i, inverses 1/r_i and the coincident count.
 
-    C_i coincides with q when r_i <= zero_threshold(||q|| + cmax), cmax being
-    the largest row norm of C (computed when not given); its inverse is 0, so
+    C_i coincides with q when coincident(r_i, ||q||, ||C_i||), c_norms being
+    the row norms of C (computed when not given); its inverse is 0, so
     coincident points drop out of every sum built on inv_r.
     """
-    if cmax is None:
-        cmax = float(np.linalg.norm(C, axis=1).max())
+    if c_norms is None:
+        c_norms = np.linalg.norm(C, axis=1)
     diff = q - C
     r = np.linalg.norm(diff, axis=1)
-    coin = r <= zero_threshold(float(np.linalg.norm(q)) + cmax)
+    coin = coincident(r, float(np.linalg.norm(q)), c_norms)
     inv_r = np.zeros_like(r)
     np.divide(1.0, r, out=inv_r, where=~coin)
     return diff, r, inv_r, int(coin.sum())
 
 
-def _gradient_raw(q, C, b, cmax=None):
+def _gradient_raw(q, C, b, c_norms=None):
     """Gradient over non-coincident terms, the coincident count, diff, r and inv_r."""
-    diff, r, inv_r, m = _inverse_distances(q, C, cmax)
+    diff, r, inv_r, m = _inverse_distances(q, C, c_norms)
     grad = (diff * inv_r[:, None]).sum(axis=0) / C.shape[0] - b
     return grad, m, diff, r, inv_r
 
@@ -168,14 +168,14 @@ def floored_inverse(mat: np.ndarray, what: str) -> np.ndarray:
     return (evecs / np.maximum(evals, floor)) @ evecs.T
 
 
-def _datum_test(C, b, j, cmax):
+def _datum_test(C, b, j, c_norms):
     """Exact optimality certificate for the datum C[j].
 
     C[j] minimizes g iff the mean sign vector over data distinct from C[j],
     minus b, has norm at most m/n where m is the multiplicity of C[j].
     """
     n = C.shape[0]
-    grad, m, *_ = _gradient_raw(C[j], C, b, cmax)
+    grad, m, *_ = _gradient_raw(C[j], C, b, c_norms)
     gn = float(np.linalg.norm(grad))
     return gn <= m / n + 1e-15, gn
 
@@ -213,7 +213,7 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
         return ConvergenceError(message, last=last)
 
     for it in range(1, max_iter + 1):
-        grad, m, diff, r, inv_r = _gradient_raw(q, C, b, cmax)
+        grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
         gn = float(np.linalg.norm(grad))
         j = int(np.argmin(r))
 
@@ -228,7 +228,7 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
                 return finish(q, it, gn, None)
             if r[j] <= 1e-3 * float(np.median(r)):
                 # Close to a datum; an exact certificate may end things now.
-                ok, red = _datum_test(C, b, j, cmax)
+                ok, red = _datum_test(C, b, j, c_norms)
                 if ok:
                     return finish(C[j].copy(), it, red, j)
             step = None
@@ -259,7 +259,7 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
                 break
             t *= 0.5
         if not accepted:
-            ok, red = _datum_test(C, b, j, cmax)
+            ok, red = _datum_test(C, b, j, c_norms)
             if ok:
                 return finish(C[j].copy(), it, red, j)
             raise fail(f"no decrease found at iteration {it} (grad norm {gn:.3e})", it, gn)
@@ -268,10 +268,11 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
         fq = f_new
         if track:
             trace.append(fq)
-        if moved <= step_tol * (1.0 + float(np.linalg.norm(q))):
-            grad, m, _, r, _ = _gradient_raw(q, C, b, cmax)
+        # relative to the data scale, like every test here: scale equivariant
+        if moved <= step_tol * (cmax + float(np.linalg.norm(q))):
+            grad, m, _, r, _ = _gradient_raw(q, C, b, c_norms)
             j = int(np.argmin(r))
-            ok, red = _datum_test(C, b, j, cmax)
+            ok, red = _datum_test(C, b, j, c_norms)
             if ok:
                 return finish(C[j].copy(), it, red, j)
             gn = float(np.linalg.norm(grad))
@@ -281,7 +282,7 @@ def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, trac
                 f"step stalled below tolerance at iteration {it} (grad norm {gn:.3e})", it, gn
             )
 
-    gn = float(np.linalg.norm(_gradient_raw(q, C, b, cmax)[0]))
+    gn = float(np.linalg.norm(_gradient_raw(q, C, b, c_norms)[0]))
     raise fail(f"no convergence in {max_iter} iterations (grad norm {gn:.3e})", max_iter, gn)
 
 

@@ -10,6 +10,12 @@ All Hilbert-space geometry is the weighted grid inner product from
 funcspace. The l_p variant of the sign map is provided for plain coefficient
 vectors only.
 
+Whether two points coincide, and so have the zero sign, is decided in one
+place for the whole package: coincident(dist, ||a||, ||b||), true when
+dist <= ZERO_RTOL * (||a|| + ||b||). The rule is pairwise and relative, with
+no absolute floor, so signs, depths and quantiles are scale equivariant at
+any magnitude.
+
 Every batch evaluation goes through one kernel, _sign_mean. It never forms
 the differences q - X_i for all pairs. With r = ||q - x||, the Gram identity
 r^2 = ||q||^2 + ||x||^2 - 2 <q, x> gives all distances of a block of queries
@@ -22,8 +28,9 @@ the direct sum:
   the scale of the distances themselves, so the Gram values keep their
   digits and almost every pair stays on the matrix-product path.
 - Cancellation. A pair whose Gram value is small against its norms has lost
-  digits to cancellation; it is computed directly from q - x instead. A
-  coincident pair then has distance exactly 0 and contributes the zero sign.
+  digits to cancellation; it is computed directly from q - x instead, and
+  the coincidence rule is applied to that exact distance. The per-query
+  bound of this near path covers every pair the rule could call coincident.
 - Fixed shape. Queries reach BLAS in tiles of a constant count, the last
   one zero-padded, and each product keeps the tile on its last axis.
   OpenBLAS does not round a product identically at every row count (a 1-row
@@ -44,13 +51,13 @@ import numpy as np
 from .errors import GridMismatchError
 from .funcspace import Curve, FunctionalSample, norm
 
-# Norms at or below 1e-12 * (1 + reference scale) count as zero, realizing
-# the SGN_0 = 0 convention for data that coincide numerically.
+# Relative tolerance of the one coincidence rule; see coincident.
 ZERO_RTOL = 1e-12
 
 
-def zero_threshold(ref_scale: float) -> float:
-    return ZERO_RTOL * (1.0 + ref_scale)
+def coincident(dist, norm_a, norm_b):
+    """Elementwise dist <= ZERO_RTOL * (||a|| + ||b||): a and b coincide (zero sign)."""
+    return dist <= ZERO_RTOL * (norm_a + norm_b)
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,15 @@ class SpatialDistValue:
 
 
 def sgn_hilbert(x: Curve, ref_scale: float = 0.0) -> Curve:
-    """Spatial sign x / ||x||, or the zero curve when ||x|| is negligible.
+    """Spatial sign x / ||x||, or the zero curve when x coincides with 0.
 
-    ref_scale sets the scale against which "negligible" is judged; by
-    default only norms at machine-zero level (1e-12) are flattened.
+    x counts as 0 when coincident(||x||, 0, ref_scale), i.e. when
+    ||x|| <= ZERO_RTOL * ref_scale: ref_scale is the norm of the points x
+    is a difference of. At the default of 0 only the exact zero curve maps
+    to zero, at any scale.
     """
     nx = norm(x)
-    if nx <= zero_threshold(ref_scale):
+    if coincident(nx, 0.0, ref_scale):
         return Curve(x.grid, np.zeros(x.grid.size))
     return Curve(x.grid, x.values / nx)
 
@@ -98,26 +107,7 @@ def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
     if vmax == 0.0:
         return np.zeros_like(v)
     a = v / vmax
-    na = float(np.linalg.norm(a, ord=p))
-    if vmax * na <= zero_threshold(0.0):
-        return np.zeros_like(v)
-    return np.sign(a) * np.abs(a) ** (p - 1.0) / na ** (p - 1.0)
-
-
-def _max_norm(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.einsum("nd,d,nd->n", values, weights, values), initial=0.0)))
-
-
-def coincidence_threshold(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> float:
-    """Distance at or below which a query and a datum count as coincident.
-
-    It is ZERO_RTOL times the largest weighted norms in the batch, with no
-    absolute floor, so scaling queries and data together scales it too and
-    depth stays scale invariant at any magnitude. A caller that splits a
-    batch computes it once for the whole batch, so the split cannot move a
-    coincidence decision.
-    """
-    return ZERO_RTOL * (_max_norm(queries, weights) + _max_norm(data, weights))
+    return np.sign(a) * np.abs(a) ** (p - 1.0) / np.linalg.norm(a, ord=p) ** (p - 1.0)
 
 
 # Queries go to BLAS in tiles of exactly this many; see the module notes.
@@ -127,35 +117,31 @@ _TILE = 16
 _CANCEL = 1e-4
 
 
-def _sign_mean(
-    queries: np.ndarray,
-    data: np.ndarray,
-    weights: np.ndarray,
-    thresh: float | None = None,
-) -> np.ndarray:
+def _sign_mean(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Average spatial sign of (query - X_i) for each query row.
 
-    queries (m, D), data (n, D) -> (m, D). Pairs at distance <= thresh
-    (default: coincidence_threshold of this batch) contribute zero.
+    queries (m, D), data (n, D) -> (m, D). Coincident pairs (see coincident,
+    on the raw weighted norms of query and datum) contribute zero.
 
     In centered coordinates each tile of _TILE queries costs two GEMMs:
     G = Xc @ (tile * w).T gives r^2 = ||q||^2 + ||x||^2 - 2 G, and the sum
     of signs is tile * sum_j 1/r_j - sum_j Xc_j / r_j, both sums from
-    [Xc | 1].T @ (1/r). Pairs with
-    r^2 <= max(_CANCEL * (||q||^2 + max_j ||x_j||^2), thresh^2), a per-query
-    bound that covers the pairwise rule r^2 <= _CANCEL * (||q||^2 + ||x_j||^2)
-    and every coincident pair, leave the GEMMs; their distance and sign are
-    recomputed from q - x.
+    [Xc | 1].T @ (1/r). Pairs with r^2 <= max(_CANCEL * (||qc||^2 +
+    max_j ||xc_j||^2), (ZERO_RTOL * (||q|| + max_j ||x_j||))^2), a per-query
+    bound that covers the pairwise rule r^2 <= _CANCEL * (||qc||^2 +
+    ||xc_j||^2) and every coincident pair, leave the GEMMs; their distance
+    and sign are recomputed from q - x, and coincident is applied per pair.
 
-    Every query goes through the same operations at the same shapes, so
-    given the same thresh the result is bitwise independent of m and of how
-    a caller splits the queries. Workspace: O(_TILE * n) floats plus one
-    centered copy of the data.
+    Every query goes through the same operations at the same shapes, and
+    every decision depends on that query and the data alone, so the result
+    is bitwise independent of m and of how a caller splits the queries.
+    Workspace: O(_TILE * n) floats plus one centered copy of the data.
     """
     m, D = queries.shape
     n = data.shape[0]
-    if thresh is None:
-        thresh = coincidence_threshold(queries, data, weights)
+    q_norm = np.sqrt(np.einsum("md,d,md->m", queries, weights, queries))
+    x_norm = np.sqrt(np.einsum("nd,d,nd->n", data, weights, data))
+    x_norm_max = float(x_norm.max(initial=0.0))
     mean = data.mean(axis=0)
     # xc = [X - mean | 1]: the ones column makes the second GEMM also
     # return sum_j 1/r_j, in the same position-stable shape
@@ -172,13 +158,15 @@ def _sign_mean(
         k = min(_TILE, m - start)
         tile[:k] = qc[start : start + k]
         tile[k:] = 0.0
+        tile_norm = q_norm[start : start + k]
         qq = np.einsum("td,d,td->t", tile, weights, tile)
         g = x @ (tile * weights).T  # (n, _TILE) inner products
         inv = g[:, :k]
         inv *= -2.0
         inv += xx[:, None]
         inv += qq[:k]  # r^2 by the Gram identity
-        bound = np.maximum(_CANCEL * (qq[:k] + xx_max), thresh * thresh)
+        tol = ZERO_RTOL * (tile_norm + x_norm_max)  # largest coincident distance
+        bound = np.maximum(_CANCEL * (qq[:k] + xx_max), tol * tol)
         near = inv <= bound
         inv[near] = np.inf
         np.sqrt(inv, out=inv)
@@ -186,17 +174,18 @@ def _sign_mean(
         g[:, k:] = 0.0
         sums = xc.T @ g  # (D + 1, _TILE): sum_j x_j / r_j, then sum_j 1/r_j
         s = tile * sums[D][:, None] - sums[:D].T
-        _add_near_signs(s, tile, x, weights, near, thresh)
+        _add_near_signs(s, tile, x, weights, near, tile_norm, x_norm)
         out[start : start + k] = s[:k] / n
     return out
 
 
-def _add_near_signs(s, tile, x, weights, near, thresh) -> None:
+def _add_near_signs(s, tile, x, weights, near, tile_norm, x_norm) -> None:
     """Add sign(q_i - x_j) to s[i] for the near pairs, from q - x itself.
 
-    near is (n, k). np.add.at adds in pair order, so each query receives its
-    terms in increasing j however the pairs are chunked; a chunk holds about
-    one tile's worth of floats.
+    near is (n, k); tile_norm and x_norm are the raw norms that coincident
+    judges each pair by. np.add.at adds in pair order, so each query
+    receives its terms in increasing j however the pairs are chunked; a
+    chunk holds about one tile's worth of floats.
     """
     xj, qi = np.nonzero(near)
     step = max(1, near.size // tile.shape[1])
@@ -204,7 +193,7 @@ def _add_near_signs(s, tile, x, weights, near, thresh) -> None:
         rows, cols = qi[lo : lo + step], xj[lo : lo + step]
         diff = tile[rows] - x[cols]
         r = np.sqrt(np.einsum("kd,d,kd->k", diff, weights, diff))
-        keep = r > thresh
+        keep = ~coincident(r, tile_norm[rows], x_norm[cols])
         np.add.at(s, rows[keep], diff[keep] / r[keep, None])
 
 
@@ -254,9 +243,9 @@ def monotonicity_probe(
     For each pair (x, y) computes <S_x - S_y, x - y> under the grid inner
     product. For distinct points of a nonatomic law this is positive in
     population; a nonpositive value for a distinct pair counts as a
-    violation. Pairs with ||x - y|| <= ZERO_RTOL * (||x|| + ||y||) are
-    flagged degenerate and not counted; the test is relative, so the flags
-    do not change when the sample and the pairs are scaled together.
+    violation. Pairs where x and y are coincident are flagged degenerate
+    and not counted; the rule is relative, so the flags do not change when
+    the sample and the pairs are scaled together.
     """
     w = sample.grid.weights
     xs = np.array([p[0].values for p in pairs])
@@ -265,9 +254,7 @@ def monotonicity_probe(
     sy = _sign_mean(ys, sample.values, w)
     dxy = xs - ys
     values = np.sum((sx - sy) * dxy * w, axis=1)
-    scale = np.sqrt(np.sum(dxy * dxy * w, axis=1))
-    size = np.sqrt(np.sum(xs * xs * w, axis=1)) + np.sqrt(np.sum(ys * ys * w, axis=1))
-    degenerate = scale <= ZERO_RTOL * size
+    degenerate = coincident(*(np.sqrt(np.sum(v * v * w, axis=1)) for v in (dxy, xs, ys)))
     values = np.where(degenerate, 0.0, values)
     violations = int(np.sum((values <= 0.0) & ~degenerate))
     return MonotonicityReport(values, degenerate, violations)

@@ -348,3 +348,36 @@ def test_bad_config_entry_is_usage_error(tmp_path, capsys, conf, message):
         run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--n-list", "100,100"),
+        ("--n-list", "500"),
+        ("--n-list", "1000,250"),
+        ("--n-list", "0,250"),
+        ("--n-list", "250,1e3"),
+        ("--n-list", "250,-4"),
+        ("--hurst", "1.0"),
+        ("--hurst", "0"),
+        ("--hurst", "nan"),
+        ("--df", "2"),
+    ],
+)
+def test_bad_converge_argument_is_usage_error(tmp_path, capsys, monkeypatch, flag, value):
+    import spatialfda.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "sample_process", no_work)
+    monkeypatch.setattr(cli, "gc_rate_study", no_work)
+    args = {"--study": "gc", "--process": "fbm", "--hurst": "0.3", "--seed": "1"}
+    if flag == "--df":
+        args = {"--study": "gc", "--process": "t", "--seed": "1"}
+    args[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["converge", *[x for kv in args.items() for x in kv]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Property tests: invariances of depth and of the monotonicity probe.
+"""Property tests: invariances of depth, quantiles and the monotonicity probe.
 
 Examples are derandomized and no example database is kept, so every run
 of the same suite checks the same cases.
@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from spatialfda import (
     Curve,
+    DirectionU,
     FunctionalSample,
     Grid,
     KernelSpec,
     ProcessSpec,
     depth_profile,
     monotonicity_probe,
+    pca,
     sample_process,
+    solve_quantile,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -82,3 +85,20 @@ def test_monotonicity_flags_invariant_under_scaling(seed, n, scale):
     base, scaled = probe(1.0), probe(scale)
     np.testing.assert_array_equal(scaled.degenerate, base.degenerate)
     assert scaled.violations == base.violations
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, scale=scales, k=st.integers(1, 3), c=st.floats(-0.6, 0.6))
+def test_quantile_equivariant_under_scaling(seed, n, scale, k, c):
+    data = sample_process(BM, GRID, n, seed=seed).values
+    basis = pca(FunctionalSample(GRID, data), 3)
+    u = DirectionU.along(k, c, 3)
+
+    def curve(factor):
+        return solve_quantile(FunctionalSample(GRID, data * factor), u, basis=basis).curve.values
+
+    # both solves stop at gradient norm 1e-8, so they agree to ~1e-8, not bitwise
+    base = curve(1.0)
+    np.testing.assert_allclose(
+        curve(scale) / scale, base, rtol=0.0, atol=1e-6 * np.max(np.abs(base))
+    )

@@ -261,3 +261,19 @@ def test_bahadur_report_smaller_residual():
 def test_direction_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         DirectionU(np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e20])
+def test_quantiles_scale_equivariant_at_extreme_scales(scale):
+    # every test of the solver is relative; with an absolute zero floor the
+    # tiny-scale solves stopped after one iteration, anchored at a datum
+    s = bm_sample(50, seed=0)
+    basis = pca(s, 5)
+    scaled = FunctionalSample(s.grid, scale * s.values)
+    for u in (DirectionU.zero(5), DirectionU.along(1, 0.5, 5)):
+        base = solve_quantile(s, u, basis=basis, d=5)
+        sol = solve_quantile(scaled, u, basis=basis, d=5)
+        assert base.anchored_at_datum is None
+        assert sol.anchored_at_datum is None
+        err = np.max(np.abs(sol.curve.values / scale - base.curve.values))
+        assert err <= 1e-12 * np.max(np.abs(base.curve.values))

@@ -139,14 +139,7 @@ def test_sign_mean_chunk_invariance():
     queries = rng.normal(size=(7, 12))
     w = g.weights
     batch = _sign_mean(queries, s.values, w)
-    ref = float(np.sqrt(np.max(np.sum(queries * queries * w, axis=1))))
-    ref += float(np.sqrt(np.max(np.sum(s.values * s.values * w, axis=1))))
-    from spatialfda.spatialdist import zero_threshold
-
-    th = zero_threshold(ref)
-    singles = np.vstack(
-        [_sign_mean(q[None, :], s.values, w, thresh=th) for q in queries]
-    )
+    singles = np.vstack([_sign_mean(q[None, :], s.values, w) for q in queries])
     np.testing.assert_array_equal(batch, singles)
 
 
@@ -210,9 +203,27 @@ def test_near_pair_keeps_a_unit_sign():
     assert np.sqrt(np.sum(near_term * near_term * w)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+def test_pair_within_the_relative_tolerance_contributes_zero(scale):
+    # a query 1e-14 (relative) away from a datum coincides with it at any scale
+    from spatialfda.spatialdist import _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    w = g.weights
+    data = sample_process(BM, g, 50, seed=12).values * scale
+    x = data[7]
+    e = np.sin(np.pi * g.points)
+    e /= np.sqrt(np.sum(e * e * w))
+    q = x + 1e-14 * np.sqrt(np.sum(x * x * w)) * e
+    total = _sign_mean(q[None, :], data, w)[0] * len(data)
+    others = np.delete(data, 7, axis=0)
+    want = direct_sign_mean(q[None, :], others, w)[0] * len(others)
+    np.testing.assert_allclose(total, want, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1, None])
 def test_sign_mean_bitwise_independent_of_batch_split(offset):
-    from spatialfda.spatialdist import _TILE, _sign_mean, coincidence_threshold
+    from spatialfda.spatialdist import _TILE, _sign_mean
 
     m = 2 * _TILE + 1 if offset is None else _TILE + offset
     g = Grid.uniform(0.0, 1.0, 32)
@@ -220,10 +231,9 @@ def test_sign_mean_bitwise_independent_of_batch_split(offset):
     data = sample_process(BM, g, 500, seed=13).values
     queries = sample_process(BM, g, m, seed=14).values.copy()
     queries[m // 2] = data[3]  # one coincident pair on the direct path
-    th = coincidence_threshold(queries, data, w)
     batch = _sign_mean(queries, data, w)
-    singles = np.vstack([_sign_mean(q[None, :], data, w, thresh=th) for q in queries])
-    halves = np.vstack([_sign_mean(p, data, w, thresh=th) for p in np.array_split(queries, 2)])
+    singles = np.vstack([_sign_mean(q[None, :], data, w) for q in queries])
+    halves = np.vstack([_sign_mean(p, data, w) for p in np.array_split(queries, 2)])
     np.testing.assert_array_equal(batch, singles)
     np.testing.assert_array_equal(batch, halves)
 
@@ -246,6 +256,15 @@ def test_monotonicity_probe_is_scale_free(scale):
     assert list(base.degenerate) == [False] * 10 + [True]
     assert scaled.violations == base.violations
     np.testing.assert_allclose(scaled.values / scale, base.values, rtol=1e-12, atol=0.0)
+
+
+def test_tiny_nonzero_inputs_keep_a_unit_sign():
+    # no absolute floor: only the exact zero maps to the zero sign
+    assert np.linalg.norm(sgn_lp(np.array([1e-14, 0.0]), 3.0), ord=1.5) == pytest.approx(1.0)
+    from spatialfda import norm
+
+    g = Grid.uniform(0.0, 1.0, 50)
+    assert norm(sgn_hilbert(Curve(g, np.full(50, 1e-14)))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sgn_lp_stays_finite_for_huge_inputs():
