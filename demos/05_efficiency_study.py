@@ -3,7 +3,9 @@
 For a Gaussian process the sample mean is the maximum likelihood location
 estimator, so the spatial median gives up a little efficiency; under heavy
 tails the ranking flips and the median wins by a wide margin. The numbers
-below are trace ratios trace(Sigma) / trace(V0) estimated by Monte Carlo.
+below are trace ratios trace(Sigma) / trace(V0) estimated by Monte Carlo,
+with J and Lambda diagonal in Karhunen-Loeve coordinates; the t-law rows
+follow from their Gaussian twins through the elliptical identity.
 
 A reduced Monte Carlo budget keeps this demo fast (a few seconds); pass
 --full to reproduce the shipped table at its production budget.
@@ -18,7 +20,7 @@ from spatialfda import efficiency_table
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true",
-                    help="production Monte Carlo budget (a few minutes)")
+                    help="production Monte Carlo budget (about 30 s)")
     args = ap.parse_args()
     mc = 200_000 if args.full else 20_000
 

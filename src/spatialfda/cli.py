@@ -35,6 +35,7 @@ from .efficiency import (
     DEFAULT_GRID_SIZE,
     DEFAULT_MC,
     DEFAULT_TABLE_SEED,
+    ESTIMATOR,
     are,
     efficiency_table,
     real_line_grid,
@@ -439,45 +440,23 @@ def _cmd_ddplot(cfg, parser) -> int:
 
 
 def _cmd_efficiency(cfg, parser) -> int:
+    doc = {"version": __version__, "generator": GENERATOR_NAME, "estimator": ESTIMATOR}
     if cfg.get("table"):
-        seed = cfg.get("seed")
-        if seed is None:
-            seed = DEFAULT_TABLE_SEED
+        seed = DEFAULT_TABLE_SEED if cfg.get("seed") is None else cfg["seed"]
         rows = efficiency_table(seed=seed, mc=cfg["mc"], grid_size=cfg["grid_size"])
-        doc = {
-            "kind": "efficiency-table",
-            "version": __version__,
-            "generator": GENERATOR_NAME,
-            "seed": seed,
-            "mc_size": cfg["mc"],
-            "grid_size": cfg["grid_size"],
-            "rows": [
-                {
-                    "label": r.label,
-                    "reference": r.reference,
-                    "report": dataclasses.asdict(r.report),
-                }
-                for r in rows
-            ],
-        }
+        doc.update(kind="efficiency-table", seed=seed, mc_size=cfg["mc"], grid_size=cfg["grid_size"])
+        doc["rows"] = [
+            {"label": r.label, "reference": r.reference, "report": dataclasses.asdict(r.report)}
+            for r in rows
+        ]
         for r in rows:
             ref = "-" if r.reference is None else f"{r.reference:.3f}"
-            print(
-                f"{r.label:18s} are={r.report.are:7.4f}  reference={ref}",
-                file=sys.stderr,
-            )
-        emit_json(doc, cfg.get("out"))
-        return 0
-    spec, domain = _process_spec(cfg, parser)
-    seed = _require(cfg, "seed", parser, "--seed")
-    grid = _grid_for(domain, cfg["grid_size"], seed)
-    rep = are(spec, grid, cfg["mc"], seed)
-    doc = {
-        "kind": "efficiency-report",
-        "version": __version__,
-        "generator": GENERATOR_NAME,
-        "report": dataclasses.asdict(rep),
-    }
+            print(f"{r.label:18s} are={r.report.are:7.4f}  reference={ref}", file=sys.stderr)
+    else:
+        spec, domain = _process_spec(cfg, parser)
+        seed = _require(cfg, "seed", parser, "--seed")
+        rep = are(spec, _grid_for(domain, cfg["grid_size"], seed), cfg["mc"], seed)
+        doc.update(kind="efficiency-report", report=dataclasses.asdict(rep))
     emit_json(doc, cfg.get("out"))
     return 0
 

@@ -11,25 +11,37 @@ trace(Sigma) / trace(J^{-1} Lambda J^{-1}); a value above 1 means the median
 needs fewer observations than the mean for the same precision (heavy-tailed
 coefficient laws), below 1 the reverse (Gaussian-type processes).
 
-Everything is evaluated over a D-point grid in whitened coordinates
-sqrt(w) * x, where the weighted inner product is Euclidean and operator
-traces are plain matrix traces; the ratio is invariant under orthonormal
-changes of that representation. J and Lambda use independent Monte Carlo
-streams derived from one study seed through fixed integer tags, so a report
-is reproducible bit for bit and does not change when other parts of a study
-re-seed.
+Everything is evaluated in the whitened coordinates sqrt(w) * x of a
+D-point grid, where the weighted inner product is Euclidean; the ratio is
+invariant under orthonormal changes of that representation. A whitened path
+is y @ tilde, tilde the k x D whitened KL loading; with sigma its min(k, D)
+singular values it is z = y * sigma in orthonormal coordinates, in
+distribution. Every shipped law keeps each coordinate of z sign-symmetric
+given the others, so J and Lambda are diagonal there and
+trace(V0) = sum_i Lambda_ii / J_ii^2 (directions off the KL span add 0).
+
+The student-t law is elliptical: its path is the Gaussian path divided by
+one shared s = sqrt(W/df), W ~ chi-square(df). Signs do not see s and 1/r
+scales by it, so J_t = E[s] J_G and Lambda_t = Lambda_G: a t law's V0 is
+its Gaussian twin's divided by E[s]^2, where
+E[s] = sqrt(2/df) Gamma((df+1)/2) / Gamma(df/2) (Magyar & Tyler 2011).
+
+J and Lambda use two independent Monte Carlo streams derived from one study
+seed through fixed integer tags, so a report is reproducible bit for bit
+and does not change when other parts of a study re-seed.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConditioningError
 from .funcspace import Grid
-from .quantile import floored_inverse
+from .quantile import CONDITION_LIMIT
 from .simulate import (
     GAUSSIAN_LAW,
     STUDENT_T_LAW,
@@ -42,6 +54,7 @@ from .simulate import (
 
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
+ESTIMATOR = "kl-diagonal-1"  # names the v0 estimator below in every efficiency artifact
 
 # Stream tags. Every named substream of a study seed gets its own fixed tag,
 # so adding streams later cannot silently shift existing ones.
@@ -61,24 +74,29 @@ def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
     return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
 
 
-def _whitened_draws(spec: ProcessSpec, grid: Grid):
-    """Sampler of whitened centered paths sqrt(w) * (X - m), KL system built once.
+def _whitened_scales(spec: ProcessSpec, grid: Grid) -> np.ndarray:
+    """Singular values sigma of the whitened KL loading, descending.
 
-    draws(mc, seed) yields (x, r) blocks, mc paths in all, and their norms;
-    paths with r <= 1e-300 (never in practice) have no sign and are left out.
+    Equal to the KL scales where the whitened KL functions are orthonormal,
+    exact also where they are not (k > D, or a grid on part of [0, 1]).
     _kl_system and coefficient_chunks stay module globals (perfbench wraps them).
     """
     scales, functions = _kl_system(spec, grid)
     tilde = (scales[:, None] * functions) * np.sqrt(grid.weights)[None, :]
+    return np.linalg.svd(tilde, compute_uv=False)
 
-    def draws(mc: int, seed: int):
-        for y in coefficient_chunks(spec, mc, tilde.shape[0], seed):
-            x = y @ tilde
-            r = np.linalg.norm(x, axis=1)
-            keep = r > 1e-300
-            yield x[keep], r[keep]
 
-    return draws
+def _gaussian_twin(spec: ProcessSpec) -> ProcessSpec:
+    """The process with the same kernel, mean and truncation under the Gaussian law."""
+    return replace(spec, coefficient_law=GAUSSIAN_LAW, df=None)
+
+
+def _mean_scale(spec: ProcessSpec) -> float:
+    """E[s] of the shared scale s = sqrt(W/df) of a t law; 1 for the Gaussian law."""
+    if spec.coefficient_law != STUDENT_T_LAW:
+        return 1.0
+    df = spec.df
+    return math.sqrt(2.0 / df) * math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2))
 
 
 @dataclass(frozen=True)
@@ -127,51 +145,60 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     if mc <= 0:
         diag = spec.kernel.diagonal(grid.points)
         return float(var_y * np.sum(grid.weights * diag))
+    sigma = _whitened_scales(spec, grid)
     total = 0.0
-    for x, _ in _whitened_draws(spec, grid)(mc, stream_seed(seed, _TAG_SIGMA)):
-        total += float(np.sum(x * x))
+    for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
+        total += float(np.sum((y * sigma) ** 2))
     return total / mc
 
 
 def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> float:
     """trace of J^{-1} Lambda J^{-1} on the grid, from mc draws per matrix.
 
-    J and Lambda are D x D Monte Carlo averages of (I - vv')/||X - m|| and
-    vv' in whitened coordinates, accumulated chunk by chunk in a fixed
-    order from two independent substreams of the seed. Draws that land
-    exactly on m (never in practice) are skipped.
+    In the diagonal coordinates z = y * sigma of the module docstring,
+    J_ii = mean(1/r - z_i^2/r^3) and Lambda_ii = mean(z_i^2/r^2), r = ||z||,
+    summed chunk by chunk in a fixed order over two independent substreams
+    of the seed. The draws are the Gaussian twin's normals, the normal block
+    a t law draws first; a t law then divides by E[s]^2, so every law runs
+    this one path. Raises ConditioningError when J is singular, as for a
+    one-dimensional process.
     """
     if mc < 1:
         raise ValueError("mc must be >= 1")
-    draws = _whitened_draws(spec, grid)
-    D = grid.size
+    sigma = _whitened_scales(spec, grid)
+    twin = _gaussian_twin(spec)
 
-    j_outer = np.zeros((D, D))
-    j_inv_r = 0.0
-    for x, r in draws(mc, stream_seed(seed, _TAG_J)):
-        j_inv_r += float(np.sum(1.0 / r))
-        m = x / (r**1.5)[:, None]
-        j_outer += m.T @ m
-    J = (j_inv_r * np.eye(D) - j_outer) / mc
+    def sums(tag: int, power: int):
+        # sum of 1/r and of z_i^2 / r^power over the stream; r = 0 adds nothing
+        inv_r_sum, weighted = 0.0, np.zeros(sigma.size)
+        for y in coefficient_chunks(twin, mc, sigma.size, stream_seed(seed, tag)):
+            z2 = (y * sigma) ** 2
+            r = np.sqrt(np.sum(z2, axis=1))
+            inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 1e-300)
+            inv_r_sum += float(np.sum(inv_r))
+            weighted += inv_r**power @ z2
+        return inv_r_sum, weighted
 
-    lam_sum = np.zeros((D, D))
-    for x, r in draws(mc, stream_seed(seed, _TAG_LAMBDA)):
-        v = x / r[:, None]
-        lam_sum += v.T @ v
-    Lam = lam_sum / mc
-
-    J_inv = floored_inverse(J, "estimated J")
-    return float(np.trace(J_inv @ Lam @ J_inv))
+    inv_r_sum, j_outer = sums(_TAG_J, 3)
+    lam_sum = sums(_TAG_LAMBDA, 2)[1]
+    J = (inv_r_sum - j_outer) / mc
+    if np.min(J) <= inv_r_sum / mc / CONDITION_LIMIT:  # (nearly) one-dimensional process
+        raise ConditioningError(f"estimated J condition number exceeds {CONDITION_LIMIT:.0e}")
+    return float(np.sum(lam_sum / mc / J**2)) / _mean_scale(spec) ** 2
 
 
-def are(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> EfficiencyReport:
+def are(
+    spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0, *, twin_v0: float | None = None
+) -> EfficiencyReport:
     """Efficiency report trace(Sigma) / trace(V0) for one process.
 
     trace(Sigma) comes from its closed form (exact), so the whole Monte
-    Carlo budget goes into the sandwich estimate.
+    Carlo budget goes into the sandwich estimate. twin_v0, when given, is
+    v0_estimate of the Gaussian twin at the same grid, mc and seed; the
+    table passes it so that each twin is estimated once.
     """
     ts = sigma_trace(spec, grid)
-    tv = v0_estimate(spec, grid, mc, seed)
+    tv = v0_estimate(spec, grid, mc, seed) if twin_v0 is None else twin_v0 / _mean_scale(spec) ** 2
     return EfficiencyReport(
         trace_sigma=ts,
         trace_v0=tv,
@@ -233,22 +260,14 @@ def default_table_cells() -> list[TableCell]:
                 _FBM_REFERENCES.get(h),
             )
         )
-    cells.append(
-        TableCell("t3-min", ProcessSpec(KernelSpec.min_kernel(), STUDENT_T_LAW, df=3), "unit-interval", 2.135)
-    )
-    cells.append(
-        TableCell("t9-min", ProcessSpec(KernelSpec.min_kernel(), STUDENT_T_LAW, df=9), "unit-interval", 1.006)
-    )
-    cells.append(
-        TableCell("gauss-kernel", ProcessSpec(KernelSpec.gaussian_kernel(), GAUSSIAN_LAW), "real-line", 0.834)
-    )
-    cells.append(
-        TableCell("gauss-kernel-t3", ProcessSpec(KernelSpec.gaussian_kernel(), STUDENT_T_LAW, df=3), "real-line", 2.247)
-    )
-    cells.append(
-        TableCell("gauss-kernel-t9", ProcessSpec(KernelSpec.gaussian_kernel(), STUDENT_T_LAW, df=9), "real-line", 1.013)
-    )
-    return cells
+    t, gk = STUDENT_T_LAW, KernelSpec.gaussian_kernel()
+    return cells + [
+        TableCell("t3-min", ProcessSpec(KernelSpec.min_kernel(), t, df=3), "unit-interval", 2.135),
+        TableCell("t9-min", ProcessSpec(KernelSpec.min_kernel(), t, df=9), "unit-interval", 1.006),
+        TableCell("gauss-kernel", ProcessSpec(gk, GAUSSIAN_LAW), "real-line", 0.834),
+        TableCell("gauss-kernel-t3", ProcessSpec(gk, t, df=3), "real-line", 2.247),
+        TableCell("gauss-kernel-t9", ProcessSpec(gk, t, df=9), "real-line", 1.013),
+    ]
 
 
 def efficiency_table(
@@ -261,29 +280,30 @@ def efficiency_table(
 
     The unit-interval cells share one equispaced grid; the real-line cells
     share one batch of N(0, 1/2) points drawn from the study seed's grid
-    substream. Each cell runs under its own tagged substream, so rows do
-    not change when the cell list is filtered.
+    substream. A cell runs under the tagged substream of the first default
+    cell with the same Gaussian twin on the same domain, and each such
+    (twin, grid, seed) is estimated once: t3-min and t9-min share one
+    Gaussian min-kernel run, the gauss-kernel t cells reuse the gauss-kernel
+    run. Tags do not depend on the cell list, so filtering it changes no row.
     """
     if cells is None:
         cells = default_table_cells()
     unit = Grid.uniform(0.0, 1.0, grid_size)
-    real = None
-    if any(c.domain == "real-line" for c in cells):
-        real = real_line_grid(seed, grid_size)
+    real = real_line_grid(seed, grid_size) if any(c.domain == "real-line" for c in cells) else None
 
-    base = default_table_cells()
-    labels = [c.label for c in base]
-
-    def cell_tag(cell: TableCell) -> int:
-        # stable tag by position in the full table; unknown labels get a
-        # content-derived tag (crc32 is stable across processes, hash() is not)
-        if cell.label in labels:
-            return _TAG_CELL_BASE + labels.index(cell.label)
-        return _TAG_CELL_BASE + len(labels) + zlib.crc32(cell.label.encode())
+    twins = [(c.domain, _gaussian_twin(c.spec)) for c in default_table_cells()]
+    twin_reports: dict[int, EfficiencyReport] = {}  # by cell seed
 
     def run(cell: TableCell) -> TableRow:
         grid = unit if cell.domain == "unit-interval" else real
-        rep = are(cell.spec, grid, mc, stream_seed(seed, cell_tag(cell)))
+        key = (cell.domain, _gaussian_twin(cell.spec))
+        if key not in twins:  # content-derived tag (crc32 is stable across processes, hash() is not)
+            tag = _TAG_CELL_BASE + len(twins) + zlib.crc32(cell.label.encode())
+            return TableRow(cell.label, are(cell.spec, grid, mc, stream_seed(seed, tag)), cell.reference)
+        cell_seed = stream_seed(seed, _TAG_CELL_BASE + twins.index(key))
+        if cell_seed not in twin_reports:
+            twin_reports[cell_seed] = are(key[1], grid, mc, cell_seed)
+        rep = are(cell.spec, grid, mc, cell_seed, twin_v0=twin_reports[cell_seed].trace_v0)
         return TableRow(cell.label, rep, cell.reference)
 
     return [run(cell) for cell in cells]

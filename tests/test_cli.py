@@ -6,6 +6,7 @@ import pytest
 
 from spatialfda import __version__, read_sample
 from spatialfda.cli import main
+from spatialfda.efficiency import ESTIMATOR
 
 
 def run_cli(args):
@@ -148,6 +149,7 @@ def test_efficiency_single_cell(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "efficiency-report"
+    assert doc["estimator"] == ESTIMATOR
     assert doc["report"]["are"] > 1.5
     assert doc["report"]["process"]["df"] == 3
 
@@ -224,6 +226,7 @@ def test_efficiency_table_sweep(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "efficiency-table"
+    assert doc["estimator"] == ESTIMATOR
     assert doc["seed"] == 7
     assert len(doc["rows"]) == 15
     labels = [r["label"] for r in doc["rows"]]

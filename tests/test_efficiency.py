@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,34 @@ from spatialfda import (
     sigma_trace,
     v0_estimate,
 )
+from spatialfda.efficiency import _TAG_J, _TAG_LAMBDA
+from spatialfda.simulate import _kl_system, coefficient_chunks, stream_seed
+
+
+def t_factor(df):
+    """ARE(t law) / ARE(Gaussian twin) = df/(df-2) * E[s]^2, s = sqrt(W/df), W ~ chi2(df)."""
+    mean_s = math.sqrt(2.0 / df) * math.gamma((df + 1) / 2) / math.gamma(df / 2)
+    return df / (df - 2) * mean_s**2
+
+
+def full_sandwich(spec, grid, mc, seed):
+    """trace(J^-1 Lambda J^-1) from full D x D Monte Carlo matrices of whitened
+    paths y @ tilde, on the same two tagged streams as v0_estimate."""
+    scales, functions = _kl_system(spec, grid)
+    tilde = scales[:, None] * functions * np.sqrt(grid.weights)
+    D, k = grid.size, scales.size
+    J, Lam = np.zeros((D, D)), np.zeros((D, D))
+    for y in coefficient_chunks(spec, mc, k, stream_seed(seed, _TAG_J)):
+        x = y @ tilde
+        r = np.linalg.norm(x, axis=1)
+        m = x / r[:, None] ** 1.5
+        J += np.sum(1.0 / r) * np.eye(D) - m.T @ m
+    for y in coefficient_chunks(spec, mc, k, stream_seed(seed, _TAG_LAMBDA)):
+        x = y @ tilde
+        v = x / np.linalg.norm(x, axis=1)[:, None]
+        Lam += v.T @ v
+    J_inv = np.linalg.inv(J / mc)
+    return float(np.trace(J_inv @ (Lam / mc) @ J_inv))
 
 
 def test_sigma_trace_closed_forms():
@@ -123,3 +153,61 @@ def test_efficiency_table_small_run():
     assert rows[0].report.are == pytest.approx(rows[1].report.are, rel=0.1)
     again = efficiency_table(seed=11, mc=4000, grid_size=40, cells=cells)
     assert [r.report.are for r in rows] == [r.report.are for r in again]
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (ProcessSpec(KernelSpec.min_kernel()), Grid.uniform(0.0, 1.0, 20)),
+        (ProcessSpec(KernelSpec.fractional_brownian(0.3)), Grid.uniform(0.0, 1.0, 16)),
+        (ProcessSpec(KernelSpec.gaussian_kernel()), real_line_grid(2, 20)),
+    ],
+)
+def test_diagonal_estimator_matches_the_full_sandwich(spec, grid):
+    # k = D here, so the whitened KL rows are orthonormal and both estimators
+    # read the same draws; they differ only by the Monte Carlo off-diagonals of
+    # J and Lambda, measured at 1.3e-4 to 3.3e-4 relative over seeds 0-5
+    for seed in (0, 1):
+        full = full_sandwich(spec, grid, 5000, seed)
+        assert v0_estimate(spec, grid, mc=5000, seed=seed) == pytest.approx(full, rel=1e-3)
+
+
+def test_brownian_where_its_closed_form_rows_are_not_orthonormal():
+    # the closed-form Brownian KL has k = 100 terms, more than D = 24 grid
+    # points, so its whitened rows cannot be orthonormal; the singular values
+    # still give the D = 100 value (1.7% apart at most over seeds 0-5)
+    bm = ProcessSpec(KernelSpec.brownian())
+    coarse = v0_estimate(bm, Grid.uniform(0.0, 1.0, 24), mc=20_000, seed=1)
+    fine = v0_estimate(bm, Grid.uniform(0.0, 1.0, 100), mc=20_000, seed=1)
+    assert coarse == pytest.approx(fine, rel=0.05)
+    # on [0, 1/2] the closed-form functions are not orthonormal at all; the
+    # singular values still give the grid eigenpairs of the same min kernel
+    # (0.2% apart at most over seeds 0-3), where the KL scales are 3x off
+    half = Grid.uniform(0.0, 0.5, 24)
+    closed = v0_estimate(bm, half, mc=20_000, seed=1)
+    grid_eigen = v0_estimate(ProcessSpec(KernelSpec.min_kernel()), half, mc=20_000, seed=1)
+    assert closed == pytest.approx(grid_eigen, rel=0.01)
+
+
+@pytest.mark.parametrize("df, factor", [(3, 2.5465), (9, 1.2164)])
+def test_t_law_efficiency_is_the_gaussian_twin_times_the_closed_form_factor(df, factor):
+    assert t_factor(df) == pytest.approx(factor, abs=5e-5)
+    g = Grid.uniform(0.0, 1.0, 30)
+    t = are(ProcessSpec(KernelSpec.min_kernel(), "student-t", df=df), g, mc=4000, seed=3)
+    twin = are(ProcessSpec(KernelSpec.min_kernel()), g, mc=4000, seed=3)
+    assert t.are / twin.are == pytest.approx(t_factor(df), rel=1e-12)
+
+
+def test_table_t_rows_reuse_their_gaussian_twin():
+    rows = {r.label: r for r in efficiency_table(seed=11, mc=2000, grid_size=30)}
+    gk = rows["gauss-kernel"].report.are
+    for df in (3, 9):
+        got = rows[f"gauss-kernel-t{df}"].report.are
+        assert got == pytest.approx(gk * t_factor(df), rel=1e-12)
+    # t3-min and t9-min share one Gaussian min-kernel run
+    ratio = rows["t3-min"].report.are / rows["t9-min"].report.are
+    assert ratio == pytest.approx(t_factor(3) / t_factor(9), rel=1e-12)
+    # a filtered cell list gives the full table's row bit for bit
+    t9 = [c for c in default_table_cells() if c.label == "t9-min"]
+    (alone,) = efficiency_table(seed=11, mc=2000, grid_size=30, cells=t9)
+    assert alone == rows["t9-min"]
