@@ -62,12 +62,14 @@ from .quantile import (
     FanEntry,
     QuantileFan,
     QuantileSolution,
+    WorkingSample,
     bahadur_residual,
     gradient,
     hessian,
     objective,
     quantile_fan,
     solve_quantile,
+    working_sample,
 )
 from .simulate import (
     KernelSpec,

@@ -43,7 +43,7 @@ from .efficiency import (
 from .errors import SpatialFDAError
 from .funcspace import Basis, FunctionalSample, Grid, orthonormalize, pca
 from .io import read_sample, write_sample, write_table
-from .quantile import DirectionU, solve_quantile
+from .quantile import DirectionU, solve_quantile, working_sample
 from .simulate import (
     GAUSSIAN_LAW,
     GENERATOR_NAME,
@@ -368,7 +368,8 @@ def _cmd_quantile(cfg, parser) -> int:
     if not jobs:
         jobs.append(("median", DirectionU.zero(d)))
 
-    sols = [solve_quantile(sample, u=u, basis=basis, d=d) for _, u in jobs]
+    work = working_sample(sample, basis, d)
+    sols = [solve_quantile(work, u=u) for _, u in jobs]
     labels = [label for label, _ in jobs]
 
     out = cfg.get("out")

@@ -14,6 +14,11 @@ Weiszfeld-style fixed-point step when the Hessian is unusable, plus an
 exact optimality test for solutions that sit on a data point (where g is
 not differentiable). The usual workflow centers the sample at its mean
 curve, solves, and adds the mean back.
+
+Everything that depends on the sample alone (the basis, the projection, the
+centering, the rank-1 test, the start point and the row norms) is done once
+by working_sample; many directions u then share that one WorkingSample, as
+quantile_fan and the command line's quantile fan do.
 """
 
 from __future__ import annotations
@@ -191,15 +196,19 @@ class _RawSolution:
     trace: tuple[float, ...] | None
 
 
-def _solve_coeffs(C, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False):
-    """Minimize g over R^d. Objective decreases monotonically along iterates."""
+def _solve_coeffs(
+    C, b, start, c_norms, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False
+):
+    """Minimize g over R^d from start, c_norms being the row norms of C.
+
+    The objective decreases monotonically along iterates.
+    """
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
     n = C.shape[0]
-    c_norms = np.linalg.norm(C, axis=1)
     cmax = float(c_norms.max())
     c_norm_mean = float(c_norms.mean())
-    q = np.median(C, axis=0)
+    q = np.array(start, dtype=float)
     fq = _objective_raw(q, C, b, c_norm_mean)
     trace = [fq] if track else None
 
@@ -320,23 +329,79 @@ def hessian(Q: Coefficients, sample: FunctionalSample) -> np.ndarray:
     return _hessian_raw(inv_r, diff)
 
 
-def _resolve_basis(sample, basis, d):
-    n = len(sample)
+@dataclass(frozen=True, eq=False)
+class WorkingSample:
+    """A sample prepared once for any number of quantile solves; see working_sample.
+
+    data is the (n, d) matrix the solver works on: the coefficients centered
+    at their mean ``offset`` when ``center``, the raw coefficients otherwise,
+    and the (n, 1) coordinates along the principal ``line`` when the sample
+    is collinear. start is its coordinatewise median (the solver's first
+    iterate) and norms its row norms; mean is the sample's mean curve.
+    """
+
+    basis: Basis
+    center: bool
+    offset: np.ndarray
+    data: np.ndarray
+    start: np.ndarray
+    norms: np.ndarray
+    line: np.ndarray | None
+    mean: Curve
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.dimension
+
+    @property
+    def degenerate(self) -> bool:
+        return self.line is not None
+
+
+def working_sample(
+    sample: FunctionalSample,
+    basis: Basis | None = None,
+    d: int | None = None,
+    center: bool = True,
+) -> WorkingSample:
+    """Project, center and rank-check a sample once, for many solve_quantile calls.
+
+    basis and d resolve as in solve_quantile (PCA of dimension floor(sqrt(n))
+    by default). A sample whose centered coefficients have rank 1 (second
+    singular value at most 1e-10 of the first) keeps its principal line; its
+    quantiles are solved along that line whatever ``center`` says.
+    """
     if d is None:
-        d = basis.dimension if basis is not None else max(1, math.isqrt(n))
+        d = basis.dimension if basis is not None else max(1, math.isqrt(len(sample)))
     if basis is None:
         basis = pca(sample, d)
     elif basis.dimension != d:
         basis = basis.truncated(d)
-    return basis, d
+    C = project_sample(sample, basis)
+    offset = C.mean(axis=0)
+    centered = C - offset
+    line = None
+    if d > 1:
+        svals = np.linalg.svd(centered, compute_uv=False)
+        if svals[1] <= 1e-10 * max(svals[0], 1e-300):
+            line = np.linalg.svd(centered, full_matrices=False)[2][0]
+    if line is not None:
+        data = (centered @ line)[:, None]
+    else:
+        data = centered if center else C
+    arrays = (offset, data, np.median(data, axis=0), np.linalg.norm(data, axis=1), line)
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return WorkingSample(basis, center, *arrays, mean_curve(sample))
 
 
 def solve_quantile(
-    sample: FunctionalSample,
+    sample: FunctionalSample | WorkingSample,
     u: DirectionU | None = None,
     basis: Basis | None = None,
     d: int | None = None,
-    center: bool = True,
+    center: bool | None = None,
     tol: float = GRAD_TOL,
     step_tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
@@ -345,42 +410,44 @@ def solve_quantile(
     """Sample spatial u-quantile over a d-dimensional working subspace.
 
     Defaults: u = 0 (the spatial median), d = floor(sqrt(n)), basis from
-    sample PCA. With center=True (the standard workflow) the sample is
-    centered at its mean curve before solving and the mean is added back,
-    so the returned curve includes mean components outside the basis span.
+    sample PCA. With center=True (the default, the standard workflow) the
+    sample is centered at its mean curve before solving and the mean is
+    added back, so the returned curve includes mean components outside the
+    basis span.
 
     Collinear samples (centered coefficient rank 1) are solved along their
     principal line, ignoring any direction component off that line, and
     flagged degenerate.
+
+    ``sample`` may also be a WorkingSample, which fixes basis, d and center
+    (passing any of them as well raises ValueError). A FunctionalSample is
+    turned into one first, so to solve many directions of one sample, build
+    the working sample once and pass it to every call: the results are
+    bitwise the same.
     """
-    basis, d = _resolve_basis(sample, basis, d)
+    if isinstance(sample, WorkingSample):
+        if basis is not None or d is not None or center is not None:
+            raise ValueError("basis, d and center are fixed by the working sample")
+        work = sample
+    else:
+        work = working_sample(sample, basis, d, True if center is None else center)
+    basis, d = work.basis, work.dimension
     if u is None:
         u = DirectionU.zero(d)
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
-    C = project_sample(sample, basis)
-    mb = C.mean(axis=0)
-    centered = C - mb
-    degenerate = False
-    if d > 1:
-        svals = np.linalg.svd(centered, compute_uv=False)
-        degenerate = bool(svals[1] <= 1e-10 * max(svals[0], 1e-300))
-    if degenerate:
-        v1 = np.linalg.svd(centered, full_matrices=False)[2][0]
-        z = centered @ v1
-        b1 = float(u.coefficients @ v1)
-        raw = _solve_coeffs(
-            z[:, None], np.array([b1]), tol, step_tol, max_iter, track_objective
-        )
-        q_centered = raw.q[0] * v1
+    b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
+    raw = _solve_coeffs(
+        work.data, b, work.start, work.norms, tol, step_tol, max_iter, track_objective
+    )
+    if work.line is not None:
+        q_centered = raw.q[0] * work.line
     else:
-        data = centered if center else C
-        raw = _solve_coeffs(data, u.coefficients, tol, step_tol, max_iter, track_objective)
-        q_centered = raw.q if center else raw.q - mb
+        q_centered = raw.q if work.center else raw.q - work.offset
 
-    coeffs = Coefficients(q_centered + mb, basis)
-    if center or degenerate:
-        curve = mean_curve(sample) + reconstruct(Coefficients(q_centered, basis))
+    coeffs = Coefficients(q_centered + work.offset, basis)
+    if work.center or work.degenerate:
+        curve = work.mean + reconstruct(Coefficients(q_centered, basis))
     else:
         curve = reconstruct(coeffs)
     return QuantileSolution(
@@ -391,7 +458,7 @@ def solve_quantile(
         objective=raw.objective,
         converged=raw.converged,
         anchored_at_datum=raw.anchored_at_datum,
-        degenerate=degenerate,
+        degenerate=work.degenerate,
         objective_trace=raw.trace,
     )
 
@@ -415,14 +482,16 @@ def quantile_fan(
     cs,
     basis: Basis | None = None,
     d: int | None = None,
+    center: bool = True,
     **solve_opts,
 ) -> QuantileFan:
     """Quantiles along +-c phi_k for all requested k and c, plus the median.
 
-    All solves share one working basis (PCA by default); entries come back
-    ordered by (k, then c, then sign).
+    All solves share one WorkingSample (PCA basis by default), built once;
+    entries come back ordered by (k, then c, then sign).
     """
-    basis, d = _resolve_basis(sample, basis, d)
+    work = working_sample(sample, basis, d, center)
+    d = work.dimension
     jobs = [(None, 0.0)]  # the median
     for k in ks:
         for c in cs:
@@ -435,7 +504,7 @@ def quantile_fan(
     def run(job):
         k, c = job
         u = DirectionU.zero(d) if k is None or c == 0.0 else DirectionU.along(k, c, d)
-        return solve_quantile(sample, u, basis=basis, d=d, **solve_opts)
+        return solve_quantile(work, u, **solve_opts)
 
     solutions = [run(job) for job in jobs]
     entries = tuple(
@@ -451,8 +520,9 @@ def linearization(C_ref: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     floored_inverse; q_ref and J^{-1} are the fixed centre and slope of
     every bahadur_split against this reference.
     """
-    q_ref = _solve_coeffs(C_ref, b).q
-    diff, _, inv_r, _ = _inverse_distances(q_ref, C_ref)
+    c_norms = np.linalg.norm(C_ref, axis=1)
+    q_ref = _solve_coeffs(C_ref, b, np.median(C_ref, axis=0), c_norms).q
+    diff, _, inv_r, _ = _inverse_distances(q_ref, C_ref, c_norms)
     return q_ref, floored_inverse(_hessian_raw(inv_r, diff), "reference Hessian")
 
 
@@ -465,8 +535,9 @@ def bahadur_split(
     vector from C_i to q_ref minus b (zero for a C_i at q_ref), and the
     remainder is (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
     """
-    q_hat = _solve_coeffs(C, b).q
-    diff, _, inv_r, _ = _inverse_distances(q_ref, C)
+    c_norms = np.linalg.norm(C, axis=1)
+    q_hat = _solve_coeffs(C, b, np.median(C, axis=0), c_norms).q
+    diff, _, inv_r, _ = _inverse_distances(q_ref, C, c_norms)
     scores = diff * inv_r[:, None] - b[None, :]
     linear = J_inv @ scores.mean(axis=0)
     residual = (q_hat - q_ref) + linear

@@ -21,7 +21,7 @@ beyond the chunk in question.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -44,8 +44,34 @@ GAUSSIAN_LAW = "gaussian"
 STUDENT_T_LAW = "student-t"
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+def _value_key(value):
+    """Hashable stand-in for a spec field; arrays (also inside curves) by shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.tobytes())
+    if is_dataclass(value):
+        return (type(value),) + tuple(_value_key(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
+class _ByValue:
+    """Equality and hash of a frozen spec by the values of its fields.
+
+    A generated dataclass __eq__ compares an ndarray field elementwise and
+    fails on the ambiguous truth value, and its __hash__ fails on the
+    unhashable array; _value_key compares such fields by shape and bytes.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _value_key(self) == _value_key(other)
+
+    def __hash__(self):
+        return hash(_value_key(self))
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSpec(_ByValue):
     """Covariance kernel description.
 
     kind is one of "brownian", "fractional-brownian", "min", "gaussian",
@@ -136,8 +162,8 @@ class KernelSpec:
         return np.diag(self.evaluate(t)).copy()
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
+@dataclass(frozen=True, eq=False)
+class ProcessSpec(_ByValue):
     """Kernel plus coefficient law plus optional mean and truncation.
 
     truncation=None means: 100 terms for the closed-form Brownian expansion,

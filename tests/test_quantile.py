@@ -17,9 +17,13 @@ from spatialfda import (
     orthonormalize,
     pca,
     quantile_fan,
+    read_sample,
     sample_process,
     solve_quantile,
+    working_sample,
+    write_sample,
 )
+from spatialfda.cli import main
 
 
 def bm_sample(n, D=20, seed=0):
@@ -204,6 +208,65 @@ def test_degenerate_collinear_sample():
     np.testing.assert_allclose(sol.curve.values, med.curve.values, atol=1e-8)
     expected = np.median(amps) * np.asarray(basis.functions)[0]
     np.testing.assert_allclose(med.curve.values, expected, atol=1e-8)
+    # the working sample keeps the principal line, whatever center says
+    for center in (True, False):
+        work = working_sample(s, basis, 2, center)
+        assert work.degenerate
+        assert_same_solution(solve_quantile(work, DirectionU.along(2, 0.6, 2)), sol)
+        assert_same_solution(solve_quantile(work), med)
+
+
+def assert_same_solution(got, want):
+    assert got.curve.values.tobytes() == want.curve.values.tobytes()
+    assert got.coefficients.values.tobytes() == want.coefficients.values.tobytes()
+    assert got.iterations == want.iterations
+    assert got.objective == want.objective
+    assert got.grad_norm == want.grad_norm
+    assert got.anchored_at_datum == want.anchored_at_datum
+    assert got.degenerate == want.degenerate
+
+
+@pytest.mark.parametrize("center", [True, False])
+def test_working_sample_solves_equal_sample_solves(center):
+    s = bm_sample(120, D=30, seed=33)
+    basis = pca(s, 6)
+    work = working_sample(s, basis, 4, center)
+    assert work.dimension == 4 and not work.degenerate
+    directions = [DirectionU.zero(4)]
+    directions += [DirectionU.along(k, c, 4) for k in (1, 3) for c in (0.4, -0.4)]
+    for u in directions:
+        want = solve_quantile(s, u, basis=basis, d=4, center=center)
+        assert_same_solution(solve_quantile(work, u), want)
+    # the default working sample is the default solve's: PCA, d = floor(sqrt(n))
+    assert_same_solution(solve_quantile(working_sample(s)), solve_quantile(s))
+
+
+@pytest.mark.parametrize("name", ["basis", "d", "center"])
+def test_working_sample_fixes_basis_d_and_center(name):
+    s = bm_sample(30, seed=34)
+    work = working_sample(s, d=3)
+    value = {"basis": work.basis, "d": 3, "center": True}[name]
+    with pytest.raises(ValueError):
+        solve_quantile(work, **{name: value})
+    with pytest.raises(ValueError):
+        solve_quantile(work, DirectionU.zero(2))  # d is the working sample's
+
+
+def test_cli_fan_rows_equal_per_direction_solves(tmp_path):
+    path = tmp_path / "s.csv"
+    write_sample(path, bm_sample(90, D=25, seed=35))
+    specs = ["1:0", "1:0.5", "1:-0.5", "2:0.25,3:-0.3"]
+    args = ["quantile", "--in", str(path), "--d", "4", "--out", str(tmp_path / "q.csv")]
+    for spec in specs:
+        args += ["--u-spec", spec]
+    assert main(args) == 0
+    rows, _ = read_sample(tmp_path / "q.csv")
+    s, _ = read_sample(path)
+    basis = pca(s, 4)
+    us = [np.zeros(4), [0.5, 0, 0, 0], [-0.5, 0, 0, 0], [0, 0.25, -0.3, 0]]
+    for row, uc in zip(rows.values, us, strict=True):
+        want = solve_quantile(s, DirectionU(np.array(uc, float)), basis=basis, d=4)
+        assert row.tobytes() == want.curve.values.tobytes()
 
 
 def test_convergence_error_carries_last_iterate():

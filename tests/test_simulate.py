@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from spatialfda import (
+    Curve,
     Grid,
     KernelSpec,
     NotPSDError,
     ProcessSpec,
     bm_eigenpair,
+    default_table_cells,
     kernel_eigen,
     sample_process,
     stream_seed,
 )
+from spatialfda.efficiency import _gaussian_twin
 from spatialfda.simulate import CHUNK, coefficient_chunks
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -40,6 +43,28 @@ def test_kernel_validation():
         KernelSpec.custom(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
     with pytest.raises(NotPSDError):
         KernelSpec.custom(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+
+
+def test_specs_compare_and_hash_by_value():
+    a, b = KernelSpec.custom(np.eye(3)), KernelSpec.custom(np.eye(3))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "eye"}[b] == "eye"
+    assert a != KernelSpec.custom(2.0 * np.eye(3))
+    assert a != KernelSpec.custom(np.eye(2))
+    assert a != KernelSpec.min_kernel()
+    g = Grid.uniform(0.0, 1.0, 3)
+    p = ProcessSpec(a, mean=Curve(g, np.ones(3)))
+    q = ProcessSpec(b, mean=Curve(g, np.ones(3)))
+    assert p == q and hash(p) == hash(q)
+    assert p != ProcessSpec(a, mean=Curve(g, np.zeros(3)))
+    assert p != ProcessSpec(a)
+    assert len({p, q, ProcessSpec(a)}) == 2
+    # the default table cells keep their identities: 15 distinct specs, and
+    # 12 (domain, Gaussian twin) keys, one Monte Carlo run each
+    cells = default_table_cells()
+    assert [c.spec for c in cells] == [c.spec for c in default_table_cells()]
+    assert len({c.spec for c in cells}) == 15
+    assert len({(c.domain, _gaussian_twin(c.spec)) for c in cells}) == 12
 
 
 def test_process_spec_validation():
