@@ -42,7 +42,7 @@ from .efficiency import (
 )
 from .errors import SpatialFDAError
 from .funcspace import Basis, FunctionalSample, Grid, orthonormalize, pca
-from .io import read_sample, write_sample, write_table
+from .io import read_sample, write_sample, write_table, write_text
 from .quantile import DirectionU, solve_quantile, working_sample
 from .simulate import (
     GAUSSIAN_LAW,
@@ -98,8 +98,7 @@ def emit_json(doc, path=None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _validate(json.loads(text))
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -136,17 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
         "BLAS threads follow OPENBLAS_NUM_THREADS",
     )
 
+    process = argparse.ArgumentParser(add_help=False)
+    process.add_argument("--process", choices=PROCESSES)
+    process.add_argument("--hurst", type=float, help="Hurst index for fbm")
+    process.add_argument("--df", type=int, help="degrees of freedom for a student-t law")
+    process.add_argument("--grid-size", type=int, dest="grid_size")
+    process.add_argument("--seed", type=int)
+
     p = argparse.ArgumentParser(prog="spatialfda", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = p.add_subparsers(dest="subcommand", required=True)
 
-    sim = subs.add_parser("simulate", parents=[common], help="draw process paths to CSV")
-    sim.add_argument("--process", choices=PROCESSES)
-    sim.add_argument("--hurst", type=float, help="Hurst index for fbm")
-    sim.add_argument("--df", type=int, help="degrees of freedom for a student-t law")
+    sim = subs.add_parser("simulate", parents=[common, process], help="draw process paths to CSV")
     sim.add_argument("--n", type=int, help="number of paths")
-    sim.add_argument("--grid-size", type=int, dest="grid_size")
-    sim.add_argument("--seed", type=int)
     sim.add_argument("--out", help="output functional-data CSV")
 
     qua = subs.add_parser("quantile", parents=[common], help="spatial u-quantiles of a sample")
@@ -176,25 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     ddp.add_argument("--out", help="output CSV (d1, d2, source)")
     ddp.add_argument("--svg", help="optional SVG path")
 
-    eff = subs.add_parser("efficiency", parents=[common], help="median-vs-mean efficiency")
-    eff.add_argument("--process", choices=PROCESSES)
-    eff.add_argument("--hurst", type=float)
-    eff.add_argument("--df", type=int)
-    eff.add_argument("--grid-size", type=int, dest="grid_size")
+    eff = subs.add_parser(
+        "efficiency", parents=[common, process], help="median-vs-mean efficiency"
+    )
     eff.add_argument("--mc", type=int)
-    eff.add_argument("--seed", type=int)
     eff.add_argument("--table", action="store_const", const=True, help="run the full sweep")
     eff.add_argument("--out", help="output JSON path (default stdout)")
 
-    con = subs.add_parser("converge", parents=[common], help="convergence-rate studies")
+    con = subs.add_parser("converge", parents=[common, process], help="convergence-rate studies")
     con.add_argument("--study", choices=("gc", "integrated", "bahadur"))
-    con.add_argument("--process", choices=PROCESSES)
-    con.add_argument("--hurst", type=float)
-    con.add_argument("--df", type=int)
     con.add_argument("--n-list", dest="n_list", help='sample sizes, e.g. "250,1000,4000"')
     con.add_argument("--reps", type=int)
-    con.add_argument("--seed", type=int)
-    con.add_argument("--grid-size", type=int, dest="grid_size")
     con.add_argument("--n-ref", type=int, dest="n_ref", help="reference sample size")
     con.add_argument("--probes", type=int, help="probe count (gc: 20, integrated: 200)")
     con.add_argument("--out", help="output JSON path (default stdout)")
@@ -386,8 +379,7 @@ def _cmd_quantile(cfg, parser) -> int:
             },
         )
     if cfg.get("svg"):
-        with open(cfg["svg"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(curve_fan_svg([(lab, s.curve) for lab, s in zip(labels, sols)]))
+        write_text(cfg["svg"], curve_fan_svg([(lab, s.curve) for lab, s in zip(labels, sols)]))
     doc = {
         "kind": "quantile-diagnostics",
         "version": __version__,
@@ -435,8 +427,7 @@ def _cmd_ddplot(cfg, parser) -> int:
         {"n1": dd.metadata["n1"], "n2": dd.metadata["n2"], "version": __version__},
     )
     if cfg.get("svg"):
-        with open(cfg["svg"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dd_plot_svg(dd))
+        write_text(cfg["svg"], dd_plot_svg(dd))
     return 0
 
 

@@ -118,6 +118,12 @@ def read_sample(path) -> tuple[FunctionalSample, dict]:
     return FunctionalSample(grid, np.vstack(curves)), metadata
 
 
+def write_text(path, text: str) -> None:
+    """Write text as utf-8 with "\\n" line ends: the one writer of every artifact."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_sample(path, sample: FunctionalSample, metadata: dict | None = None) -> None:
     """Write a functional-data CSV (grid row, weights row, one row per curve)."""
     lines = []
@@ -127,8 +133,7 @@ def write_sample(path, sample: FunctionalSample, metadata: dict | None = None) -
     lines.append(WEIGHTS_MARKER + "," + ",".join(_fmt(w) for w in sample.grid.weights))
     for row in sample.values:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_table(path, columns: list[str], rows, metadata: dict | None = None) -> None:
@@ -146,5 +151,4 @@ def write_table(path, columns: list[str], rows, metadata: dict | None = None) ->
         if len(cells) != len(columns):
             raise ValueError("row width does not match column count")
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

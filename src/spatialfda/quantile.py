@@ -10,10 +10,13 @@ coefficient space: curves are projected onto an orthonormal basis, where
 the weighted function-space norm becomes the plain Euclidean norm.
 
 The solver is damped Newton with backtracking on g, falling back to a
-Weiszfeld-style fixed-point step when the Hessian is unusable, plus an
-exact optimality test for solutions that sit on a data point (where g is
-not differentiable). The usual workflow centers the sample at its mean
-curve, solves, and adds the mean back.
+Weiszfeld-style fixed-point step when the Hessian is unusable. One exact
+optimality test ends it: ||mean sign - u|| <= m/n, m being the number of
+data that coincide with the iterate (m = 0 off the data, where the test is
+||grad|| <= tol). An iterate close to a datum moves onto it when that does
+not raise g, so a non-optimal datum is left along the reduced gradient
+rather than approached forever (Vardi & Zhang 2000). The usual workflow
+centers the sample at its mean curve, solves, and adds the mean back.
 
 Everything that depends on the sample alone (the basis, the projection, the
 centering, the rank-1 test, the start point and the row norms) is done once
@@ -173,18 +176,6 @@ def floored_inverse(mat: np.ndarray, what: str) -> np.ndarray:
     return (evecs / np.maximum(evals, floor)) @ evecs.T
 
 
-def _datum_test(C, b, j, c_norms):
-    """Exact optimality certificate for the datum C[j].
-
-    C[j] minimizes g iff the mean sign vector over data distinct from C[j],
-    minus b, has norm at most m/n where m is the multiplicity of C[j].
-    """
-    n = C.shape[0]
-    grad, m, *_ = _gradient_raw(C[j], C, b, c_norms)
-    gn = float(np.linalg.norm(grad))
-    return gn <= m / n + 1e-15, gn
-
-
 @dataclass
 class _RawSolution:
     q: np.ndarray
@@ -201,7 +192,18 @@ def _solve_coeffs(
 ):
     """Minimize g over R^d from start, c_norms being the row norms of C.
 
-    The objective decreases monotonically along iterates.
+    Every exit is decided by one optimality test on the current iterate q at
+    the top of the loop: ||grad|| <= tol off the data, and, when q coincides
+    with m data, ||reduced grad|| <= m/n, the reduced gradient leaving those
+    m out (then C[j] itself is returned). An iterate within 1e-3 of the
+    median distance from its nearest datum C[j] first moves onto C[j] when
+    g(C[j]) <= g(q); there the test either accepts the datum or the reduced
+    negative gradient is a strict descent step off it (Vardi & Zhang 2000).
+    A failed line search, a stalled step and the max_iter-th step only record
+    why the loop must stop; the iterate is tested once more and, failing,
+    raises ConvergenceError with the iteration that stopped. The objective
+    decreases monotonically along iterates; the trace records the accepted
+    steps, not the moves onto data.
     """
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -211,35 +213,32 @@ def _solve_coeffs(
     q = np.array(start, dtype=float)
     fq = _objective_raw(q, C, b, c_norm_mean)
     trace = [fq] if track else None
+    stop = None  # (reason, iteration) once the loop must end after one more test
 
-    def finish(qv, its, gn, anchored):
+    def solution(qv, its, gn, converged, anchored=None):
         fv = _objective_raw(qv, C, b, c_norm_mean)
-        return _RawSolution(qv, its, gn, fv, True, anchored, tuple(trace) if track else None)
+        return _RawSolution(qv, its, gn, fv, converged, anchored, tuple(trace) if track else None)
 
-    def fail(message, its, gn):
-        # the error carries the current iterate q and its objective fq
-        last = _RawSolution(q, its, gn, fq, False, None, tuple(trace) if track else None)
-        return ConvergenceError(message, last=last)
-
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):
         grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
-        gn = float(np.linalg.norm(grad))
         j = int(np.argmin(r))
+        if m == 0 and r[j] <= 1e-3 * float(np.median(r)):
+            f_j = _objective_raw(C[j], C, b, c_norm_mean)
+            if f_j <= fq:
+                q, fq = C[j].copy(), f_j
+                grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
+        gn = float(np.linalg.norm(grad))
+        its = it if stop is None else stop[1]
+        if gn <= (m / n + 1e-15 if m else tol):
+            return solution(C[j].copy() if m else q, its, gn, True, j if m else None)
+        if stop is not None:
+            last = solution(q, its, gn, False)
+            raise ConvergenceError(f"{stop[0]} (grad norm {gn:.3e})", last=last)
 
         if m > 0:
-            if gn <= m / n + 1e-15:
-                return finish(C[j].copy(), it, gn, j)
-            # Not optimal at the datum: the reduced negative gradient is a
-            # strict descent direction since ||grad|| > m/n.
+            # ||grad|| > m/n: the reduced negative gradient is a strict descent direction.
             step = -grad
         else:
-            if gn <= tol:
-                return finish(q, it, gn, None)
-            if r[j] <= 1e-3 * float(np.median(r)):
-                # Close to a datum; an exact certificate may end things now.
-                ok, red = _datum_test(C, b, j, c_norms)
-                if ok:
-                    return finish(C[j].copy(), it, red, j)
             step = None
             hess = _hessian_raw(inv_r, diff)
             cond = np.linalg.cond(hess)
@@ -259,19 +258,15 @@ def _solve_coeffs(
         # Backtracking on g; the directional slope uses the smooth part only.
         slope = float(grad @ step)
         t = 1.0
-        accepted = False
         for _ in range(60):
             q_new = q + t * step
             f_new = _objective_raw(q_new, C, b, c_norm_mean)
             if f_new <= fq + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            ok, red = _datum_test(C, b, j, c_norms)
-            if ok:
-                return finish(C[j].copy(), it, red, j)
-            raise fail(f"no decrease found at iteration {it} (grad norm {gn:.3e})", it, gn)
+        else:
+            stop = (f"no decrease found at iteration {it}", it)
+            continue
         moved = t * float(np.linalg.norm(step))
         q = q_new
         fq = f_new
@@ -279,20 +274,9 @@ def _solve_coeffs(
             trace.append(fq)
         # relative to the data scale, like every test here: scale equivariant
         if moved <= step_tol * (cmax + float(np.linalg.norm(q))):
-            grad, m, _, r, _ = _gradient_raw(q, C, b, c_norms)
-            j = int(np.argmin(r))
-            ok, red = _datum_test(C, b, j, c_norms)
-            if ok:
-                return finish(C[j].copy(), it, red, j)
-            gn = float(np.linalg.norm(grad))
-            if gn <= tol or (m > 0 and gn <= m / n + 1e-15):
-                return finish(q, it, gn, None if m == 0 else j)
-            raise fail(
-                f"step stalled below tolerance at iteration {it} (grad norm {gn:.3e})", it, gn
-            )
-
-    gn = float(np.linalg.norm(_gradient_raw(q, C, b, c_norms)[0]))
-    raise fail(f"no convergence in {max_iter} iterations (grad norm {gn:.3e})", max_iter, gn)
+            stop = (f"step stalled below tolerance at iteration {it}", it)
+        elif it >= max_iter:
+            stop = (f"no convergence in {max_iter} iterations", it)
 
 
 # ---------------------------------------------------------------------------

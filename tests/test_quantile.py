@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from spatialfda import (
     Coefficients,
@@ -16,6 +17,7 @@ from spatialfda import (
     objective,
     orthonormalize,
     pca,
+    project_sample,
     quantile_fan,
     read_sample,
     sample_process,
@@ -340,3 +342,57 @@ def test_quantiles_scale_equivariant_at_extreme_scales(scale):
         assert sol.anchored_at_datum is None
         err = np.max(np.abs(sol.curve.values / scale - base.curve.values))
         assert err <= 1e-12 * np.max(np.abs(base.curve.values))
+
+
+def trap_case(seed):
+    """A BM solve of the stress recipe: n in 5..40, scale 10^+-2, u = c e_k, |c| <= 0.18."""
+    rng = np.random.default_rng([seed, 99])
+    n = rng.integers(5, 41)
+    scale = 10 ** rng.uniform(-2, 2)
+    k = int(rng.integers(1, 4))
+    c = float(rng.uniform(-0.18, 0.18))
+    sample = sample_process(ProcessSpec(KernelSpec.brownian()), Grid.uniform(0, 1, 16), n, seed)
+    basis = pca(sample, 3)
+    scaled = FunctionalSample(sample.grid, sample.values * scale)
+    return scaled, basis, DirectionU.along(k, c, 3)
+
+
+def assert_certified(sol, sample, u):
+    """||grad|| <= 1e-8 off the data; on m coinciding data, ||reduced grad|| <= m/n."""
+    C = project_sample(sample, sol.coefficients.basis)
+    diff = sol.coefficients.values - C
+    r = np.linalg.norm(diff, axis=1)
+    on = r <= 1e-12 * np.linalg.norm(C, axis=1).max()
+    grad = (diff[~on] / r[~on, None]).sum(axis=0) / len(C) - u.coefficients
+    bound = on.sum() / len(C) + 1e-15 if on.any() else 1e-8
+    assert np.linalg.norm(grad) <= bound
+
+
+def nelder_mead_gain(sol, sample, u):
+    """Decrease of g a Nelder-Mead polish finds from the solution, over the mean datum norm."""
+    C = project_sample(sample, sol.coefficients.basis)
+    scale = np.linalg.norm(C, axis=1).mean()
+
+    def g(q):
+        return np.mean(np.linalg.norm(C - q, axis=1)) - u.coefficients @ q
+
+    q0 = sol.coefficients.values
+    simplex = q0 + np.vstack([np.zeros(q0.size), 1e-3 * scale * np.eye(q0.size)])
+    opts = {"initial_simplex": simplex, "xatol": 1e-15 * scale, "fatol": 0.0, "maxiter": 4000}
+    polished = minimize(g, q0, method="Nelder-Mead", options=opts)
+    return (g(q0) - polished.fun) / scale
+
+
+@pytest.mark.parametrize("seed, n", [(314, 9), (1324, 9), (2203, 27), (2497, 7)])
+def test_solver_is_not_trapped_near_a_datum(seed, n):
+    # the iterates close in on a datum that is not optimal: the solver must
+    # step onto it and off along the reduced gradient, not stall beside it
+    # with a grad norm of 0.05 to 0.13
+    sample, basis, u = trap_case(seed)
+    assert len(sample) == n
+    sol = solve_quantile(sample, u, basis=basis, d=3, track_objective=seed == 314)
+    assert sol.converged
+    assert_certified(sol, sample, u)
+    assert nelder_mead_gain(sol, sample, u) <= 1e-12
+    if sol.objective_trace is not None:
+        assert np.all(np.diff(sol.objective_trace) <= 0)
