@@ -317,6 +317,8 @@ def _parse_u_vector(text: str, d: int, parser) -> np.ndarray:
         if not math.isfinite(c):
             parser.error(f"--u-spec coefficient {c_str!r} is not finite")
         vec[k - 1] = c
+    if not np.linalg.norm(vec) < 1.0:
+        parser.error(f"--u-spec {text!r} has norm >= 1; directions lie in the open unit ball")
     return vec
 
 
@@ -356,8 +358,10 @@ def _cmd_quantile(cfg, parser) -> int:
             raise SpatialFDAError(
                 f"direction file has {rows.shape[1]} columns, expected {d}"
             )
-        for i, row in enumerate(rows):
-            jobs.append((f"file:{i + 1}", DirectionU(row)))
+        for i, row in enumerate(rows, start=1):
+            if not np.linalg.norm(row) < 1.0:
+                raise SpatialFDAError(f"direction file row {i} must be finite with norm < 1")
+            jobs.append((f"file:{i}", DirectionU(row)))
     if not jobs:
         jobs.append(("median", DirectionU.zero(d)))
 

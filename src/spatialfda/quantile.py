@@ -9,13 +9,15 @@ ball (u = 0 gives the spatial median). Everything here happens in
 coefficient space: curves are projected onto an orthonormal basis, where
 the weighted function-space norm becomes the plain Euclidean norm.
 
-The solver is damped Newton with backtracking on g, falling back to a
-Weiszfeld-style fixed-point step when the Hessian is unusable. One exact
-optimality test ends it: ||mean sign - u|| <= m/n, m being the number of
-data that coincide with the iterate (m = 0 off the data, where the test is
-||grad|| <= tol). An iterate close to a datum moves onto it when that does
-not raise g, so a non-optimal datum is left along the reduced gradient
-rather than approached forever (Vardi & Zhang 2000). The usual workflow
+The solver is damped Newton with backtracking on g, falling back to the
+Weiszfeld step -grad n / sum 1/r_i over the data it does not sit on (on a
+datum, the step of Vardi & Zhang 2000 off it). Backtracking compares the
+exact decrease g(q + s) - g(q), resolved below the rounding level of g, at
+any step length and data scale. One optimality test ends it:
+||mean sign - u|| <= m/n, m being the number of data that coincide with the
+iterate (m = 0 off the data, where the test is ||grad|| <= tol). An iterate
+close to a datum moves onto it when that does not raise g, so a non-optimal
+datum is stepped off rather than approached forever. The usual workflow
 centers the sample at its mean curve, solves, and adds the mean back.
 
 Everything that depends on the sample alone (the basis, the projection, the
@@ -187,6 +189,13 @@ class _RawSolution:
     trace: tuple[float, ...] | None
 
 
+def _decrease(diff, r, b, s):
+    """g(q + s) - g(q) from diff = q - C and r = ||diff||, without cancellation:
+    ||d + s|| - ||d|| = (2<d, s> + ||s||^2) / (||d + s|| + ||d||)."""
+    num = 2.0 * (diff @ s) + float(s @ s)
+    return float(np.mean(num / (np.linalg.norm(diff + s, axis=1) + r)) - b @ s)
+
+
 def _solve_coeffs(
     C, b, start, c_norms, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False
 ):
@@ -194,16 +203,17 @@ def _solve_coeffs(
 
     Every exit is decided by one optimality test on the current iterate q at
     the top of the loop: ||grad|| <= tol off the data, and, when q coincides
-    with m data, ||reduced grad|| <= m/n, the reduced gradient leaving those
-    m out (then C[j] itself is returned). An iterate within 1e-3 of the
-    median distance from its nearest datum C[j] first moves onto C[j] when
-    g(C[j]) <= g(q); there the test either accepts the datum or the reduced
-    negative gradient is a strict descent step off it (Vardi & Zhang 2000).
-    A failed line search, a stalled step and the max_iter-th step only record
-    why the loop must stop; the iterate is tested once more and, failing,
-    raises ConvergenceError with the iteration that stopped. The objective
-    decreases monotonically along iterates; the trace records the accepted
-    steps, not the moves onto data.
+    with m data, ||reduced grad|| <= m/n, the reduced gradient leaving those m
+    out (then C[j] itself is returned). An iterate within 1e-3 of the median
+    distance from its nearest datum C[j] first moves onto C[j] when that does
+    not raise g. The step is the Weiszfeld step over the non-coincident data
+    (Vardi & Zhang 2000 on a datum), or a Newton step off the data when the
+    Hessian is well conditioned and gives descent. Backtracking and the move
+    onto a datum test the exact decrease of g (_decrease); the trace is
+    g(start) plus the running sum of accepted decreases. A failed line search,
+    a stalled step and the max_iter-th step only record why the loop must stop;
+    the iterate is tested once more and, failing, raises ConvergenceError with
+    the iteration that stopped.
     """
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -211,8 +221,7 @@ def _solve_coeffs(
     cmax = float(c_norms.max())
     c_norm_mean = float(c_norms.mean())
     q = np.array(start, dtype=float)
-    fq = _objective_raw(q, C, b, c_norm_mean)
-    trace = [fq] if track else None
+    trace = [_objective_raw(q, C, b, c_norm_mean)] if track else None
     stop = None  # (reason, iteration) once the loop must end after one more test
 
     def solution(qv, its, gn, converged, anchored=None):
@@ -223,9 +232,11 @@ def _solve_coeffs(
         grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
         j = int(np.argmin(r))
         if m == 0 and r[j] <= 1e-3 * float(np.median(r)):
-            f_j = _objective_raw(C[j], C, b, c_norm_mean)
-            if f_j <= fq:
-                q, fq = C[j].copy(), f_j
+            dg = _decrease(diff, r, b, -diff[j])
+            if dg <= 0:
+                q = C[j].copy()
+                if track:
+                    trace.append(trace[-1] + dg)
                 grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
         gn = float(np.linalg.norm(grad))
         its = it if stop is None else stop[1]
@@ -235,11 +246,8 @@ def _solve_coeffs(
             last = solution(q, its, gn, False)
             raise ConvergenceError(f"{stop[0]} (grad norm {gn:.3e})", last=last)
 
-        if m > 0:
-            # ||grad|| > m/n: the reduced negative gradient is a strict descent direction.
-            step = -grad
-        else:
-            step = None
+        step = grad * (-n / float(np.sum(inv_r)))
+        if m == 0:
             hess = _hessian_raw(inv_r, diff)
             cond = np.linalg.cond(hess)
             if np.isfinite(cond) and cond <= CONDITION_LIMIT:
@@ -248,32 +256,24 @@ def _solve_coeffs(
                     if grad @ cand < 0:
                         step = cand
                 except np.linalg.LinAlgError:
-                    step = None
-            if step is None:
-                # Weiszfeld fixed point of the smooth majorant.
-                denom = float(np.sum(inv_r))
-                target = ((C * inv_r[:, None]).sum(axis=0) + n * b) / denom
-                step = target - q
+                    pass
 
         # Backtracking on g; the directional slope uses the smooth part only.
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
-            q_new = q + t * step
-            f_new = _objective_raw(q_new, C, b, c_norm_mean)
-            if f_new <= fq + 1e-4 * t * slope:
+            dg = _decrease(diff, r, b, t * step)
+            if dg <= 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             stop = (f"no decrease found at iteration {it}", it)
             continue
-        moved = t * float(np.linalg.norm(step))
-        q = q_new
-        fq = f_new
+        q = q + t * step
         if track:
-            trace.append(fq)
+            trace.append(trace[-1] + dg)
         # relative to the data scale, like every test here: scale equivariant
-        if moved <= step_tol * (cmax + float(np.linalg.norm(q))):
+        if t * float(np.linalg.norm(step)) <= step_tol * (cmax + float(np.linalg.norm(q))):
             stop = (f"step stalled below tolerance at iteration {it}", it)
         elif it >= max_iter:
             stop = (f"no convergence in {max_iter} iterations", it)

@@ -327,6 +327,27 @@ def test_non_finite_u_spec_is_usage_error(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["1:1.5", "1:0.6,2:0.8"])
+def test_u_spec_outside_unit_ball_is_usage_error(tmp_path, capsys, spec):
+    src = simulate(tmp_path, n=30, grid=12)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["quantile", "--in", str(src), "--u-spec", spec])
+    assert exc.value.code == 2
+    assert "norm >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan,0,0,0,0", "0,0.6,0.8,0,0"])
+def test_bad_u_file_row_is_named(tmp_path, capsys, bad):
+    src = simulate(tmp_path, n=30, grid=12)
+    u_file = tmp_path / "u.csv"
+    u_file.write_text(f"0.1,0,0,0,0\n{bad}\n")
+    assert run_cli(["quantile", "--in", str(src), "--u-file", str(u_file)]) == 1
+    err = capsys.readouterr().err  # the sample's "read ..." line comes first
+    doc = json.loads(err[err.index("{"):])
+    assert doc["error"]["type"] == "SpatialFDAError"
+    assert "row 2" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--n", "0"), ("--seed", "-1"), ("--threads", "0"), ("--grid-size", "0")]
 )
