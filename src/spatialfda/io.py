@@ -11,11 +11,20 @@ The weights row is recognized by the literal first cell ``#weights``; plain
 comments use ``#`` followed by a space. When the weights row is absent,
 equispaced grids get trapezoid weights and anything else equal weights 1/D.
 All numbers are written with ``repr``, so a write/read round trip preserves
-every float bit for bit. Every cell must be a finite number. Parse failures
-raise ParseError tagged with the 1-based line number.
+every float bit for bit.
+
+A cell is any spelling Python's ``float()`` accepts, surrounding whitespace
+included, and must be finite. The curve rows are parsed in one bulk
+``numpy.loadtxt`` call, which accepts a subset of those spellings with the
+same bits. A file it declines is read again row by row with the same result:
+one with a comment line among its curves, a spelling such as ``1_0``, or a
+bad cell. Blank lines are skipped either way. Parse failures come from the
+row-by-row reading and raise ParseError tagged with the 1-based line number.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -55,67 +64,101 @@ def _default_weights(points: np.ndarray) -> np.ndarray:
     return np.full(points.size, 1.0 / points.size)
 
 
-def read_sample(path) -> tuple[FunctionalSample, dict]:
-    """Read a functional-data CSV; returns the sample and its metadata.
+def _bulk_curves(lines, width: int) -> np.ndarray | None:
+    """Every remaining curve row in one loadtxt call.
 
-    Metadata is every ``# key=value`` comment line, parsed into a dict;
-    comment lines without ``=`` are ignored.
+    None when the row loop must read the file instead, so that its checks
+    and messages apply: a line loadtxt rejects (every ``#`` line is one), a
+    width other than the grid's, or a non-finite value. loadtxt accepts a
+    subset of float()'s spellings, with identical bits, and skips empty
+    lines as the row loop does.
+    """
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read(fh, bulk: bool):
+    """Metadata, grid points, weights (None when absent) and curve rows of fh.
+
+    With bulk, the curve rows go to _bulk_curves, and None is returned when
+    it declines them; otherwise each row is parsed and checked here.
     """
     metadata: dict[str, str] = {}
     points = None
     weights = None
     curves: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if cells[0] == WEIGHTS_MARKER:
-                if points is None:
-                    raise ParseError("weights row before grid row", line=lineno)
-                if weights is not None:
-                    raise ParseError("second weights row", line=lineno)
-                if curves:
-                    raise ParseError("weights row after curve rows", line=lineno)
-                if len(cells) - 1 != points.size:
-                    raise ParseError(
-                        f"{len(cells) - 1} weights for {points.size} grid points",
-                        line=lineno,
-                    )
-                weights = _parse_row(cells[1:], lineno)
-                if np.any(weights <= 0):
-                    raise ParseError("weights must be positive", line=lineno)
-                continue
-            if line.lstrip().startswith("#"):
-                body = line.lstrip().lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            row = _parse_row(cells, lineno)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if cells[0] == WEIGHTS_MARKER:
             if points is None:
-                points = row
-                if points.size < 2:
-                    raise ParseError("grid row needs at least 2 points", line=lineno)
-                if not np.all(np.diff(points) > 0):
-                    raise ParseError(
-                        "grid points must be strictly increasing", line=lineno
-                    )
-                continue
-            if row.size != points.size:
+                raise ParseError("weights row before grid row", line=lineno)
+            if weights is not None:
+                raise ParseError("second weights row", line=lineno)
+            if curves:
+                raise ParseError("weights row after curve rows", line=lineno)
+            if len(cells) - 1 != points.size:
                 raise ParseError(
-                    f"row has {row.size} cells, expected {points.size}", line=lineno
+                    f"{len(cells) - 1} weights for {points.size} grid points",
+                    line=lineno,
                 )
-            curves.append(row)
+            weights = _parse_row(cells[1:], lineno)
+            if np.any(weights <= 0):
+                raise ParseError("weights must be positive", line=lineno)
+            continue
+        if line.lstrip().startswith("#"):
+            body = line.lstrip().lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+            continue
+        if points is None:
+            points = _parse_row(cells, lineno)
+            if points.size < 2:
+                raise ParseError("grid row needs at least 2 points", line=lineno)
+            if not np.all(np.diff(points) > 0):
+                raise ParseError("grid points must be strictly increasing", line=lineno)
+            continue
+        if bulk:
+            values = _bulk_curves(itertools.chain([raw], fh), points.size)
+            return None if values is None else (metadata, points, weights, values)
+        row = _parse_row(cells, lineno)
+        if row.size != points.size:
+            raise ParseError(
+                f"row has {row.size} cells, expected {points.size}", line=lineno
+            )
+        curves.append(row)
+    return metadata, points, weights, np.vstack(curves) if curves else None
+
+
+def read_sample(path) -> tuple[FunctionalSample, dict]:
+    """Read a functional-data CSV; returns the sample and its metadata.
+
+    Metadata is every ``# key=value`` comment line, parsed into a dict;
+    comment lines without ``=`` are ignored. The curve rows are parsed in
+    one bulk call; a file that call declines is read again row by row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        parsed = _read(fh, bulk=True)
+    if parsed is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            parsed = _read(fh, bulk=False)
+    metadata, points, weights, values = parsed
     if points is None:
         raise ParseError("no grid row found", line=1)
-    if not curves:
+    if values is None:
         raise ParseError("no curve rows found", line=1)
     if weights is None:
         weights = _default_weights(points)
     grid = Grid.custom(points, weights)
-    return FunctionalSample(grid, np.vstack(curves)), metadata
+    return FunctionalSample(grid, values), metadata
 
 
 def write_text(path, text: str) -> None:

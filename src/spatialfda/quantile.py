@@ -120,8 +120,12 @@ class BahadurReport:
 # Coefficient-space kernels. C is the (n, d) data matrix, b the direction.
 
 
+def _row_norms(a):
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
 def _objective_raw(q, C, b, c_norm_mean):
-    r = np.linalg.norm(C - q, axis=1)
+    r = _row_norms(C - q)
     return float(np.mean(r) - c_norm_mean - b @ q)
 
 
@@ -133,9 +137,9 @@ def _inverse_distances(q, C, c_norms=None):
     coincident points drop out of every sum built on inv_r.
     """
     if c_norms is None:
-        c_norms = np.linalg.norm(C, axis=1)
+        c_norms = _row_norms(C)
     diff = q - C
-    r = np.linalg.norm(diff, axis=1)
+    r = _row_norms(diff)
     coin = coincident(r, float(np.linalg.norm(q)), c_norms)
     inv_r = np.zeros_like(r)
     np.divide(1.0, r, out=inv_r, where=~coin)
@@ -145,7 +149,7 @@ def _inverse_distances(q, C, c_norms=None):
 def _gradient_raw(q, C, b, c_norms=None):
     """Gradient over non-coincident terms, the coincident count, diff, r and inv_r."""
     diff, r, inv_r, m = _inverse_distances(q, C, c_norms)
-    grad = (diff * inv_r[:, None]).sum(axis=0) / C.shape[0] - b
+    grad = inv_r @ diff / C.shape[0] - b
     return grad, m, diff, r, inv_r
 
 
@@ -193,7 +197,7 @@ def _decrease(diff, r, b, s):
     """g(q + s) - g(q) from diff = q - C and r = ||diff||, without cancellation:
     ||d + s|| - ||d|| = (2<d, s> + ||s||^2) / (||d + s|| + ||d||)."""
     num = 2.0 * (diff @ s) + float(s @ s)
-    return float(np.mean(num / (np.linalg.norm(diff + s, axis=1) + r)) - b @ s)
+    return float(np.mean(num / (_row_norms(diff + s) + r)) - b @ s)
 
 
 def _solve_coeffs(
@@ -421,9 +425,14 @@ def solve_quantile(
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
-    raw = _solve_coeffs(
-        work.data, b, work.start, work.norms, tol, step_tol, max_iter, track_objective
-    )
+    start = work.start
+    if b.size == 1 and b[0] != 0.0:
+        # In 1-D the Hessian is zero, so Newton never applies, but the
+        # minimizer is this order statistic: the first optimality test takes it.
+        n = work.data.shape[0]
+        k = min(math.floor(n * (1.0 + float(b[0])) / 2.0), n - 1)
+        start = np.partition(work.data[:, 0], k)[k : k + 1]
+    raw = _solve_coeffs(work.data, b, start, work.norms, tol, step_tol, max_iter, track_objective)
     if work.line is not None:
         q_centered = raw.q[0] * work.line
     else:

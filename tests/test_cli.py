@@ -319,6 +319,30 @@ def test_emitted_json_validates_against_shipped_schema(tmp_path):
     jsonschema.validate(json.loads(out.read_text()), _schema())
 
 
+def test_shipped_schema_is_valid_against_its_meta_schema():
+    # emit_json builds its validator without this check, so the suite makes it
+    import jsonschema
+    from spatialfda.cli import _schema
+
+    schema = _schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_emit_json_rejects_a_document_missing_version(tmp_path):
+    import jsonschema
+    from spatialfda.cli import _schema, emit_json
+
+    doc = {"error": {"message": "m", "type": "X"}, "kind": "error"}  # keys sorted
+    with pytest.raises(jsonschema.ValidationError) as err:
+        emit_json(doc, tmp_path / "doc.json")
+    assert not (tmp_path / "doc.json").exists()
+    # the error jsonschema.validate raises for the same document
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, _schema())
+    assert err.value.message == expected.value.message
+    assert list(err.value.path) == list(expected.value.path)
+
+
 def test_non_finite_u_spec_is_usage_error(tmp_path, capsys):
     src = simulate(tmp_path, n=30, grid=12)
     with pytest.raises(SystemExit) as exc:

@@ -139,6 +139,38 @@ def test_one_dimensional_quantile_brackets_sort_quantile():
     assert sol.curve.values[0] == pytest.approx(np.median(a), abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_one_dimensional_solves_start_at_the_order_statistic(seed):
+    # the 1-D Hessian is zero, so Newton never applies; the order statistic
+    # the solver starts from passes the first optimality test
+    rng = np.random.default_rng([seed, 7])
+    n = int(rng.integers(5, 60))
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    if seed % 2:
+        a = a[rng.integers(0, n, n)]  # duplicated values
+    s, basis = scalar_sample(a)
+    data = project_sample(s, basis)
+    for c in rng.uniform(-0.9, 0.9, 4):
+        u = DirectionU(np.array([c]))
+        sol = solve_quantile(s, u, basis=basis, d=1)
+        assert sol.converged and sol.iterations == 1
+        assert sol.anchored_at_datum is not None
+        best = min(objective(Coefficients(x, basis), s, u) for x in data)
+        assert objective(sol.coefficients, s, u) <= best + 1e-14 * np.abs(a).mean()
+
+
+def test_collinear_sample_starts_at_the_order_statistic():
+    g = Grid.uniform(0.0, 1.0, 16)
+    basis = orthonormalize(np.vstack([np.sin(np.pi * g.points), np.cos(np.pi * g.points)]), g)
+    amps = np.random.default_rng(3).normal(size=24)
+    s = FunctionalSample(g, amps[:, None] * np.asarray(basis.functions)[0][None, :])
+    sol = solve_quantile(s, DirectionU.along(1, 0.4, 2), basis=basis, d=2)
+    assert sol.degenerate and sol.converged and sol.iterations == 1
+    # u = 0.4 along the line: order statistic floor(24 * 1.4 / 2) = 16 (0-based)
+    expected = np.sort(amps)[16] * np.asarray(basis.functions)[0]
+    np.testing.assert_allclose(sol.curve.values, expected, atol=1e-12)
+
+
 def test_translation_equivariance():
     s = bm_sample(60, seed=9)
     shift = Curve(s.grid, 2.0 + np.sin(3 * s.grid.points))
