@@ -76,6 +76,7 @@ from .simulate import (
     ProcessSpec,
     bm_eigenpair,
     kernel_eigen,
+    sample_blocks,
     sample_process,
     stream_seed,
 )

@@ -19,6 +19,13 @@ medians estimates the rate exponent.
 All three share one replicate loop, run in order on the calling thread;
 every (sample size, replicate) pair has its own tagged substream of the
 study seed, so reports are reproducible bit for bit.
+
+Memory. The gc and integrated studies, and reference_spatial_dist, never
+hold the reference sample: its paths are drawn one simulate.CHUNK block at
+a time and each block's sign mean is added in, so their working set is
+O(CHUNK * D) in n_ref, plus the probes and the largest replicate sample.
+The bahadur study still holds all n_ref reference paths, since its PCA and
+reference quantile need the whole sample at once.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Curve, FunctionalSample, Grid, pca, project_sample
+from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
 from .quantile import DirectionU, bahadur_split, linearization
-from .simulate import ProcessSpec, sample_process, stream_seed
-from .spatialdist import SpatialDistValue, _sign_mean, empirical_spatial_dist
+from .simulate import ProcessSpec, sample_blocks, sample_process, stream_seed
+from .spatialdist import SpatialDistValue, _sign_mean
 
 DEFAULT_N_REF = 100_000
 DEFAULT_INT_PROBES = 200
@@ -56,12 +63,27 @@ class ReferenceSpatialDist:
     n_ref: int
 
 
+def _reference_sign_mean(
+    spec: ProcessSpec, queries: np.ndarray, grid: Grid, n_ref: int, seed: int
+) -> np.ndarray:
+    """Sign mean of each query row over the n_ref paths of the reference substream.
+
+    The paths arrive as sample_blocks blocks and are never held together:
+    the result is sum_b m_b * _sign_mean(queries, block_b, w) / n_ref.
+    """
+    w = grid.weights
+    total = np.zeros_like(queries)
+    for block in sample_blocks(spec, grid, n_ref, stream_seed(seed, _TAG_REF)):
+        total += block.shape[0] * _sign_mean(queries, block, w)
+    return total / n_ref
+
+
 def reference_spatial_dist(
     spec: ProcessSpec, x: Curve, n_ref: int = DEFAULT_N_REF, seed: int = 0
 ) -> ReferenceSpatialDist:
     """Spatial distribution at x under the spec, from n_ref simulated paths."""
-    data = sample_process(spec, x.grid, n_ref, stream_seed(seed, _TAG_REF))
-    val = empirical_spatial_dist(x, data)
+    curve = Curve(x.grid, _reference_sign_mean(spec, x.values[None, :], x.grid, n_ref, seed)[0])
+    val = SpatialDistValue(curve, min(norm(curve), 1.0))
     err = math.sqrt(max(0.0, 1.0 - val.norm**2) / n_ref)
     return ReferenceSpatialDist(val, err, n_ref)
 
@@ -127,11 +149,11 @@ def _sign_errors(
 ) -> np.ndarray:
     """Squared sign-mean error at each probe, indexed (size, replicate, probe).
 
-    The reference sign mean comes from n_ref paths on the reference substream.
+    The reference sign mean comes from n_ref paths on the reference
+    substream, streamed block by block (_reference_sign_mean).
     """
     w = probes.grid.weights
-    ref_data = sample_process(spec, probes.grid, n_ref, stream_seed(seed, _TAG_REF))
-    s_ref = _sign_mean(probes.values, ref_data.values, w)
+    s_ref = _reference_sign_mean(spec, probes.values, probes.grid, n_ref, seed)
 
     def score(data):
         diff = _sign_mean(probes.values, data.values, w) - s_ref
@@ -222,6 +244,9 @@ def bahadur_rate_study(
     comparable.
     The remainder slope should sit strictly below -1/2, the linear term
     close to -1/2.
+
+    Unlike the gc and integrated studies, this one holds all n_ref reference
+    paths at once: the PCA and the reference quantile need the whole sample.
     """
     n_values = [int(n) for n in n_values]
     if d is None:

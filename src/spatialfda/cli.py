@@ -193,7 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--study", choices=("gc", "integrated", "bahadur"))
     con.add_argument("--n-list", dest="n_list", help='sample sizes, e.g. "250,1000,4000"')
     con.add_argument("--reps", type=int)
-    con.add_argument("--n-ref", type=int, dest="n_ref", help="reference sample size")
+    con.add_argument(
+        "--n-ref",
+        type=int,
+        dest="n_ref",
+        help="reference sample size; gc and integrated stream it in blocks, so their "
+        "memory does not grow with it, while bahadur holds the whole reference sample",
+    )
     con.add_argument("--probes", type=int, help="probe count (gc: 20, integrated: 200)")
     con.add_argument("--out", help="output JSON path (default stdout)")
     con.add_argument("--csv", dest="csv_path", help="optional CSV of per-n medians")
@@ -464,7 +470,10 @@ def _cmd_efficiency(cfg, parser) -> int:
 
 def _n_list(text: str, parser) -> list[int]:
     """Two or more strictly increasing sample sizes >= 1, from "250,1000,4000"."""
-    sizes = [int(p) if p.strip().isdigit() else 0 for p in text.split(",")]
+    try:
+        sizes = [int(p) for p in text.split(",")]
+    except ValueError:
+        sizes = []
     if len(sizes) < 2 or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         parser.error(f"--n-list needs 2+ strictly increasing integers >= 1, got {text!r}")
     return sizes

@@ -212,7 +212,8 @@ def _solve_coeffs(
     distance from its nearest datum C[j] first moves onto C[j] when that does
     not raise g. The step is the Weiszfeld step over the non-coincident data
     (Vardi & Zhang 2000 on a datum), or a Newton step off the data when the
-    Hessian is well conditioned and gives descent. Backtracking and the move
+    Hessian has a Cholesky factor whose squared pivots span at most
+    CONDITION_LIMIT and the step gives descent. Backtracking and the move
     onto a datum test the exact decrease of g (_decrease); the trace is
     g(start) plus the running sum of accepted decreases. A failed line search,
     a stalled step and the max_iter-th step only record why the loop must stop;
@@ -253,14 +254,16 @@ def _solve_coeffs(
         step = grad * (-n / float(np.sum(inv_r)))
         if m == 0:
             hess = _hessian_raw(inv_r, diff)
-            cond = np.linalg.cond(hess)
-            if np.isfinite(cond) and cond <= CONDITION_LIMIT:
-                try:
+            try:
+                # the squared pivots of a Cholesky factor bound the condition
+                # number from below; no factor means not positive definite
+                pivots = np.diag(np.linalg.cholesky(hess)) ** 2
+                if pivots.max() <= CONDITION_LIMIT * pivots.min():
                     cand = np.linalg.solve(hess, -grad)
                     if grad @ cand < 0:
                         step = cand
-                except np.linalg.LinAlgError:
-                    pass
+            except np.linalg.LinAlgError:
+                pass
 
         # Backtracking on g; the directional slope uses the smooth part only.
         slope = float(grad @ step)

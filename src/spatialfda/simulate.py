@@ -290,11 +290,13 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
         yield y
 
 
-def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
-    """n independent paths of the process on the grid.
+def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
+    """The paths of sample_process(spec, grid, n, seed) as (m, D) blocks, m <= CHUNK.
 
-    Deterministic in (spec, grid, n, seed); the first min(n, CHUNK) paths do
-    not change when more are requested.
+    Checks the arguments and builds the KL system at once, then draws one
+    block per RNG chunk on demand, so a caller that consumes the blocks in
+    turn holds O(CHUNK * D) floats whatever n is. Concatenated in order,
+    the blocks are sample_process's values bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -302,11 +304,27 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
         raise ValueError("mean curve lives on a different grid")
     scales, functions = _kl_system(spec, grid)
     loadings = scales[:, None] * functions  # (k, D)
+
+    def blocks():
+        for y in coefficient_chunks(spec, n, scales.size, seed):
+            block = y @ loadings
+            if spec.mean is not None:
+                block += spec.mean.values[None, :]
+            yield block
+
+    return blocks()
+
+
+def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
+    """n independent paths of the process on the grid.
+
+    Deterministic in (spec, grid, n, seed); the first min(n, CHUNK) paths do
+    not change when more are requested.
+    """
+    blocks = sample_blocks(spec, grid, n, seed)
     out = np.empty((n, grid.size))
     row = 0
-    for y in coefficient_chunks(spec, n, scales.size, seed):
-        out[row : row + y.shape[0]] = y @ loadings
-        row += y.shape[0]
-    if spec.mean is not None:
-        out += spec.mean.values[None, :]
+    for block in blocks:
+        out[row : row + block.shape[0]] = block
+        row += block.shape[0]
     return FunctionalSample(grid, out)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,13 @@ from spatialfda import (
     gc_rate_study,
     integrated_error_study,
     reference_spatial_dist,
+    empirical_spatial_dist,
     sample_process,
     stream_seed,
 )
+from spatialfda.asymptotics import _TAG_REF, _reference_sign_mean
+from spatialfda.simulate import CHUNK
+from spatialfda.spatialdist import _sign_mean
 
 BM = ProcessSpec(KernelSpec.brownian())
 
@@ -36,6 +42,41 @@ def test_reference_spatial_dist_determinism():
     b = reference_spatial_dist(BM, x, n_ref=5000, seed=3)
     assert a.value.norm == b.value.norm
     assert a.value.norm != reference_spatial_dist(BM, x, n_ref=5000, seed=4).value.norm
+
+
+def test_streamed_reference_sign_mean_matches_the_one_shot_kernel():
+    # three blocks, and queries that coincide with a path of the first and
+    # of the last block, so zero signs are met inside the blocks too
+    g = Grid.uniform(0.0, 1.0, 16)
+    n_ref, seed = 2 * CHUNK + 5, 8
+    ref = sample_process(BM, g, n_ref, stream_seed(seed, _TAG_REF))
+    fresh = sample_process(BM, g, 6, seed=40).values
+    queries = np.vstack([fresh, ref.values[[3, n_ref - 2]]])
+    one_shot = _sign_mean(queries, ref.values, g.weights)
+    streamed = _reference_sign_mean(BM, queries, g, n_ref, seed)
+    np.testing.assert_allclose(streamed, one_shot, rtol=0.0, atol=1e-13)
+    x = Curve(g, fresh[0])
+    value = reference_spatial_dist(BM, x, n_ref=n_ref, seed=seed).value
+    np.testing.assert_allclose(
+        value.representation.values,
+        empirical_spatial_dist(x, ref).representation.values,
+        rtol=0.0,
+        atol=1e-13,
+    )
+
+
+def test_gc_study_memory_does_not_grow_with_the_reference_sample():
+    # the reference alone is 51 MB of paths at n_ref = 1e5 and D = 64, and
+    # the one-shot sign mean adds a centred copy of it
+    g = Grid.uniform(0.0, 1.0, 64)
+    probes = sample_process(BM, g, 20, seed=5)
+    tracemalloc.start()
+    try:
+        gc_rate_study(BM, probes, [250, 1000], reps=2, seed=3, n_ref=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_rate_report_validation():

@@ -407,6 +407,7 @@ def test_bad_config_entry_is_usage_error(tmp_path, capsys, conf, message):
         ("--n-list", "0,250"),
         ("--n-list", "250,1e3"),
         ("--n-list", "250,-4"),
+        ("--n-list", "250,1000²"),
         ("--hurst", "1.0"),
         ("--hurst", "0"),
         ("--hurst", "nan"),

@@ -18,6 +18,8 @@ from spatialfda import (
     depth_profile,
     monotonicity_probe,
     pca,
+    project,
+    project_sample,
     sample_process,
     solve_quantile,
 )
@@ -101,4 +103,28 @@ def test_quantile_equivariant_under_scaling(seed, n, scale, k, c):
     base = curve(1.0)
     np.testing.assert_allclose(
         curve(scale) / scale, base, rtol=0.0, atol=1e-6 * np.max(np.abs(base))
+    )
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, k=st.integers(1, 3), c=st.floats(-0.6, 0.6), move_seed=seeds)
+def test_quantile_equivariant_under_rotation_and_shift(seed, n, k, c, move_seed):
+    # Q_{OX+c}(Ou) = O Q_X(u) + c for orthogonal O, in the working coefficients
+    sample = sample_process(BM, GRID, n, seed=seed)
+    basis = pca(sample, 3)
+    X = project_sample(sample, basis)
+    rng = np.random.default_rng(move_seed)
+    O = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    shift = rng.normal(size=3)
+    u = DirectionU.along(k, c, 3)
+
+    def quantile(coefs, direction):
+        s = FunctionalSample(GRID, coefs @ np.asarray(basis.functions))
+        return project(solve_quantile(s, direction, basis=basis).curve, basis).values
+
+    # both solves stop at gradient norm 1e-8, so they agree to ~1e-8, not bitwise
+    base = quantile(X, u)
+    moved = quantile(X @ O.T + shift, DirectionU(O @ u.coefficients))
+    np.testing.assert_allclose(
+        moved, O @ base + shift, rtol=0.0, atol=1e-6 * np.max(np.abs(X))
     )

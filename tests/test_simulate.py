@@ -12,6 +12,7 @@ from spatialfda import (
     bm_eigenpair,
     default_table_cells,
     kernel_eigen,
+    sample_blocks,
     sample_process,
     stream_seed,
 )
@@ -183,6 +184,31 @@ def test_chunk_layout_is_fixed():
     spec = ProcessSpec(KernelSpec.brownian(), truncation=3)
     blocks = list(coefficient_chunks(spec, CHUNK + 10, 3, seed=0))
     assert [b.shape[0] for b in blocks] == [CHUNK, 10]
+
+
+@pytest.mark.parametrize("case", ["bm", "fbm", "t-with-mean"])
+def test_sample_blocks_concatenate_to_sample_process_bitwise(case):
+    g = Grid.uniform(0.0, 1.0, 12)
+    spec = {
+        "bm": ProcessSpec(KernelSpec.brownian()),
+        "fbm": ProcessSpec(KernelSpec.fractional_brownian(0.3)),
+        "t-with-mean": ProcessSpec(
+            KernelSpec.min_kernel(), "student-t", df=4, mean=Curve(g, np.sin(3.0 * g.points))
+        ),
+    }[case]
+    n = 2 * CHUNK + 5
+    blocks = list(sample_blocks(spec, g, n, seed=21))
+    assert [b.shape for b in blocks] == [(CHUNK, 12), (CHUNK, 12), (5, 12)]
+    assert np.concatenate(blocks).tobytes() == sample_process(spec, g, n, seed=21).values.tobytes()
+
+
+def test_sample_blocks_checks_its_arguments_before_the_first_block():
+    g = Grid.uniform(0.0, 1.0, 12)
+    with pytest.raises(ValueError):
+        sample_blocks(ProcessSpec(KernelSpec.brownian()), g, 0, seed=1)
+    off_grid = Curve(Grid.uniform(0.0, 1.0, 8), np.zeros(8))
+    with pytest.raises(ValueError):
+        sample_blocks(ProcessSpec(KernelSpec.brownian(), mean=off_grid), g, 5, seed=1)
 
 
 def test_stream_seed_distinct_and_stable():
