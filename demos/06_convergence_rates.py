@@ -18,8 +18,7 @@ from spatialfda import (
     bahadur_rate_study,
     gc_rate_study,
     integrated_error_study,
-    sample_process,
-    stream_seed,
+    probe_sample,
 )
 
 
@@ -36,7 +35,7 @@ def main():
     else:
         n_values, reps, n_ref = [100, 400, 1600], 15, 20_000
 
-    probes = sample_process(spec, grid, 20, stream_seed(2, 1))
+    probes = probe_sample(spec, grid, 20, seed=2)
     t0 = time.perf_counter()
     gc = gc_rate_study(spec, probes, n_values, reps, seed=2, n_ref=n_ref)
     print(f"worst probe error     slope {gc.fitted_slope_sup:+.3f}  (expect ~ -0.5)")

@@ -15,6 +15,7 @@ from .asymptotics import (
     bahadur_rate_study,
     gc_rate_study,
     integrated_error_study,
+    probe_sample,
     reference_spatial_dist,
 )
 from .depth import DDPlotData, dd_plot, depth_profile, spatial_depth
@@ -24,6 +25,7 @@ from .efficiency import (
     TableRow,
     are,
     default_table_cells,
+    domain_grid,
     efficiency_table,
     real_line_grid,
     sigma_trace,

@@ -6,10 +6,10 @@ against it over replications, and a least-squares line through the log-log
 medians estimates the rate exponent.
 
   * gc_rate_study: worst-case error of the empirical spatial distribution
-    over a finite probe set (a stand-in for a compact set of query points);
-    the expected slope is -1/2.
+    over a finite probe set (a stand-in for a compact set of query points,
+    such as probe_sample's paths); the expected slope is -1/2.
   * integrated_error_study: squared error integrated against the process
-    law itself, approximated by averaging over fresh probe draws; the
+    law itself, approximated by averaging over probe_sample draws; the
     expected slope is -1.
   * bahadur_rate_study: norm of the quantile linearization remainder
     (estimate minus reference quantile plus inverse-Hessian-corrected mean
@@ -35,12 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RankDeficiencyError
 from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
 from .quantile import DirectionU, bahadur_split, linearization
 from .simulate import ProcessSpec, sample_blocks, sample_process, stream_seed
 from .spatialdist import SpatialDistValue, _sign_mean
 
 DEFAULT_N_REF = 100_000
+DEFAULT_GC_PROBES = 20
 DEFAULT_INT_PROBES = 200
 
 # Substream tags within a study seed.
@@ -76,6 +78,11 @@ def _reference_sign_mean(
     for block in sample_blocks(spec, grid, n_ref, stream_seed(seed, _TAG_REF)):
         total += block.shape[0] * _sign_mean(queries, block, w)
     return total / n_ref
+
+
+def probe_sample(spec: ProcessSpec, grid: Grid, n_probes: int, seed: int) -> FunctionalSample:
+    """n_probes paths of a seed's probe substream; a larger Gaussian draw extends a smaller one."""
+    return sample_process(spec, grid, n_probes, stream_seed(seed, _TAG_PROBES))
 
 
 def reference_spatial_dist(
@@ -209,7 +216,7 @@ def integrated_error_study(
     The expected log-log slope is -1.
     """
     n_values = [int(n) for n in n_values]
-    probes = sample_process(spec, grid, n_probes, stream_seed(seed, _TAG_PROBES))
+    probes = probe_sample(spec, grid, n_probes, seed)
     sq = _sign_errors(spec, probes, n_values, reps, seed, n_ref)
     med = np.median(sq.mean(axis=2), axis=1)
     return RateReport(
@@ -251,12 +258,17 @@ def bahadur_rate_study(
     n_values = [int(n) for n in n_values]
     if d is None:
         d = max(1, math.isqrt(max(n_values)))
-    ref_data = sample_process(spec, grid, n_ref, stream_seed(seed, _TAG_REF))
-    basis = pca(ref_data, d)
+    if d > min(n_ref - 1, grid.size):  # pca's rank bound, checked before the draw
+        raise RankDeficiencyError(
+            f"requested {d} components from an {n_ref} x {grid.size} sample "
+            f"(centered rank is at most min(n - 1, D))"
+        )
     if u is None:
         u = DirectionU.zero(d)
     elif u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
+    ref_data = sample_process(spec, grid, n_ref, stream_seed(seed, _TAG_REF))
+    basis = pca(ref_data, d)
     b = u.coefficients
     q_ref, J_inv = linearization(project_sample(ref_data, basis), b)
 

@@ -26,10 +26,13 @@ import numpy as np
 
 from . import __version__, parallel
 from .asymptotics import (
-    _TAG_PROBES,
+    DEFAULT_GC_PROBES,
+    DEFAULT_INT_PROBES,
+    DEFAULT_N_REF,
     bahadur_rate_study,
     gc_rate_study,
     integrated_error_study,
+    probe_sample,
 )
 from .depth import dd_plot, depth_profile
 from .efficiency import (
@@ -38,8 +41,8 @@ from .efficiency import (
     DEFAULT_TABLE_SEED,
     ESTIMATOR,
     are,
+    domain_grid,
     efficiency_table,
-    real_line_grid,
 )
 from .errors import SpatialFDAError
 from .funcspace import Basis, FunctionalSample, Grid, orthonormalize, pca
@@ -53,7 +56,6 @@ from .simulate import (
     ProcessSpec,
     bm_eigenpair,
     sample_process,
-    stream_seed,
 )
 from .svg import curve_fan_svg, dd_plot_svg
 
@@ -69,8 +71,7 @@ DEFAULTS = {
         "grid_size": 64,
         "reps": 50,
         "n_list": "250,1000,4000",
-        "n_ref": 100_000,
-        "probes": None,
+        "n_ref": DEFAULT_N_REF,
     },
 }
 
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Options that must be positive integers; seed must be a nonnegative one.
+# Options that must be positive integers (grid_size >= 2); seed must be nonnegative.
 _POSITIVE_INTS = ("n", "threads", "grid_size", "mc", "reps", "n_ref", "probes", "d")
 
 
@@ -237,7 +238,7 @@ def _merge(args: argparse.Namespace, parser) -> dict:
             cfg[key] = value
     for key in (*_POSITIVE_INTS, "seed"):
         value = cfg.get(key)
-        low = 0 if key == "seed" else 1
+        low = {"seed": 0, "grid_size": 2}.get(key, 1)
         if value is not None and (type(value) is not int or value < low):
             parser.error(f"--{key.replace('_', '-')} must be an integer >= {low}, got {value!r}")
     return cfg
@@ -250,44 +251,29 @@ def _require(cfg: dict, key: str, parser, flag: str):
     return value
 
 
-def _process_spec(cfg: dict, parser) -> tuple[ProcessSpec, str]:
-    """ProcessSpec plus its domain ("unit-interval" or "real-line")."""
+def _process_inputs(cfg: dict, parser) -> tuple[ProcessSpec, Grid, int, str]:
+    """Spec, grid, seed and CSV ``process`` label; checks --process, --df/--hurst, --seed."""
     name = _require(cfg, "process", parser, "--process")
-    hurst = cfg.get("hurst")
-    df = cfg.get("df")
+    hurst, df = cfg.get("hurst"), cfg.get("df")
     if df is not None and (type(df) is not int or df < 3):
         parser.error(f"--df must be an integer >= 3, got {df!r}")
     if name == "bm":
-        return ProcessSpec(KernelSpec.brownian(), GAUSSIAN_LAW), "unit-interval"
-    if name == "fbm":
+        kernel, label, df = KernelSpec.brownian(), "bm", None  # Gaussian, as is fbm, whatever --df
+    elif name == "fbm":
         if not (isinstance(hurst, (int, float)) and 0 < hurst < 1):
             parser.error(f"--hurst in (0, 1) is required for fbm, got {hurst!r}")
-        return ProcessSpec(KernelSpec.fractional_brownian(hurst), GAUSSIAN_LAW), "unit-interval"
-    if name == "t":
+        kernel, label, df = KernelSpec.fractional_brownian(hurst), f"fbm(h={hurst:g})", None
+    elif name == "t":
         if df is None:
             parser.error("--df is required for the t process")
-        return ProcessSpec(KernelSpec.min_kernel(), STUDENT_T_LAW, df=df), "unit-interval"
-    if df is not None:
-        return ProcessSpec(KernelSpec.gaussian_kernel(), STUDENT_T_LAW, df=df), "real-line"
-    return ProcessSpec(KernelSpec.gaussian_kernel(), GAUSSIAN_LAW), "real-line"
-
-
-def _grid_for(domain: str, grid_size: int, seed: int) -> Grid:
-    if domain == "real-line":
-        return real_line_grid(seed, grid_size)
-    return Grid.uniform(0.0, 1.0, grid_size)
-
-
-def _process_label(spec: ProcessSpec) -> str:
-    k = spec.kernel
-    core = {"brownian": "bm", "min": "t-min", "gaussian": "gauss-kernel"}.get(
-        k.kind, k.kind
-    )
-    if k.kind == "fractional-brownian":
-        core = f"fbm(h={k.hurst:g})"
-    if spec.coefficient_law == STUDENT_T_LAW:
-        core += f"+t{spec.df}"
-    return core
+        kernel, label = KernelSpec.min_kernel(), "t-min"
+    else:
+        kernel, label = KernelSpec.gaussian_kernel(), "gauss-kernel"
+    law = GAUSSIAN_LAW if df is None else STUDENT_T_LAW
+    label += "" if df is None else f"+t{df}"
+    seed = _require(cfg, "seed", parser, "--seed")
+    domain = "real-line" if name == "gauss-kernel" else "unit-interval"
+    return ProcessSpec(kernel, law, df=df), domain_grid(domain, cfg["grid_size"], seed), seed, label
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +281,14 @@ def _process_label(spec: ProcessSpec) -> str:
 
 
 def _cmd_simulate(cfg, parser) -> int:
-    spec, domain = _process_spec(cfg, parser)
-    seed = _require(cfg, "seed", parser, "--seed")
+    spec, grid, seed, label = _process_inputs(cfg, parser)
     out = _require(cfg, "out", parser, "--out")
-    grid = _grid_for(domain, cfg["grid_size"], seed)
     sample = sample_process(spec, grid, cfg["n"], seed)
     write_sample(
         out,
         sample,
         {
-            "process": _process_label(spec),
+            "process": label,
             "seed": seed,
             "version": __version__,
             "generator": GENERATOR_NAME,
@@ -460,9 +444,8 @@ def _cmd_efficiency(cfg, parser) -> int:
             ref = "-" if r.reference is None else f"{r.reference:.3f}"
             print(f"{r.label:18s} are={r.report.are:7.4f}  reference={ref}", file=sys.stderr)
     else:
-        spec, domain = _process_spec(cfg, parser)
-        seed = _require(cfg, "seed", parser, "--seed")
-        rep = are(spec, _grid_for(domain, cfg["grid_size"], seed), cfg["mc"], seed)
+        spec, grid, seed, _ = _process_inputs(cfg, parser)
+        rep = are(spec, grid, cfg["mc"], seed)
         doc.update(kind="efficiency-report", report=dataclasses.asdict(rep))
     emit_json(doc, cfg.get("out"))
     return 0
@@ -481,23 +464,18 @@ def _n_list(text: str, parser) -> list[int]:
 
 def _cmd_converge(cfg, parser) -> int:
     study = _require(cfg, "study", parser, "--study")
-    spec, domain = _process_spec(cfg, parser)
-    seed = _require(cfg, "seed", parser, "--seed")
+    spec, grid, seed, _ = _process_inputs(cfg, parser)
     n_values = _n_list(str(cfg["n_list"]), parser)
-    grid = _grid_for(domain, cfg["grid_size"], seed)
     reps, n_ref = cfg["reps"], cfg["n_ref"]
 
     if study == "gc":
-        n_probes = cfg.get("probes") or 20
-        probes = sample_process(spec, grid, n_probes, stream_seed(seed, _TAG_PROBES))
+        probes = probe_sample(spec, grid, cfg.get("probes") or DEFAULT_GC_PROBES, seed)
         rep = gc_rate_study(spec, probes, n_values, reps, seed, n_ref=n_ref)
         med_cols = ["n", "sup_error"]
         med_rows = list(zip(rep.n_values, rep.sup_errors))
     elif study == "integrated":
-        n_probes = cfg.get("probes") or 200
-        rep = integrated_error_study(
-            spec, grid, n_values, reps, seed, n_probes=n_probes, n_ref=n_ref
-        )
+        n_probes = cfg.get("probes") or DEFAULT_INT_PROBES
+        rep = integrated_error_study(spec, grid, n_values, reps, seed, n_probes, n_ref)
         med_cols = ["n", "integrated_error"]
         med_rows = list(zip(rep.n_values, rep.integrated_errors))
     else:

@@ -74,6 +74,15 @@ def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
     return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
 
 
+def domain_grid(domain: str, grid_size: int, seed: int) -> Grid:
+    """Equispaced on [0, 1] for "unit-interval", real_line_grid(seed, grid_size) for "real-line"."""
+    if domain == "unit-interval":
+        return Grid.uniform(0.0, 1.0, grid_size)
+    if domain == "real-line":
+        return real_line_grid(seed, grid_size)
+    raise ValueError(f"unknown domain {domain!r}")
+
+
 def _whitened_scales(spec: ProcessSpec, grid: Grid) -> np.ndarray:
     """Singular values sigma of the whitened KL loading, descending.
 
@@ -218,8 +227,7 @@ def are(
 class TableCell:
     """One configuration of the standard efficiency sweep.
 
-    domain picks the grid: "unit-interval" for [0, 1] kernels,
-    "real-line" for kernels evaluated at random N(0, 1/2) points.
+    domain ("unit-interval" or "real-line") picks the grid, see domain_grid.
     reference is the independently reported value for this configuration
     when one exists, used as a cross-check target; None otherwise.
     """
@@ -278,29 +286,24 @@ def efficiency_table(
 ) -> list[TableRow]:
     """Run the efficiency sweep; one row per cell, in the order of cells.
 
-    The unit-interval cells share one equispaced grid; the real-line cells
-    share one batch of N(0, 1/2) points drawn from the study seed's grid
-    substream. A cell runs under the tagged substream of the first default
-    cell with the same Gaussian twin on the same domain, and each such
-    (twin, grid, seed) is estimated once: t3-min and t9-min share one
-    Gaussian min-kernel run, the gauss-kernel t cells reuse the gauss-kernel
-    run. Tags do not depend on the cell list, so filtering it changes no row.
+    Each cell runs on the domain_grid of its domain at the study seed. A cell
+    whose (domain, Gaussian twin) is a default cell's runs under that cell's
+    tagged substream, any other under a tag from the crc32 of its label
+    (stable across processes, unlike hash()). Each (twin, substream) is
+    estimated once and each cell divides that v0 by its own E[s]^2: t3-min
+    and t9-min share one Gaussian min-kernel run, the gauss-kernel t cells
+    the gauss-kernel run. Tags do not depend on the cell list.
     """
     if cells is None:
         cells = default_table_cells()
-    unit = Grid.uniform(0.0, 1.0, grid_size)
-    real = real_line_grid(seed, grid_size) if any(c.domain == "real-line" for c in cells) else None
-
     twins = [(c.domain, _gaussian_twin(c.spec)) for c in default_table_cells()]
     twin_reports: dict[int, EfficiencyReport] = {}  # by cell seed
 
     def run(cell: TableCell) -> TableRow:
-        grid = unit if cell.domain == "unit-interval" else real
+        grid = domain_grid(cell.domain, grid_size, seed)
         key = (cell.domain, _gaussian_twin(cell.spec))
-        if key not in twins:  # content-derived tag (crc32 is stable across processes, hash() is not)
-            tag = _TAG_CELL_BASE + len(twins) + zlib.crc32(cell.label.encode())
-            return TableRow(cell.label, are(cell.spec, grid, mc, stream_seed(seed, tag)), cell.reference)
-        cell_seed = stream_seed(seed, _TAG_CELL_BASE + twins.index(key))
+        tag = twins.index(key) if key in twins else len(twins) + zlib.crc32(cell.label.encode())
+        cell_seed = stream_seed(seed, _TAG_CELL_BASE + tag)
         if cell_seed not in twin_reports:
             twin_reports[cell_seed] = are(key[1], grid, mc, cell_seed)
         rep = are(cell.spec, grid, mc, cell_seed, twin_v0=twin_reports[cell_seed].trace_v0)

@@ -64,9 +64,11 @@ class Grid:
 
     @staticmethod
     def uniform(a: float, b: float, num: int) -> "Grid":
-        """Equispaced grid on [a, b] with trapezoid weights (sum = b - a)."""
+        """Equispaced grid on [a, b] with trapezoid weights (sum = b - a); num >= 2."""
         if not b > a:
             raise ValueError("need b > a")
+        if num < 2:
+            raise ValueError("degenerate grid: need at least 2 points")
         pts = np.linspace(a, b, num)
         h = (b - a) / (num - 1)
         w = np.full(num, h)

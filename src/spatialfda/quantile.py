@@ -201,9 +201,9 @@ def _decrease(diff, r, b, s):
 
 
 def _solve_coeffs(
-    C, b, start, c_norms, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False
+    C, b, c_norms, start=None, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False
 ):
-    """Minimize g over R^d from start, c_norms being the row norms of C.
+    """Minimize g over R^d from start (by default C's median), c_norms the row norms of C.
 
     Every exit is decided by one optimality test on the current iterate q at
     the top of the loop: ||grad|| <= tol off the data, and, when q coincides
@@ -223,6 +223,13 @@ def _solve_coeffs(
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
     n = C.shape[0]
+    if b.size == 1 and b[0] != 0.0:
+        # In 1-D the Hessian is zero, so Newton never applies, but the
+        # minimizer is this order statistic: the first optimality test takes it.
+        k = min(math.floor(n * (1.0 + float(b[0])) / 2.0), n - 1)
+        start = np.partition(C[:, 0], k)[k : k + 1]
+    elif start is None:
+        start = np.median(C, axis=0)
     cmax = float(c_norms.max())
     c_norm_mean = float(c_norms.mean())
     q = np.array(start, dtype=float)
@@ -428,14 +435,9 @@ def solve_quantile(
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
-    start = work.start
-    if b.size == 1 and b[0] != 0.0:
-        # In 1-D the Hessian is zero, so Newton never applies, but the
-        # minimizer is this order statistic: the first optimality test takes it.
-        n = work.data.shape[0]
-        k = min(math.floor(n * (1.0 + float(b[0])) / 2.0), n - 1)
-        start = np.partition(work.data[:, 0], k)[k : k + 1]
-    raw = _solve_coeffs(work.data, b, start, work.norms, tol, step_tol, max_iter, track_objective)
+    raw = _solve_coeffs(
+        work.data, b, work.norms, work.start, tol, step_tol, max_iter, track_objective
+    )
     if work.line is not None:
         q_centered = raw.q[0] * work.line
     else:
@@ -517,7 +519,7 @@ def linearization(C_ref: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     every bahadur_split against this reference.
     """
     c_norms = np.linalg.norm(C_ref, axis=1)
-    q_ref = _solve_coeffs(C_ref, b, np.median(C_ref, axis=0), c_norms).q
+    q_ref = _solve_coeffs(C_ref, b, c_norms).q
     diff, _, inv_r, _ = _inverse_distances(q_ref, C_ref, c_norms)
     return q_ref, floored_inverse(_hessian_raw(inv_r, diff), "reference Hessian")
 
@@ -532,7 +534,7 @@ def bahadur_split(
     remainder is (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
     """
     c_norms = np.linalg.norm(C, axis=1)
-    q_hat = _solve_coeffs(C, b, np.median(C, axis=0), c_norms).q
+    q_hat = _solve_coeffs(C, b, c_norms).q
     diff, _, inv_r, _ = _inverse_distances(q_ref, C, c_norms)
     scores = diff * inv_r[:, None] - b[None, :]
     linear = J_inv @ scores.mean(axis=0)

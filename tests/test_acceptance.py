@@ -28,14 +28,13 @@ from spatialfda import (
     objective,
     orthonormalize,
     pca,
+    probe_sample,
     quantile_fan,
     sample_process,
     solve_quantile,
     spatial_depth,
-    stream_seed,
 )
 from spatialfda.asymptotics import (
-    _TAG_PROBES,
     bahadur_rate_study,
     gc_rate_study,
     integrated_error_study,
@@ -186,7 +185,7 @@ def test_criterion_3_quantile_fan():
 def test_criterion_4_convergence_rates():
     grid = Grid.uniform(0.0, 1.0, 64)
     ns = [250, 1000, 4000]
-    probes = sample_process(BM, grid, 20, stream_seed(RATE_SEED, _TAG_PROBES))
+    probes = probe_sample(BM, grid, 20, RATE_SEED)
     gc = gc_rate_study(BM, probes, ns, reps=50, seed=RATE_SEED, n_ref=100_000)
     integ = integrated_error_study(
         BM, grid, ns, reps=50, seed=RATE_SEED, n_probes=200, n_ref=100_000

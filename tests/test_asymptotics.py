@@ -13,6 +13,7 @@ from spatialfda import (
     bahadur_rate_study,
     gc_rate_study,
     integrated_error_study,
+    probe_sample,
     reference_spatial_dist,
     empirical_spatial_dist,
     sample_process,
@@ -119,6 +120,46 @@ def test_integrated_study_small_scale_slope():
     assert "40" in rep.notes
 
 
+def test_probe_sample_nests_and_is_the_integrated_study_probe_set(monkeypatch):
+    import spatialfda.asymptotics as asy
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    small, large = probe_sample(BM, g, 20, 4), probe_sample(BM, g, 200, 4)
+    assert np.array_equal(small.values, large.values[:20])
+    seen = []
+    real = asy._sign_errors
+
+    def spy(spec, probes, *args):
+        seen.append(probes.values.copy())
+        return real(spec, probes, *args)
+
+    monkeypatch.setattr(asy, "_sign_errors", spy)
+    integrated_error_study(BM, g, [20, 40], reps=1, seed=4, n_probes=20, n_ref=500)
+    assert np.array_equal(seen[0], small.values)
+
+
+def test_bahadur_study_checks_the_rank_bound_before_the_reference_draw(monkeypatch):
+    import spatialfda.asymptotics as asy
+    from spatialfda import DirectionU, RankDeficiencyError, pca
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the reference sample was drawn")
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    # the PCA on the drawn reference raises exactly this error
+    ref = sample_process(BM, g, 8, seed=1)
+    with pytest.raises(RankDeficiencyError) as expected:
+        pca(ref, 10)
+    monkeypatch.setattr(asy, "sample_process", no_draw)
+    with pytest.raises(RankDeficiencyError) as exc:
+        bahadur_rate_study(BM, g, [4, 100], reps=1, seed=1, n_ref=8)  # d = 10 > n_ref - 1
+    assert str(exc.value) == str(expected.value)
+    with pytest.raises(RankDeficiencyError, match="89 components from an 100000 x 64"):
+        bahadur_rate_study(BM, Grid.uniform(0.0, 1.0, 64), [250, 1000, 8000], reps=1, seed=1)
+    with pytest.raises(ValueError, match="dimension"):
+        bahadur_rate_study(BM, g, [4, 16], reps=1, seed=1, u=DirectionU.zero(3), n_ref=50)
+
+
 def test_bahadur_study_residual_faster_than_linear():
     g = Grid.uniform(0.0, 1.0, 16)
     rep = bahadur_rate_study(
@@ -137,9 +178,7 @@ def test_bahadur_study_residual_faster_than_linear():
 def test_slope_stable_under_dyadic_widening():
     # adding one dyadic step to the n range moves the fitted slope by < 0.1
     g = Grid.uniform(0.0, 1.0, 16)
-    from spatialfda.asymptotics import _TAG_PROBES
-
-    probes = sample_process(BM, g, 8, stream_seed(21, _TAG_PROBES))
+    probes = probe_sample(BM, g, 8, 21)
     a = gc_rate_study(BM, probes, [100, 400, 1600], reps=12, seed=21, n_ref=20_000)
     b = gc_rate_study(
         BM, probes, [100, 400, 1600, 6400], reps=12, seed=21, n_ref=20_000

@@ -373,7 +373,8 @@ def test_bad_u_file_row_is_named(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--n", "0"), ("--seed", "-1"), ("--threads", "0"), ("--grid-size", "0")]
+    "flag,value",
+    [("--n", "0"), ("--seed", "-1"), ("--threads", "0"), ("--grid-size", "0"), ("--grid-size", "1")],
 )
 def test_out_of_range_count_is_usage_error(tmp_path, capsys, flag, value):
     args = {"--process": "bm", "--n": "5", "--seed": "1", "--out": str(tmp_path / "s.csv")}
@@ -421,6 +422,7 @@ def test_bad_converge_argument_is_usage_error(tmp_path, capsys, monkeypatch, fla
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(cli, "sample_process", no_work)
+    monkeypatch.setattr(cli, "probe_sample", no_work)
     monkeypatch.setattr(cli, "gc_rate_study", no_work)
     args = {"--study": "gc", "--process": "fbm", "--hurst": "0.3", "--seed": "1"}
     if flag == "--df":

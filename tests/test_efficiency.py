@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from spatialfda import (
     Grid,
     KernelSpec,
     ProcessSpec,
+    TableCell,
     are,
     default_table_cells,
+    domain_grid,
     efficiency_table,
     real_line_grid,
     sigma_trace,
     v0_estimate,
 )
-from spatialfda.efficiency import _TAG_J, _TAG_LAMBDA
+from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import _kl_system, coefficient_chunks, stream_seed
 
 
@@ -73,6 +76,18 @@ def test_real_line_grid_properties():
     assert np.all(np.diff(g.points) > 0)
     np.testing.assert_allclose(g.weights, 1.0 / 150)
     assert np.array_equal(g.points, real_line_grid(seed=5, grid_size=150).points)
+
+
+def test_domain_grid():
+    for domain, expected in (
+        ("unit-interval", Grid.uniform(0.0, 1.0, 30)),
+        ("real-line", real_line_grid(5, 30)),
+    ):
+        g = domain_grid(domain, 30, 5)
+        assert np.array_equal(g.points, expected.points)
+        assert np.array_equal(g.weights, expected.weights)
+    with pytest.raises(ValueError, match="domain"):
+        domain_grid("half-line", 30, 5)
 
 
 def test_report_invariants():
@@ -211,3 +226,28 @@ def test_table_t_rows_reuse_their_gaussian_twin():
     t9 = [c for c in default_table_cells() if c.label == "t9-min"]
     (alone,) = efficiency_table(seed=11, mc=2000, grid_size=30, cells=t9)
     assert alone == rows["t9-min"]
+
+
+def test_cells_off_the_default_list_run_under_their_label_tag():
+    # a twin no default cell has: the tag follows the 15 default tags, offset
+    # by the crc32 of the label, and the row is are() of the cell there
+    assert len(default_table_cells()) == 15
+    cells = [
+        TableCell(
+            "fbm-h0.25-t5",
+            ProcessSpec(KernelSpec.fractional_brownian(0.25), "student-t", df=5),
+            "unit-interval",
+            None,
+        ),
+        TableCell(
+            "gauss-kernel-k10",
+            ProcessSpec(KernelSpec.gaussian_kernel(), truncation=10),
+            "real-line",
+            None,
+        ),
+    ]
+    rows = efficiency_table(seed=11, mc=2000, grid_size=30, cells=cells)
+    for cell, row in zip(cells, rows, strict=True):
+        tag = _TAG_CELL_BASE + 15 + zlib.crc32(cell.label.encode())
+        grid = domain_grid(cell.domain, 30, 11)
+        assert row.report == are(cell.spec, grid, 2000, stream_seed(11, tag))

@@ -67,6 +67,13 @@ def test_grid_validation(points, weights):
         Grid.custom(np.array(points), np.array(weights))
 
 
+@pytest.mark.parametrize("num", [1, 0, -3])
+def test_uniform_grid_needs_two_points(num):
+    # the step (b - a) / (num - 1) must not be formed first
+    with pytest.raises(ValueError, match="at least 2 points"):
+        Grid.uniform(0.0, 1.0, num)
+
+
 def test_curve_arithmetic_requires_same_grid():
     a = Curve(Grid.uniform(0.0, 1.0, 5), np.ones(5))
     b = Curve(Grid.uniform(0.0, 1.0, 6), np.ones(6))

@@ -6,13 +6,11 @@ from pathlib import Path
 import spatialfda
 
 # The sign kernel and the KL step have no public entry point at the shape
-# these callers need, and cli shares the probe substream tag of the rate
-# studies. Everything else goes through public names.
+# these callers need. Everything else goes through public names.
 ALLOWED = {
     ("depth", "_sign_mean"),
     ("asymptotics", "_sign_mean"),
     ("efficiency", "_kl_system"),
-    ("cli", "_TAG_PROBES"),
 }
 
 
@@ -32,6 +30,25 @@ def private_imports():
 
 def test_only_pinned_private_names_cross_modules():
     assert private_imports() == ALLOWED
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module uses what it imports
+    unused = set()
+    for path in Path(spatialfda.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused |= {(path.stem, name) for name in bound if name not in used}
+    assert unused == set()
 
 
 def test_no_module_starts_threads_or_processes():

@@ -159,6 +159,22 @@ def test_one_dimensional_solves_start_at_the_order_statistic(seed):
         assert objective(sol.coefficients, s, u) <= best + 1e-14 * np.abs(a).mean()
 
 
+def test_one_dimensional_bahadur_path_solve_starts_at_the_order_statistic():
+    # linearization and bahadur_split pass the solver no start; in 1-D with
+    # u != 0 it takes the order statistic itself. n(1 + b)/2 = 140 is an
+    # integer, so g is flat between order statistics 139 and 140; a median
+    # start took 6 iterations to stop inside that segment.
+    from spatialfda.quantile import _objective_raw, _solve_coeffs
+
+    C = np.random.default_rng(0).standard_normal((200, 1))
+    b, norms = np.array([0.4]), np.abs(C[:, 0])
+    raw = _solve_coeffs(C, b, norms)
+    assert raw.converged and raw.iterations == 1 and raw.anchored_at_datum is not None
+    assert raw.q[0] == np.sort(C[:, 0])[140]
+    best = min(_objective_raw(x, C, b, norms.mean()) for x in C)
+    assert raw.objective <= best + 1e-15
+
+
 def test_collinear_sample_starts_at_the_order_statistic():
     g = Grid.uniform(0.0, 1.0, 16)
     basis = orthonormalize(np.vstack([np.sin(np.pi * g.points), np.cos(np.pi * g.points)]), g)
