@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import ConditioningError, RankDeficiencyError
 from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
 from .quantile import DirectionU, bahadur_split, linearization
 from .simulate import ProcessSpec, sample_blocks, sample_process, stream_seed
@@ -254,10 +254,19 @@ def bahadur_rate_study(
 
     Unlike the gc and integrated studies, this one holds all n_ref reference
     paths at once: the PCA and the reference quantile need the whole sample.
+    Raises ConditioningError for d = 1 (the default d when max(n_values) < 4)
+    and RankDeficiencyError when d exceeds the reference rank, both before
+    the reference draw.
     """
     n_values = [int(n) for n in n_values]
     if d is None:
         d = max(1, math.isqrt(max(n_values)))
+    if d < 2:  # checked before the draw, like the rank bound below
+        raise ConditioningError(
+            f"a Bahadur study needs working dimension d >= 2, got {d}: off the data "
+            f"the one-dimensional Hessian of the quantile objective is zero, so there "
+            f"is no J to invert"
+        )
     if d > min(n_ref - 1, grid.size):  # pca's rank bound, checked before the draw
         raise RankDeficiencyError(
             f"requested {d} components from an {n_ref} x {grid.size} sample "

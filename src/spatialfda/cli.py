@@ -21,7 +21,6 @@ import math
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__, parallel
@@ -84,12 +83,16 @@ def _schema():
 @functools.cache
 def _validator():
     """The shipped schema's validator, built once; the suite checks the schema itself."""
+    import jsonschema  # here, not at module level: commands that emit no JSON never load it
+
     schema = _schema()
     return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(doc) -> None:
     """Raise the error jsonschema.validate raises, without re-checking the schema."""
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
     if error is not None:
         raise error

@@ -157,7 +157,8 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     sigma = _whitened_scales(spec, grid)
     total = 0.0
     for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
-        total += float(np.sum((y * sigma) ** 2))
+        z = np.multiply(y, sigma, out=y)
+        total += float(np.sum(np.square(z, out=z)))
     return total / mc
 
 
@@ -181,7 +182,9 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
         # sum of 1/r and of z_i^2 / r^power over the stream; r = 0 adds nothing
         inv_r_sum, weighted = 0.0, np.zeros(sigma.size)
         for y in coefficient_chunks(twin, mc, sigma.size, stream_seed(seed, tag)):
-            z2 = (y * sigma) ** 2
+            # z^2 in place in the normals buffer, which the next chunk overwrites
+            z2 = np.multiply(y, sigma, out=y)
+            np.square(z2, out=z2)
             r = np.sqrt(np.sum(z2, axis=1))
             inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 1e-300)
             inv_r_sum += float(np.sum(inv_r))

@@ -149,13 +149,29 @@ class Curve:
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """n curves on a shared grid, stored as one (n, D) matrix."""
+    """n curves on a shared grid, stored as one (n, D) matrix.
+
+    The sample holds a read-only array. An array that owns its data
+    (base is None) and is already read-only, C-contiguous float64 is
+    adopted as it is: the library hands over its freshly drawn or read
+    arrays this way, so their values are never copied. Anything else,
+    such as a caller's writeable array or a view of one, is copied, so
+    later writes to it cannot reach the sample.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
+        vals = self.values
+        if not (
+            type(vals) is np.ndarray
+            and vals.base is None
+            and not vals.flags.writeable
+            and vals.flags.c_contiguous
+            and vals.dtype == np.float64
+        ):
+            vals = np.array(vals, dtype=float, copy=True)
         if vals.ndim != 2:
             raise ValueError("sample values must be a 2-d array (n, D)")
         if vals.shape[1] != self.grid.size:

@@ -20,6 +20,11 @@ same bits. A file it declines is read again row by row with the same result:
 one with a comment line among its curves, a spelling such as ``1_0``, or a
 bad cell. Blank lines are skipped either way. Parse failures come from the
 row-by-row reading and raise ParseError tagged with the 1-based line number.
+The parsed curve array is handed to FunctionalSample without a copy.
+
+write_sample streams: it formats and writes one curve row at a time, so
+writing a sample needs no memory beyond the sample itself and one row of
+text.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ WEIGHTS_MARKER = "#weights"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_row(values: np.ndarray) -> str:
+    """One line of repr-formatted floats; tolist gives the Python floats _fmt would."""
+    return ",".join(map(repr, values.tolist())) + "\n"
 
 
 def _parse_row(cells: list[str], lineno: int) -> np.ndarray:
@@ -158,25 +168,35 @@ def read_sample(path) -> tuple[FunctionalSample, dict]:
     if weights is None:
         weights = _default_weights(points)
     grid = Grid.custom(points, weights)
+    values.flags.writeable = False
     return FunctionalSample(grid, values), metadata
 
 
-def write_text(path, text: str) -> None:
-    """Write text as utf-8 with "\\n" line ends: the one writer of every artifact."""
+def write_text(path, text) -> None:
+    """Write text as utf-8 with "\\n" line ends: the one writer of every artifact.
+
+    text is one string, or an iterable of strings written in turn, which is
+    how write_sample streams its rows.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def write_sample(path, sample: FunctionalSample, metadata: dict | None = None) -> None:
-    """Write a functional-data CSV (grid row, weights row, one row per curve)."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(_fmt(t) for t in sample.grid.points))
-    lines.append(WEIGHTS_MARKER + "," + ",".join(_fmt(w) for w in sample.grid.weights))
-    for row in sample.values:
-        lines.append(",".join(_fmt(v) for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    """Write a functional-data CSV (grid row, weights row, one row per curve), row by row."""
+
+    def lines():
+        for key, value in (metadata or {}).items():
+            yield f"# {key}={value}\n"
+        yield _csv_row(sample.grid.points)
+        yield WEIGHTS_MARKER + "," + _csv_row(sample.grid.weights)
+        for row in sample.values:
+            yield _csv_row(row)
+
+    write_text(path, lines())
 
 
 def write_table(path, columns: list[str], rows, metadata: dict | None = None) -> None:

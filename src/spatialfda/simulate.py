@@ -16,6 +16,14 @@ Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed and independent of how many paths are requested
 beyond the chunk in question.
+
+Memory. Each Monte Carlo stream allocates one (min(CHUNK, n), k) normals
+buffer and draws every chunk into it in place, so a stream's working set
+is one chunk however many paths it draws, and the heap is not shrunk and
+regrown from chunk to chunk. sample_process writes the paths straight into
+the (n, D) array that its FunctionalSample adopts, so every path is held
+once; sample_blocks yields CHUNK-row blocks for callers that never hold
+all n paths.
 """
 
 from __future__ import annotations
@@ -274,15 +282,18 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
 
     Each chunk gets its own Philox substream spawned from the seed. Draw
     order inside a chunk is fixed: the normal block first, then (for the
-    student-t law) one chi-square variate per path.
+    student-t law) one chi-square variate per path. Every block is a view
+    of one (min(CHUNK, n), k) buffer and is overwritten by the next block:
+    a caller that keeps a block copies it, and may use it as scratch space.
     """
     n_chunks = max(1, math.ceil(n / CHUNK))
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    buf = np.empty((min(CHUNK, n), k))
     done = 0
     for child in children:
         m = min(CHUNK, n - done)
         rng = np.random.Generator(np.random.Philox(child))
-        y = rng.standard_normal((m, k))
+        y = rng.standard_normal(out=buf[:m])
         if spec.coefficient_law == STUDENT_T_LAW:
             w = rng.chisquare(spec.df, size=m)
             y /= np.sqrt(w / spec.df)[:, None]
@@ -290,41 +301,55 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
         yield y
 
 
-def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
-    """The paths of sample_process(spec, grid, n, seed) as (m, D) blocks, m <= CHUNK.
-
-    Checks the arguments and builds the KL system at once, then draws one
-    block per RNG chunk on demand, so a caller that consumes the blocks in
-    turn holds O(CHUNK * D) floats whatever n is. Concatenated in order,
-    the blocks are sample_process's values bit for bit.
-    """
+def _loadings(spec: ProcessSpec, grid: Grid, n: int) -> np.ndarray:
+    """Check the sampling arguments; the (k, D) KL loading lambda_k phi_k of the paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.mean is not None and not spec.mean.grid.matches(grid):
         raise ValueError("mean curve lives on a different grid")
     scales, functions = _kl_system(spec, grid)
-    loadings = scales[:, None] * functions  # (k, D)
+    return scales[:, None] * functions
 
-    def blocks():
-        for y in coefficient_chunks(spec, n, scales.size, seed):
-            block = y @ loadings
-            if spec.mean is not None:
-                block += spec.mean.values[None, :]
-            yield block
 
-    return blocks()
+def _paths(spec: ProcessSpec, loadings: np.ndarray, n: int, seed: int, out=None):
+    """The sampling kernel: one (m, D) block of paths per RNG chunk, m <= CHUNK.
+
+    Block b is Y_b @ loadings plus the mean. With out, an (n, D) array, the
+    blocks are written into its consecutive rows and yielded as views of
+    them; without, each block is a new array.
+    """
+    row = 0
+    for y in coefficient_chunks(spec, n, loadings.shape[0], seed):
+        m = y.shape[0]
+        block = np.matmul(y, loadings, out=None if out is None else out[row : row + m])
+        if spec.mean is not None:
+            block += spec.mean.values
+        row += m
+        yield block
+
+
+def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
+    """The paths of sample_process(spec, grid, n, seed) as (m, D) blocks, m <= CHUNK.
+
+    Checks the arguments and builds the KL system at once, then draws one
+    block per RNG chunk on demand, so a caller that consumes the blocks in
+    turn holds O(CHUNK * D) floats whatever n is. Each block is a new
+    array; concatenated in order, the blocks are sample_process's values
+    bit for bit.
+    """
+    return _paths(spec, _loadings(spec, grid, n), n, seed)
 
 
 def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
     """n independent paths of the process on the grid.
 
     Deterministic in (spec, grid, n, seed); the first min(n, CHUNK) paths do
-    not change when more are requested.
+    not change when more are requested. The paths are written once, into
+    the array the returned sample holds.
     """
-    blocks = sample_blocks(spec, grid, n, seed)
-    out = np.empty((n, grid.size))
-    row = 0
-    for block in blocks:
-        out[row : row + block.shape[0]] = block
-        row += block.shape[0]
-    return FunctionalSample(grid, out)
+    loadings = _loadings(spec, grid, n)
+    values = np.empty((n, grid.size))
+    for _ in _paths(spec, loadings, n, seed, out=values):
+        pass
+    values.flags.writeable = False
+    return FunctionalSample(grid, values)

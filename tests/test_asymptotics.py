@@ -160,6 +160,22 @@ def test_bahadur_study_checks_the_rank_bound_before_the_reference_draw(monkeypat
         bahadur_rate_study(BM, g, [4, 16], reps=1, seed=1, u=DirectionU.zero(3), n_ref=50)
 
 
+def test_bahadur_study_rejects_one_dimension_before_the_reference_draw(monkeypatch):
+    import spatialfda.asymptotics as asy
+    from spatialfda import ConditioningError, DirectionU
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the reference sample was drawn")
+
+    monkeypatch.setattr(asy, "sample_process", no_draw)
+    g = Grid.uniform(0.0, 1.0, 16)
+    for u in (DirectionU.zero(1), DirectionU.along(1, 0.4, 1)):
+        with pytest.raises(ConditioningError, match="d >= 2, got 1"):
+            bahadur_rate_study(BM, g, [100, 400], reps=1, seed=1, u=u, d=1)
+    with pytest.raises(ConditioningError, match="d >= 2, got 1"):
+        bahadur_rate_study(BM, g, [2, 3], reps=1, seed=1)  # default d = isqrt(3)
+
+
 def test_bahadur_study_residual_faster_than_linear():
     g = Grid.uniform(0.0, 1.0, 16)
     rep = bahadur_rate_study(

@@ -295,6 +295,17 @@ def test_module_entry_point():
     assert f"spatialfda {__version__}" in proc.stdout
 
 
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # only commands that emit JSON pay for the validator's import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spatialfda.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_emitted_json_validates_against_shipped_schema(tmp_path):
     import jsonschema
     from spatialfda.cli import _schema

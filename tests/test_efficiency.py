@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,7 +20,7 @@ from spatialfda import (
     v0_estimate,
 )
 from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_J, _TAG_LAMBDA
-from spatialfda.simulate import _kl_system, coefficient_chunks, stream_seed
+from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
 
 def t_factor(df):
@@ -128,6 +129,18 @@ def test_v0_estimate_deterministic_and_seed_sensitive():
     assert a != v0_estimate(spec, g, mc=5000, seed=10)
     with pytest.raises(ValueError):
         v0_estimate(spec, g, mc=0, seed=1)
+
+
+def test_v0_estimate_works_in_one_chunk_of_normals():
+    g = Grid.uniform(0.0, 1.0, 200)
+    spec = ProcessSpec(KernelSpec.fractional_brownian(0.7))  # k = D = 200 coefficients
+    tracemalloc.start()
+    try:
+        v0_estimate(spec, g, mc=3 * CHUNK, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * CHUNK * g.size * 8
 
 
 def test_sandwich_independent_of_overall_scale():

@@ -109,6 +109,32 @@ def test_sample_shape_checks():
     assert np.array_equal(s.curve(1).values, np.arange(4.0, 8.0))
 
 
+@pytest.mark.parametrize("source", ["writeable", "view", "read-only view"])
+def test_sample_copies_an_array_a_caller_can_still_write(source):
+    g = Grid.uniform(0.0, 1.0, 4)
+    base = np.arange(12.0).reshape(3, 4)
+    vals = {"writeable": base, "view": base[1:], "read-only view": base[1:]}[source]
+    if source == "read-only view":
+        vals.flags.writeable = False
+    s = FunctionalSample(g, vals)
+    before = s.values.copy()
+    base += 100.0
+    assert np.array_equal(s.values, before)
+    assert not s.values.flags.writeable
+
+
+def test_sample_adopts_an_owned_read_only_array_and_still_checks_it():
+    g = Grid.uniform(0.0, 1.0, 4)
+    vals = np.arange(8.0).reshape(2, 4).copy()
+    vals.flags.writeable = False
+    assert FunctionalSample(g, vals).values is vals
+    bad = np.zeros((2, 4))
+    bad[1, 2] = np.nan
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="finite"):
+        FunctionalSample(g, bad)
+
+
 def test_mean_and_total_variance():
     g = Grid.uniform(0.0, 1.0, 3)
     vals = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,24 @@ def test_sample_blocks_concatenate_to_sample_process_bitwise(case):
     blocks = list(sample_blocks(spec, g, n, seed=21))
     assert [b.shape for b in blocks] == [(CHUNK, 12), (CHUNK, 12), (5, 12)]
     assert np.concatenate(blocks).tobytes() == sample_process(spec, g, n, seed=21).values.tobytes()
+
+
+def test_sample_process_holds_each_path_once():
+    g = Grid.uniform(0.0, 1.0, 64)
+    tracemalloc.start()
+    try:
+        sample = sample_process(ProcessSpec(KernelSpec.brownian()), g, 100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of normals and the KL loading ride on top of the 51 MB of paths
+    assert peak < 1.25 * sample.values.nbytes
+
+
+def test_coefficient_blocks_share_one_buffer():
+    spec = ProcessSpec(KernelSpec.brownian(), "student-t", df=5, truncation=3)
+    blocks = list(coefficient_chunks(spec, 2 * CHUNK + 10, 3, seed=0))
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
 
 
 def test_sample_blocks_checks_its_arguments_before_the_first_block():
