@@ -81,7 +81,7 @@ def _reference_sign_mean(
 
 
 def probe_sample(spec: ProcessSpec, grid: Grid, n_probes: int, seed: int) -> FunctionalSample:
-    """n_probes paths of a seed's probe substream; a larger Gaussian draw extends a smaller one."""
+    """n_probes paths of a seed's probe substream; a larger draw extends a smaller one."""
     return sample_process(spec, grid, n_probes, stream_seed(seed, _TAG_PROBES))
 
 

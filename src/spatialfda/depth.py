@@ -17,18 +17,17 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .funcspace import Curve, FunctionalSample
-from .spatialdist import _sign_mean, empirical_spatial_dist
+from .spatialdist import _sign_mean
 
 
 def spatial_depth(x: Curve, sample: FunctionalSample) -> float:
-    """Depth 1 - ||S_x|| of the curve x within the sample."""
-    return 1.0 - empirical_spatial_dist(x, sample).norm
+    """Depth 1 - ||S_x|| of the curve x within the sample: a profile of one query."""
+    return depth_profile(sample, FunctionalSample(x.grid, x.values[None, :]))[0]
 
 
 def _batch_depth(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Depth of each query row."""
+    """Depth 1 - ||S_q|| of each query row, ||S_q|| capped at 1."""
     signs = _sign_mean(queries, data, weights)
-    # same reduction as funcspace.norm so batch and single-query depths match
     norms = np.sqrt(np.sum(weights * signs * signs, axis=1))
     return 1.0 - np.minimum(norms, 1.0)
 

@@ -363,11 +363,17 @@ def orthonormalize(functions: np.ndarray, grid: Grid, eigenvalues=None) -> Basis
     Useful for closed-form eigenfunctions whose grid quadrature is only
     O(1/D) accurate: the analytic values stay close, but the Gram matrix is
     corrected to the identity so the Basis invariant holds exactly.
+
+    Raises RankDeficiencyError, by pca's rank rule, for more rows than grid
+    points or a QR pivot at most max(d, D) * eps times the largest.
     """
+    d, D = np.shape(functions)
     sw = np.sqrt(grid.weights)
     q, r = np.linalg.qr((functions * sw).T)  # columns span the same space
+    pivots = np.diag(r)
+    mags = np.abs(pivots)
+    if d > D or mags.min() <= max(d, D) * np.finfo(float).eps * mags.max():
+        raise RankDeficiencyError(f"{d} functions have rank below {d} on {D} grid points")
     # Fix signs so each output row correlates positively with its input row.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q = q * np.sign(pivots)
     return Basis(grid, (q / sw[:, None]).T, eigenvalues)

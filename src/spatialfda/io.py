@@ -22,8 +22,8 @@ bad cell. Blank lines are skipped either way. Parse failures come from the
 row-by-row reading and raise ParseError tagged with the 1-based line number.
 The parsed curve array is handed to FunctionalSample without a copy.
 
-write_sample streams: it formats and writes one curve row at a time, so
-writing a sample needs no memory beyond the sample itself and one row of
+write_sample and write_table stream: they format and write one row at a
+time, so writing needs no memory beyond the data itself and one row of
 text.
 """
 
@@ -39,12 +39,8 @@ from .funcspace import FunctionalSample, Grid
 WEIGHTS_MARKER = "#weights"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _csv_row(values: np.ndarray) -> str:
-    """One line of repr-formatted floats; tolist gives the Python floats _fmt would."""
+    """One line of repr-formatted floats; tolist gives Python floats, so no float() is needed."""
     return ",".join(map(repr, values.tolist())) + "\n"
 
 
@@ -176,7 +172,7 @@ def write_text(path, text) -> None:
     """Write text as utf-8 with "\\n" line ends: the one writer of every artifact.
 
     text is one string, or an iterable of strings written in turn, which is
-    how write_sample streams its rows.
+    how write_sample and write_table stream their rows.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if isinstance(text, str):
@@ -185,12 +181,16 @@ def write_text(path, text) -> None:
             fh.writelines(text)
 
 
+def _metadata_lines(metadata: dict | None):
+    """One ``# key=value`` line per metadata entry, in insertion order."""
+    return (f"# {key}={value}\n" for key, value in (metadata or {}).items())
+
+
 def write_sample(path, sample: FunctionalSample, metadata: dict | None = None) -> None:
     """Write a functional-data CSV (grid row, weights row, one row per curve), row by row."""
 
     def lines():
-        for key, value in (metadata or {}).items():
-            yield f"# {key}={value}\n"
+        yield from _metadata_lines(metadata)
         yield _csv_row(sample.grid.points)
         yield WEIGHTS_MARKER + "," + _csv_row(sample.grid.weights)
         for row in sample.values:
@@ -203,15 +203,17 @@ def write_table(path, columns: list[str], rows, metadata: dict | None = None) ->
     """Write a small named-column CSV (depths, DD points, study medians).
 
     Floats are formatted with repr, everything else with str; the header
-    row carries the column names.
+    row carries the column names. A row of the wrong width raises
+    ValueError, after the rows before it are written.
     """
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-        if len(cells) != len(columns):
-            raise ValueError("row width does not match column count")
-        lines.append(",".join(cells))
-    write_text(path, "\n".join(lines) + "\n")
+
+    def lines():
+        yield from _metadata_lines(metadata)
+        yield ",".join(columns) + "\n"
+        for row in rows:
+            cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+            if len(cells) != len(columns):
+                raise ValueError("row width does not match column count")
+            yield ",".join(cells) + "\n"
+
+    write_text(path, lines())

@@ -530,14 +530,13 @@ def bahadur_split(
     """Norms of the remainder and of the linear term for the sample C.
 
     The linear term is J^{-1} mean_i(score_i), score_i being the unit
-    vector from C_i to q_ref minus b (zero for a C_i at q_ref), and the
-    remainder is (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
+    vector from C_i to q_ref minus b (zero for a C_i at q_ref): the mean
+    score is the gradient of the objective of C at q_ref. The remainder is
+    (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
     """
     c_norms = np.linalg.norm(C, axis=1)
     q_hat = _solve_coeffs(C, b, c_norms).q
-    diff, _, inv_r, _ = _inverse_distances(q_ref, C, c_norms)
-    scores = diff * inv_r[:, None] - b[None, :]
-    linear = J_inv @ scores.mean(axis=0)
+    linear = J_inv @ _gradient_raw(q_ref, C, b, c_norms)[0]
     residual = (q_hat - q_ref) + linear
     return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))
 

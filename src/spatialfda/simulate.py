@@ -14,8 +14,8 @@ process elliptical rather than making coordinates independently heavy-tailed.
 
 Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
-bit for bit for a given seed and independent of how many paths are requested
-beyond the chunk in question.
+bit for bit for a given seed, and the first paths do not change when more
+are requested.
 
 Memory. Each Monte Carlo stream allocates one (min(CHUNK, n), k) normals
 buffer and draws every chunk into it in place, so a stream's working set
@@ -140,17 +140,20 @@ class KernelSpec(_ByValue):
     def custom(matrix) -> "KernelSpec":
         return KernelSpec(CUSTOM_KERNEL, matrix=np.asarray(matrix, dtype=float))
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Kernel matrix K(t_i, t_j) on the given points."""
-        t = np.asarray(points, dtype=float)
+    def _formula(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """k(s, t) of a shipped kind, elementwise over broadcast arrays."""
         if self.kind in (BROWNIAN, MIN_KERNEL):
-            return np.minimum.outer(t, t)
+            return np.minimum(s, t)
         if self.kind == FRACTIONAL_BROWNIAN:
             h2 = 2.0 * self.hurst
-            tt = np.abs(t) ** h2
-            return 0.5 * (tt[:, None] + tt[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
-        if self.kind == GAUSSIAN_KERNEL:
-            return np.exp(-((t[:, None] - t[None, :]) ** 2))
+            return 0.5 * (np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(s - t) ** h2)
+        return np.exp(-((s - t) ** 2))
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Kernel matrix K(t_i, t_j): _formula at (t[:, None], t[None, :]), or the custom one."""
+        t = np.asarray(points, dtype=float)
+        if self.kind != CUSTOM_KERNEL:
+            return self._formula(t[:, None], t[None, :])
         if self.matrix.shape[0] != t.size:
             raise ValueError(
                 f"custom kernel matrix is {self.matrix.shape[0]} x "
@@ -159,14 +162,10 @@ class KernelSpec(_ByValue):
         return np.array(self.matrix)
 
     def diagonal(self, points: np.ndarray) -> np.ndarray:
-        """K(t, t) without building the full matrix."""
+        """K(t, t) in O(D): _formula at (t, t), so np.diag(evaluate(t)) bit for bit."""
         t = np.asarray(points, dtype=float)
-        if self.kind in (BROWNIAN, MIN_KERNEL):
-            return t.copy()
-        if self.kind == FRACTIONAL_BROWNIAN:
-            return np.abs(t) ** (2.0 * self.hurst)
-        if self.kind == GAUSSIAN_KERNEL:
-            return np.ones_like(t)
+        if self.kind != CUSTOM_KERNEL:
+            return self._formula(t, t)
         return np.diag(self.evaluate(t)).copy()
 
 
@@ -201,22 +200,27 @@ class ProcessSpec(_ByValue):
         return self.df / (self.df - 2.0)
 
 
+def _bm_system(ks: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brownian scales 1 / ((k - 1/2) pi) (m,) and functions sqrt(2) sin((k - 1/2) pi t) (m, D)."""
+    freqs = (ks - 0.5) * math.pi
+    return 1.0 / freqs, math.sqrt(2.0) * np.sin(freqs[:, None] * points[None, :])
+
+
 def bm_eigenpair(k: int, grid: Grid) -> tuple[float, Curve]:
     """Closed-form Brownian eigenpair number k on [0, 1].
 
     Returns (lambda_k, phi_k) with lambda_k = 1 / ((k - 1/2) pi) and
     phi_k(t) = sqrt(2) sin((k - 1/2) pi t); the covariance operator
-    eigenvalue is lambda_k squared. The grid must lie inside [0, 1].
+    eigenvalue is lambda_k squared. The grid must lie inside [0, 1]. The
+    pair is row k of sample_process's Brownian KL system, bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     pts = grid.points
     if pts[0] < -1e-12 or pts[-1] > 1.0 + 1e-12:
         raise ValueError("Brownian eigenpairs need a grid inside [0, 1]")
-    freq = (k - 0.5) * math.pi
-    lam = 1.0 / freq
-    phi = math.sqrt(2.0) * np.sin(freq * pts)
-    return lam, Curve(grid, phi)
+    scales, functions = _bm_system(np.array([k]), pts)
+    return float(scales[0]), Curve(grid, functions[0])
 
 
 def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
@@ -255,10 +259,7 @@ def _kl_system(spec: ProcessSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """KL scales lambda_k (k,) and function values (k, D) for sampling."""
     k = _truncation(spec, grid)
     if spec.kernel.kind == BROWNIAN:
-        freqs = (np.arange(1, k + 1) - 0.5) * math.pi
-        scales = 1.0 / freqs
-        functions = math.sqrt(2.0) * np.sin(freqs[:, None] * grid.points[None, :])
-        return scales, functions
+        return _bm_system(np.arange(1, k + 1), grid.points)
     if k > grid.size:
         raise ValueError(
             f"truncation {k} exceeds the {grid.size} eigenpairs available on this grid"
@@ -280,11 +281,12 @@ def stream_seed(seed: int, *tags: int) -> int:
 def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
     """Yield (m, k) coefficient blocks Y, m <= CHUNK, totalling n rows.
 
-    Each chunk gets its own Philox substream spawned from the seed. Draw
-    order inside a chunk is fixed: the normal block first, then (for the
-    student-t law) one chi-square variate per path. Every block is a view
-    of one (min(CHUNK, n), k) buffer and is overwritten by the next block:
-    a caller that keeps a block copies it, and may use it as scratch space.
+    Each chunk gets its own Philox substream spawned from the seed; it fills
+    the normal block in row order, and a student-t law draws the chi-square
+    variate of each path from a child of the chunk's seed, so a chunk's
+    first rows do not depend on its length. Every block is a view of one
+    (min(CHUNK, n), k) buffer and is overwritten by the next block: a caller
+    that keeps a block copies it, and may use it as scratch space.
     """
     n_chunks = max(1, math.ceil(n / CHUNK))
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -292,10 +294,10 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
     done = 0
     for child in children:
         m = min(CHUNK, n - done)
-        rng = np.random.Generator(np.random.Philox(child))
-        y = rng.standard_normal(out=buf[:m])
+        y = np.random.Generator(np.random.Philox(child)).standard_normal(out=buf[:m])
         if spec.coefficient_law == STUDENT_T_LAW:
-            w = rng.chisquare(spec.df, size=m)
+            scales = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
+            w = scales.chisquare(spec.df, size=m)
             y /= np.sqrt(w / spec.df)[:, None]
         done += m
         yield y
@@ -343,9 +345,9 @@ def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
 def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
     """n independent paths of the process on the grid.
 
-    Deterministic in (spec, grid, n, seed); the first min(n, CHUNK) paths do
-    not change when more are requested. The paths are written once, into
-    the array the returned sample holds.
+    Deterministic in (spec, grid, n, seed); under every law, the first n
+    paths do not change when more are requested. The paths are written
+    once, into the array the returned sample holds.
     """
     loadings = _loadings(spec, grid, n)
     values = np.empty((n, grid.size))

@@ -10,17 +10,32 @@ from __future__ import annotations
 from .depth import DDPlotData
 from .funcspace import Curve
 
-_HEADER = (
-    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-    'viewBox="0 0 {w} {h}">\n'
-)
-
 # Okabe-Ito-ish palette; index 0 is reserved for the reference/median line.
 _COLORS = ("#000000", "#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9")
 
 
 def _f(v: float) -> str:
     return f"{v:.3f}"
+
+
+def _canvas(width: int, height: int, pad: float) -> str:
+    """The opening svg tag and the grey border of the plot area, pad inside each edge."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect x="{_f(pad)}" y="{_f(pad)}" width="{_f(width - 2 * pad)}" '
+        f'height="{_f(height - 2 * pad)}" fill="none" stroke="#888888" '
+        f'stroke-width="1"/>\n'
+    )
+
+
+def _text(label: str, x: float, y: float, anchor: str, rotate: bool = False) -> str:
+    """A 12px sans-serif label at (x, y), turned 90 degrees counterclockwise when rotate."""
+    turn = f' transform="rotate(-90 {_f(x)} {_f(y)})"' if rotate else ""
+    return (
+        f'<text x="{_f(x)}" y="{_f(y)}" font-size="12" font-family="sans-serif" '
+        f'text-anchor="{anchor}"{turn}>{label}</text>\n'
+    )
 
 
 def dd_plot_svg(dd: DDPlotData, size: int = 480) -> str:
@@ -38,11 +53,7 @@ def dd_plot_svg(dd: DDPlotData, size: int = 480) -> str:
     def py(v: float) -> str:
         return _f(size - pad - v * span)
 
-    parts = [_HEADER.format(w=size, h=size)]
-    parts.append(
-        f'<rect x="{_f(pad)}" y="{_f(pad)}" width="{_f(span)}" height="{_f(span)}" '
-        f'fill="none" stroke="#888888" stroke-width="1"/>\n'
-    )
+    parts = [_canvas(size, size, pad)]
     parts.append(
         f'<line x1="{px(0.0)}" y1="{py(0.0)}" x2="{px(1.0)}" y2="{py(1.0)}" '
         f'stroke="#000000" stroke-width="1" stroke-dasharray="4,3"/>\n'
@@ -60,20 +71,10 @@ def dd_plot_svg(dd: DDPlotData, size: int = 480) -> str:
                 f'<rect x="{_f(x)}" y="{_f(y)}" width="5" height="5" '
                 f'fill="none" stroke="{_COLORS[2]}" stroke-width="1.2"/>\n'
             )
-    for label, anchor, x, y in (
-        ("0", "middle", pad, size - pad + 16.0),
-        ("1", "middle", size - pad, size - pad + 16.0),
-        ("depth in sample1", "middle", size / 2.0, size - 8.0),
-    ):
-        parts.append(
-            f'<text x="{_f(x)}" y="{_f(y)}" font-size="12" font-family="sans-serif" '
-            f'text-anchor="{anchor}">{label}</text>\n'
-        )
-    parts.append(
-        f'<text x="{_f(12.0)}" y="{_f(size / 2.0)}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle" '
-        f'transform="rotate(-90 {_f(12.0)} {_f(size / 2.0)})">depth in sample2</text>\n'
-    )
+    parts.append(_text("0", pad, size - pad + 16.0, "middle"))
+    parts.append(_text("1", size - pad, size - pad + 16.0, "middle"))
+    parts.append(_text("depth in sample1", size / 2.0, size - 8.0, "middle"))
+    parts.append(_text("depth in sample2", 12.0, size / 2.0, "middle", rotate=True))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -105,12 +106,7 @@ def curve_fan_svg(
     def py(v: float) -> float:
         return height - pad - (v - lo) / (hi - lo) * (height - 2 * pad)
 
-    parts = [_HEADER.format(w=width, h=height)]
-    parts.append(
-        f'<rect x="{_f(pad)}" y="{_f(pad)}" width="{_f(width - 2 * pad)}" '
-        f'height="{_f(height - 2 * pad)}" fill="none" stroke="#888888" '
-        f'stroke-width="1"/>\n'
-    )
+    parts = [_canvas(width, height, pad)]
     if lo < 0.0 < hi:
         parts.append(
             f'<line x1="{_f(px(xs[0]))}" y1="{_f(py(0.0))}" x2="{_f(px(xs[-1]))}" '
@@ -128,15 +124,9 @@ def curve_fan_svg(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{w}"><title>{label}</title></polyline>\n'
         )
-    for label, x, y, anchor in (
-        (f"{xs[0]:g}", pad, height - pad + 16.0, "middle"),
-        (f"{xs[-1]:g}", width - pad, height - pad + 16.0, "middle"),
-        (f"{lo + margin:.3g}", pad - 6.0, height - pad, "end"),
-        (f"{hi - margin:.3g}", pad - 6.0, pad + 4.0, "end"),
-    ):
-        parts.append(
-            f'<text x="{_f(x)}" y="{_f(y)}" font-size="12" font-family="sans-serif" '
-            f'text-anchor="{anchor}">{label}</text>\n'
-        )
+    parts.append(_text(f"{xs[0]:g}", pad, height - pad + 16.0, "middle"))
+    parts.append(_text(f"{xs[-1]:g}", width - pad, height - pad + 16.0, "middle"))
+    parts.append(_text(f"{lo + margin:.3g}", pad - 6.0, height - pad, "end"))
+    parts.append(_text(f"{hi - margin:.3g}", pad - 6.0, pad + 4.0, "end"))
     parts.append("</svg>\n")
     return "".join(parts)

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spatialfda import __version__, read_sample
+from spatialfda import FunctionalSample, __version__, read_sample
 from spatialfda.cli import main
 from spatialfda.efficiency import ESTIMATOR
 
@@ -250,6 +251,14 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     assert "--out is required" in capsys.readouterr().err
 
 
+def test_bm_basis_beyond_the_grid_is_a_rank_error(tmp_path, capsys):
+    # default d = floor(sqrt(25)) = 5 Brownian eigenfunctions on 4 grid points
+    src = simulate(tmp_path, n=25, grid=4)
+    assert run_cli(["quantile", "--in", str(src), "--basis", "bm"]) == 1
+    err = capsys.readouterr().err  # the sample's "read ..." line comes first
+    assert json.loads(err[err.index("{"):])["error"]["type"] == "RankDeficiencyError"
+
+
 def test_runtime_failure_emits_error_json(tmp_path, capsys):
     rc = run_cli(
         ["depth", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")]
@@ -443,3 +452,81 @@ def test_bad_converge_argument_is_usage_error(tmp_path, capsys, monkeypatch, fla
         run_cli(["converge", *[x for kv in args.items() for x in kv]])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def validated(path):
+    import jsonschema
+    from spatialfda.cli import _schema
+
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, _schema())
+    return doc
+
+
+@pytest.mark.parametrize("basis", ["bm", "file"])
+def test_quantile_basis_matches_the_library(tmp_path, basis):
+    from spatialfda import (
+        Basis,
+        DirectionU,
+        bm_eigenpair,
+        orthonormalize,
+        pca,
+        solve_quantile,
+        working_sample,
+        write_sample,
+    )
+
+    src = simulate(tmp_path, n=30, grid=16)
+    sample, _ = read_sample(src)
+    d, u = 3, np.array([0.0, 0.4, -0.2])
+    if basis == "bm":
+        pairs = [bm_eigenpair(k, sample.grid) for k in range(1, d + 1)]
+        rows = np.array([phi.values for _, phi in pairs])
+        want = orthonormalize(rows, sample.grid, np.array([lam**2 for lam, _ in pairs]))
+        extra = []
+    else:
+        functions = np.asarray(pca(sample, d + 1).functions)
+        bfile = tmp_path / "basis.csv"
+        write_sample(bfile, FunctionalSample(sample.grid, functions))
+        want = Basis(sample.grid, read_sample(bfile)[0].values[:d])
+        extra = ["--basis-file", str(bfile)]
+    out, js = tmp_path / "q.csv", tmp_path / "q.json"
+    rc = run_cli(
+        ["quantile", "--in", str(src), "--basis", basis, "--d", str(d), *extra,
+         "--u-spec", "2:0.4,3:-0.2", "--out", str(out), "--json", str(js)]
+    )
+    assert rc == 0
+    doc = validated(js)
+    sol = solve_quantile(working_sample(sample, want, d), u=DirectionU(u))
+    assert doc["basis"] == basis
+    assert doc["solutions"][0]["objective"] == sol.objective
+    assert doc["solutions"][0]["iterations"] == sol.iterations
+    curves, meta = read_sample(out)
+    assert meta["basis"] == basis
+    assert curves.values[0].tobytes() == sol.curve.values.tobytes()
+
+
+@pytest.mark.parametrize("study", ["integrated", "bahadur"])
+def test_converge_study_matches_the_library(tmp_path, study):
+    import dataclasses
+
+    from spatialfda import KernelSpec, ProcessSpec, bahadur_rate_study, integrated_error_study
+    from spatialfda.efficiency import domain_grid
+
+    seed, n_values, reps, n_ref = 4, [16, 64], 2, 1500
+    js, csv = tmp_path / "rate.json", tmp_path / "rate.csv"
+    rc = run_cli(
+        ["converge", "--study", study, "--process", "bm", "--grid-size", "16",
+         "--n-list", "16,64", "--reps", str(reps), "--n-ref", str(n_ref),
+         "--probes", "10", "--seed", str(seed), "--out", str(js), "--csv", str(csv)]
+    )
+    assert rc == 0
+    doc = validated(js)
+    spec, grid = ProcessSpec(KernelSpec.brownian()), domain_grid("unit-interval", 16, seed)
+    if study == "integrated":
+        rep = integrated_error_study(spec, grid, n_values, reps, seed, 10, n_ref)
+    else:
+        rep = bahadur_rate_study(spec, grid, n_values, reps, seed, n_ref=n_ref)
+    assert doc["report"] == json.loads(json.dumps(dataclasses.asdict(rep)))
+    rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) == 1 + len(n_values)

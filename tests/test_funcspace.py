@@ -167,6 +167,20 @@ def test_orthonormalize_fixes_gram():
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
 
+def test_orthonormalize_rejects_more_rows_than_grid_points():
+    g = Grid.uniform(0.0, 1.0, 4)
+    rows = np.vstack([np.sin((k + 0.5) * np.pi * g.points) for k in range(5)])
+    with pytest.raises(RankDeficiencyError):
+        orthonormalize(rows, g)
+
+
+def test_orthonormalize_rejects_proportional_rows():
+    # QR would complete the span with a function orthogonal to both rows
+    g = Grid.uniform(0.0, 1.0, 12)
+    with pytest.raises(RankDeficiencyError):
+        orthonormalize(np.vstack([g.points, -3.0 * g.points]), g)
+
+
 def test_project_reconstruct_roundtrip():
     g = Grid.uniform(0.0, 1.0, 40)
     b = orthonormalize(np.vstack([np.ones(40), g.points, g.points**2]), g)

@@ -375,6 +375,19 @@ def test_bahadur_report_smaller_residual():
     assert 0.0 < rep.residual_norm < rep.linear_term_norm
 
 
+def test_bahadur_linear_term_is_the_mean_score():
+    from spatialfda.quantile import bahadur_split, linearization
+
+    basis = pca(bm_sample(3000, D=20, seed=43), 4)
+    b = DirectionU.along(2, -0.3, 4).coefficients
+    q_ref, J_inv = linearization(project_sample(bm_sample(3000, D=20, seed=44), basis), b)
+    C = project_sample(bm_sample(200, D=20, seed=45), basis)
+    diff = q_ref - C
+    scores = diff / np.linalg.norm(diff, axis=1)[:, None] - b
+    want = np.linalg.norm(J_inv @ scores.mean(axis=0))
+    assert bahadur_split(C, b, q_ref, J_inv)[1] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_direction_rejects_non_finite(bad):
     with pytest.raises(ValueError):

@@ -17,8 +17,9 @@ from spatialfda import (
     sample_process,
     stream_seed,
 )
+from spatialfda.asymptotics import probe_sample
 from spatialfda.efficiency import _gaussian_twin
-from spatialfda.simulate import CHUNK, coefficient_chunks
+from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -34,6 +35,28 @@ def test_kernel_values():
     k_g = KernelSpec.gaussian_kernel().evaluate(t)
     assert k_g[0, 2] == pytest.approx(np.exp(-0.49))
     assert np.all(np.diag(k_g) == 1.0)
+
+
+SHIPPED_KERNELS = [
+    KernelSpec.brownian(),
+    KernelSpec.min_kernel(),
+    KernelSpec.fractional_brownian(0.3),
+    KernelSpec.fractional_brownian(0.7),
+    KernelSpec.gaussian_kernel(),
+]
+
+
+@pytest.mark.parametrize("kernel", SHIPPED_KERNELS, ids=lambda k: f"{k.kind}-{k.hurst}")
+@pytest.mark.parametrize("grid", [Grid.uniform(0.0, 1.0, 33), Grid.gaussian(41, seed=4)])
+def test_diagonal_is_the_diagonal_of_evaluate_bitwise(kernel, grid):
+    # one formula k(s, t) serves both, applied to (t, t) for the diagonal
+    full = kernel.evaluate(grid.points)
+    assert kernel.diagonal(grid.points).tobytes() == np.diag(full).tobytes()
+
+
+def test_custom_kernel_diagonal_reads_its_matrix():
+    m = np.array([[2.0, 0.5], [0.5, 3.0]])
+    assert KernelSpec.custom(m).diagonal(np.array([0.0, 1.0])).tolist() == [2.0, 3.0]
 
 
 def test_kernel_validation():
@@ -97,6 +120,16 @@ def test_bm_eigenpair_closed_form():
         [8 / math.pi**2, 8 / (9 * math.pi**2), 8 / (25 * math.pi**2)],
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize("D", [16, 201])
+def test_bm_eigenpair_is_a_row_of_the_sampling_system_bitwise(D):
+    g = Grid.uniform(0.0, 1.0, D)
+    scales, functions = _kl_system(ProcessSpec(KernelSpec.brownian()), g)
+    for k in (1, 2, 37, 100):
+        lam, phi = bm_eigenpair(k, g)
+        assert lam == scales[k - 1]
+        assert phi.values.tobytes() == functions[k - 1].tobytes()
 
 
 def test_bm_eigenpair_rejects_grid_outside_unit_interval():
@@ -178,6 +211,18 @@ def test_seed_reproducibility_and_prefix_stability():
     # first 50 paths unchanged when more are requested
     assert np.array_equal(bigger.values[:50], a.values)
     assert not np.array_equal(a.values, sample_process(spec, g, 50, seed=124).values)
+
+
+@pytest.mark.parametrize("draw", [sample_process, probe_sample])
+def test_student_t_draws_nest_in_n(draw):
+    # the chi-square scales have their own substream per chunk, so a
+    # longer draw does not move them, within a chunk or across chunks
+    g = Grid.uniform(0.0, 1.0, 12)
+    spec = ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5)
+    sizes = (20, 21, CHUNK + 1)
+    draws = [draw(spec, g, n, 3).values for n in sizes]
+    for n, small, large in zip(sizes, draws, draws[1:]):
+        assert large[:n].tobytes() == small.tobytes()
 
 
 def test_chunk_layout_is_fixed():
