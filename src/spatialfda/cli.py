@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="accepted and checked (>= 1); the work runs on one thread and "
-        "BLAS threads follow OPENBLAS_NUM_THREADS",
+        help="accepted and checked (>= 1), with no effect on any artifact: the work, "
+        "BLAS included, runs on one thread",
     )
 
     process = argparse.ArgumentParser(add_help=False)
@@ -520,7 +520,8 @@ def main(argv=None) -> int:
         cfg = _merge(args, parser)
         if cfg.get("threads") is not None:
             parallel.set_max_threads(int(cfg["threads"]))
-        return _HANDLERS[args.subcommand](cfg, parser)
+        with parallel.one_blas_thread():
+            return _HANDLERS[args.subcommand](cfg, parser)
     except SystemExit:
         raise
     except Exception as exc:  # surfaced verbatim as machine-readable JSON

@@ -22,7 +22,7 @@ from .errors import GridMismatchError, RankDeficiencyError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+    out = np.array(a, dtype=float, order="C", copy=True)
     out.flags.writeable = False
     return out
 
@@ -155,8 +155,9 @@ class FunctionalSample:
     (base is None) and is already read-only, C-contiguous float64 is
     adopted as it is: the library hands over its freshly drawn or read
     arrays this way, so their values are never copied. Anything else,
-    such as a caller's writeable array or a view of one, is copied, so
-    later writes to it cannot reach the sample.
+    such as a caller's writeable array or a view of one, is copied
+    row-major, so later writes to it cannot reach the sample and its
+    layout cannot reach the numbers.
     """
 
     grid: Grid
@@ -171,7 +172,7 @@ class FunctionalSample:
             and vals.flags.c_contiguous
             and vals.dtype == np.float64
         ):
-            vals = np.array(vals, dtype=float, copy=True)
+            vals = np.array(vals, dtype=float, order="C", copy=True)
         if vals.ndim != 2:
             raise ValueError("sample values must be a 2-d array (n, D)")
         if vals.shape[1] != self.grid.size:

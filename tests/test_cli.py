@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from spatialfda import FunctionalSample, __version__, read_sample
+from spatialfda import FunctionalSample, __version__, cli, parallel, read_sample
 from spatialfda.cli import main
 from spatialfda.efficiency import ESTIMATOR
 
@@ -302,6 +303,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert f"spatialfda {__version__}" in proc.stdout
+
+
+needs_blas_control = pytest.mark.skipif(
+    parallel.blas_threads() is None, reason="no bundled OpenBLAS thread control found"
+)
+
+
+@needs_blas_control
+def test_cli_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # at this size OpenBLAS splits the sign-mean products differently at
+    # 1 and 2 threads; the count is fixed by the environment before numpy loads
+    a = simulate(tmp_path, "a.csv", n=1000, grid=64, seed=1)
+    b = simulate(tmp_path, "b.csv", n=1000, grid=64, seed=2)
+    outs = []
+    for k in ("1", "2"):
+        out = tmp_path / f"dd{k}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spatialfda", "ddplot", "--a", str(a), "--b", str(b),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": k},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@needs_blas_control
+@pytest.mark.parametrize(
+    "outcome, code", [("return", 0), ("raise", 1), ("usage", 2)]
+)
+def test_subcommands_run_blas_on_one_thread_and_restore_it(
+    tmp_path, monkeypatch, outcome, code
+):
+    get, put = parallel._blas_control()
+    before = get()
+    put(2)  # a count the pin has to change and then restore
+    seen = []
+
+    def handler(cfg, parser):
+        seen.append(parallel.blas_threads())
+        if outcome == "raise":
+            raise RuntimeError("handler failed")
+        if outcome == "usage":
+            parser.error("bad input")
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "depth", handler)
+    try:
+        if outcome == "usage":
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["depth", "--in", "x.csv"])
+            rc = exc.value.code
+        else:
+            rc = run_cli(["depth", "--in", "x.csv"])
+        assert (rc, seen) == (code, [1])
+        assert parallel.blas_threads() == 2
+        with pytest.raises(SystemExit):  # a usage error before the handler
+            run_cli(["depth", "--threads", "0"])
+        assert parallel.blas_threads() == 2
+    finally:
+        put(before)
 
 
 def test_importing_the_cli_leaves_jsonschema_unloaded():

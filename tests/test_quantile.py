@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spatialfda import (
+    Basis,
     Coefficients,
     ConvergenceError,
     Curve,
@@ -294,6 +295,16 @@ def test_working_sample_solves_equal_sample_solves(center):
         assert_same_solution(solve_quantile(work, u), want)
     # the default working sample is the default solve's: PCA, d = floor(sqrt(n))
     assert_same_solution(solve_quantile(working_sample(s)), solve_quantile(s))
+
+
+def test_solve_depends_on_values_not_layout():
+    # pca builds its functions transposed; a basis read from a file is row-major
+    s = bm_sample(30, D=16, seed=3)
+    basis = pca(s, 4)
+    same = Basis(s.grid, np.ascontiguousarray(basis.functions), basis.eigenvalues)
+    assert_same_solution(solve_quantile(s, basis=basis), solve_quantile(s, basis=same))
+    column_major = FunctionalSample(s.grid, np.asfortranarray(s.values))
+    assert_same_solution(solve_quantile(column_major), solve_quantile(s))
 
 
 @pytest.mark.parametrize("name", ["basis", "d", "center"])
