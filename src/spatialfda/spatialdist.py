@@ -18,10 +18,12 @@ any magnitude.
 
 Every batch evaluation goes through one kernel, _sign_mean. It never forms
 the differences q - X_i for all pairs. With r = ||q - x||, the Gram identity
-r^2 = ||q||^2 + ||x||^2 - 2 <q, x> gives all distances of a block of queries
-from one matrix product, and the signs sum to q * sum_i 1/r_i - sum_i X_i / r_i,
-a second product. Three details keep this as accurate and as reproducible as
-the direct sum:
+r^2 = ||q||^2 + ||x||^2 - 2 <q, x> is one matrix product: the data side
+a = [x | 1 | ||x||^2] is built once per call, each block of queries fills
+b = [-2 w q | ||q||^2 | 1], and a @ b.T is r^2 with no further pass. The
+signs sum to q * sum_i 1/r_i - sum_i X_i / r_i, a second product with the
+first D + 1 columns of a. Three details keep this as accurate and as
+reproducible as the direct sum:
 
 - Centering. Queries and data are shifted by the data mean first. The sign
   mean is translation invariant, and centering keeps ||q||^2 + ||x||^2 near
@@ -31,15 +33,24 @@ the direct sum:
   digits to cancellation; it is computed directly from q - x instead, and
   the coincidence rule is applied to that exact distance. The per-query
   bound of this near path covers every pair the rule could call coincident.
-- Fixed shape. Queries reach BLAS in tiles of a constant count, the last
-  one zero-padded, and each product keeps the tile on its last axis.
-  OpenBLAS does not round a product identically at every row count (a 1-row
-  product goes to gemv), and for some shapes it rounds rows of the other
-  axis differently by position. A fixed shape with the tile on the last axis
-  is what makes a query's result independent of the batch it arrives in,
-  and hence of any split a caller makes.
+- Fixed shape. Queries reach BLAS in tiles of a constant count, and each
+  product keeps the tile on its last axis. OpenBLAS does not round a
+  product identically at every row count (a 1-row product goes to gemv),
+  and for some shapes it rounds rows of the other axis differently by
+  position. A fixed shape with the tile on the last axis is what makes a
+  query's result independent of the batch it arrives in, and hence of any
+  split a caller makes. The last tile is padded with zero queries whose
+  rows of b are [0 | 1 | 1], not [0 | 0 | 1]: their r^2 = ||x||^2 + 1 is
+  positive even where a datum equals the data mean (a padding of 0 would
+  divide by zero there), and their near bound of -1 keeps them off the
+  near path, so padding needs no pass of its own.
 
-The workspace is O(tile * n) floats plus one centered copy of the data.
+The workspace is allocated once per call: a, of n * (D + 2) floats, and
+two (n, tile) buffers for r^2 (then 1/r) and the near mask, which every
+tile reuses; plus the centered queries and the result, m * D floats each.
+Each tile then costs the two products, the near test, a square root and a
+division; the masked assignment and the near path run only in tiles that
+hold a near pair.
 """
 
 from __future__ import annotations
@@ -111,7 +122,7 @@ def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
 
 
 # Queries go to BLAS in tiles of exactly this many; see the module notes.
-_TILE = 16
+_TILE = 32
 # A pair with Gram value r^2 <= _CANCEL * (||q||^2 + max ||x||^2) is computed
 # directly from q - x: the Gram value keeps only ~12 of its digits there.
 _CANCEL = 1e-4
@@ -123,19 +134,26 @@ def _sign_mean(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> np
     queries (m, D), data (n, D) -> (m, D). Coincident pairs (see coincident,
     on the raw weighted norms of query and datum) contribute zero.
 
-    In centered coordinates each tile of _TILE queries costs two GEMMs:
-    G = Xc @ (tile * w).T gives r^2 = ||q||^2 + ||x||^2 - 2 G, and the sum
-    of signs is tile * sum_j 1/r_j - sum_j Xc_j / r_j, both sums from
-    [Xc | 1].T @ (1/r). Pairs with r^2 <= max(_CANCEL * (||qc||^2 +
-    max_j ||xc_j||^2), (ZERO_RTOL * (||q|| + max_j ||x_j||))^2), a per-query
-    bound that covers the pairwise rule r^2 <= _CANCEL * (||qc||^2 +
-    ||xc_j||^2) and every coincident pair, leave the GEMMs; their distance
-    and sign are recomputed from q - x, and coincident is applied per pair.
+    In centered coordinates each tile of _TILE queries costs two GEMMs. With
+    a = [Xc | 1 | ||xc||^2] built once and b = [-2 w q | ||q||^2 | 1] per
+    tile, a @ b.T is r^2 by the Gram identity. The sum of signs is
+    q * sum_j 1/r_j - sum_j Xc_j / r_j, both sums from a[:, :D+1].T @ (1/r).
+    Padded rows of b are [0 | 1 | 1], so their r^2 = ||xc||^2 + 1 > 0, and
+    their near bound is -1, so they never take the near path.
+
+    Pairs with r^2 <= max(_CANCEL * (||qc||^2 + max_j ||xc_j||^2),
+    (ZERO_RTOL * (||q|| + max_j ||x_j||))^2), a per-query bound that covers
+    the pairwise rule r^2 <= _CANCEL * (||qc||^2 + ||xc_j||^2) and every
+    coincident pair, leave the GEMMs; their distance and sign are recomputed
+    from q - x, and coincident is applied per pair. A tile without such a
+    pair skips that path.
 
     Every query goes through the same operations at the same shapes, and
     every decision depends on that query and the data alone, so the result
     is bitwise independent of m and of how a caller splits the queries.
-    Workspace: O(_TILE * n) floats plus one centered copy of the data.
+    Workspace, allocated once per call: a, of n * (D + 2) floats, the tile
+    buffers r^2 and the near mask, of n * _TILE entries each, and the
+    centered queries and the result, of m * D floats each.
     """
     m, D = queries.shape
     n = data.shape[0]
@@ -143,47 +161,63 @@ def _sign_mean(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> np
     x_norm = np.sqrt(np.einsum("nd,d,nd->n", data, weights, data))
     x_norm_max = float(x_norm.max(initial=0.0))
     mean = data.mean(axis=0)
-    # xc = [X - mean | 1]: the ones column makes the second GEMM also
-    # return sum_j 1/r_j, in the same position-stable shape
-    xc = np.empty((n, D + 1))
-    x = xc[:, :D]
+    a = np.empty((n, D + 2))
+    x = a[:, :D]
     np.subtract(data, mean, out=x)
-    xc[:, D] = 1.0
-    qc = queries - mean
-    xx = np.einsum("nd,d,nd->n", x, weights, x)
+    a[:, D] = 1.0
+    xx = a[:, D + 1]
+    np.einsum("nd,d,nd->n", x, weights, x, out=xx)
     xx_max = float(xx.max(initial=0.0))
-    tile = np.zeros((_TILE, D))
+    xc = a[:, : D + 1]  # [Xc | 1]: the second GEMM also returns sum_j 1/r_j
+    # centered queries, zero-padded to whole tiles
+    qc = np.zeros((-(-m // _TILE) * _TILE, D))
+    np.subtract(queries, mean, out=qc[:m])
+    tol = ZERO_RTOL * (q_norm + x_norm_max)  # largest coincident distance
+    tol2 = tol * tol
+    w2 = -2.0 * weights
+    b = np.empty((_TILE, D + 2))
+    b[:, D + 1] = 1.0
+    qq = np.empty(_TILE)
+    bound = np.empty(_TILE)
+    r2 = np.empty((n, _TILE))
+    near = np.empty((n, _TILE), dtype=bool)
+    sums = np.empty((D + 1, _TILE))
     out = np.empty((m, D))
     for start in range(0, m, _TILE):
-        k = min(_TILE, m - start)
-        tile[:k] = qc[start : start + k]
-        tile[k:] = 0.0
-        tile_norm = q_norm[start : start + k]
-        qq = np.einsum("td,d,td->t", tile, weights, tile)
-        g = x @ (tile * weights).T  # (n, _TILE) inner products
-        inv = g[:, :k]
-        inv *= -2.0
-        inv += xx[:, None]
-        inv += qq[:k]  # r^2 by the Gram identity
-        tol = ZERO_RTOL * (tile_norm + x_norm_max)  # largest coincident distance
-        bound = np.maximum(_CANCEL * (qq[:k] + xx_max), tol * tol)
-        near = inv <= bound
-        inv[near] = np.inf
-        np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)  # 1/r, and 0 on near pairs
-        g[:, k:] = 0.0
-        sums = xc.T @ g  # (D + 1, _TILE): sum_j x_j / r_j, then sum_j 1/r_j
-        s = tile * sums[D][:, None] - sums[:D].T
-        _add_near_signs(s, tile, x, weights, near, tile_norm, x_norm)
-        out[start : start + k] = s[:k] / n
+        stop = min(start + _TILE, m)
+        k = stop - start
+        tile = qc[start : start + _TILE]
+        np.einsum("td,d,td->t", tile, weights, tile, out=qq)
+        np.multiply(tile, w2, out=b[:, :D])
+        b[:, D] = qq
+        b[k:, D] = 1.0
+        np.add(qq, xx_max, out=bound)
+        bound *= _CANCEL
+        np.maximum(bound[:k], tol2[start:stop], out=bound[:k])
+        bound[k:] = -1.0
+        np.matmul(a, b.T, out=r2)  # r^2 by the Gram identity
+        np.less_equal(r2, bound, out=near)
+        has_near = near.any()
+        if has_near:
+            r2[near] = np.inf
+        np.sqrt(r2, out=r2)
+        np.divide(1.0, r2, out=r2)  # 1/r, and 0 on near pairs
+        np.matmul(xc.T, r2, out=sums)  # sum_j x_j / r_j, then sum_j 1/r_j
+        s = out[start:stop]
+        np.multiply(tile[:k], sums[D, :k, None], out=s)
+        s -= sums[:D, :k].T
+        if has_near:
+            _add_near_signs(s, tile[:k], x, weights, near, q_norm[start:stop], x_norm)
+        s /= n
     return out
 
 
 def _add_near_signs(s, tile, x, weights, near, tile_norm, x_norm) -> None:
     """Add sign(q_i - x_j) to s[i] for the near pairs, from q - x itself.
 
-    near is (n, k); tile_norm and x_norm are the raw norms that coincident
-    judges each pair by. np.add.at adds in pair order, so each query
+    s, tile and tile_norm hold the k queries of the tile; near is (n, _TILE),
+    False past column k. tile_norm and x_norm are the raw norms that
+    coincident judges each pair by. np.add.at adds in pair order, so each query
     receives its terms in increasing j however the pairs are chunked; a
     chunk holds about one tile's worth of floats.
     """
@@ -250,8 +284,7 @@ def monotonicity_probe(
     w = sample.grid.weights
     xs = np.array([p[0].values for p in pairs])
     ys = np.array([p[1].values for p in pairs])
-    sx = _sign_mean(xs, sample.values, w)
-    sy = _sign_mean(ys, sample.values, w)
+    sx, sy = np.split(_sign_mean(np.vstack([xs, ys]), sample.values, w), 2)
     dxy = xs - ys
     values = np.sum((sx - sy) * dxy * w, axis=1)
     degenerate = coincident(*(np.sqrt(np.sum(v * v * w, axis=1)) for v in (dxy, xs, ys)))

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,69 @@ def test_sign_mean_bitwise_independent_of_batch_split(offset):
     halves = np.vstack([_sign_mean(p, data, w) for p in np.array_split(queries, 2)])
     np.testing.assert_array_equal(batch, singles)
     np.testing.assert_array_equal(batch, halves)
+
+
+def test_padded_queries_are_safe_when_a_datum_is_the_data_mean():
+    # {x_i, -x_i, 0} on a dyadic lattice: the mean is exactly 0, and the
+    # datum 0 sits on it, so a padded query with ||q||^2 = 0 would give
+    # r^2 = 0 there and divide by zero
+    from spatialfda.spatialdist import _TILE, _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    w = g.weights
+    half = np.round(sample_process(BM, g, 20, seed=15).values * 1024) / 1024
+    data = np.vstack([half, -half, np.zeros((1, 16))])
+    assert np.all(data.mean(axis=0) == 0.0)
+    queries = sample_process(BM, g, _TILE + 3, seed=16).values  # last tile padded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _sign_mean(queries, data, w)
+    np.testing.assert_allclose(got, direct_sign_mean(queries, data, w), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_datum,calls", [(False, 0), (True, 1)])
+def test_near_path_runs_only_in_tiles_with_a_near_pair(monkeypatch, with_datum, calls):
+    from spatialfda import spatialdist
+    from spatialfda.spatialdist import _TILE, _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 32)
+    w = g.weights
+    data = sample_process(BM, g, 200, seed=17).values
+    queries = sample_process(BM, g, 2 * _TILE, seed=18).values.copy()
+    if with_datum:
+        queries[_TILE + 5] = data[11]
+    want = _sign_mean(queries, data, w)
+    seen = []
+    original = spatialdist._add_near_signs
+
+    def counting(*args):
+        seen.append(args)
+        original(*args)
+
+    monkeypatch.setattr(spatialdist, "_add_near_signs", counting)
+    got = _sign_mean(queries, data, w)
+    assert len(seen) == calls
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sign_mean_workspace_is_bounded_by_the_tile():
+    # ROADMAP aim 3: the kernel holds the centered data, two (n, _TILE) tile
+    # buffers and O(m * D) for the queries and the result; a product over
+    # all m queries at once would take 8 * n * m = 16 MB here
+    from spatialfda.spatialdist import _TILE, _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, 100)
+    data = sample_process(BM, g, 1000, seed=19).values
+    queries = np.vstack([data, sample_process(BM, g, 1000, seed=20).values])
+    (m, D), n = queries.shape, data.shape[0]
+    tracemalloc.start()
+    try:
+        _sign_mean(queries, data, g.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slack = 64 * 1024  # index arrays of the near path and small per-call vectors
+    assert peak < 8 * (n * (D + 2) + 2 * n * _TILE + 3 * m * D) + slack
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-20, 1e20])
