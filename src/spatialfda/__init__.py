@@ -9,6 +9,8 @@ cli handle CSV/JSON/SVG artifacts.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .asymptotics import (
     RateReport,
     ReferenceSpatialDist,
@@ -93,4 +95,4 @@ from .spatialdist import (
 )
 from .svg import curve_fan_svg, dd_plot_svg
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

@@ -15,9 +15,10 @@ Everything is evaluated in the whitened coordinates sqrt(w) * x of a
 D-point grid, where the weighted inner product is Euclidean; the ratio is
 invariant under orthonormal changes of that representation. A whitened path
 is y @ tilde, tilde the k x D whitened KL loading; with sigma its min(k, D)
-singular values it is z = y * sigma in orthonormal coordinates, in
-distribution. Every shipped law keeps each coordinate of z sign-symmetric
-given the others, so J and Lambda are diagonal there and
+singular values, a field of simulate's KL system (built once per (spec,
+grid), so once per table cell), it is z = y * sigma in orthonormal
+coordinates, in distribution. Every shipped law keeps each coordinate of z
+sign-symmetric given the others, so J and Lambda are diagonal there and
 trace(V0) = sum_i Lambda_ii / J_ii^2 (directions off the KL span add 0).
 
 The student-t law is elliptical: its path is the Gaussian path divided by
@@ -47,7 +48,7 @@ from .simulate import (
     STUDENT_T_LAW,
     KernelSpec,
     ProcessSpec,
-    _kl_system,
+    _kl_system,  # called as module globals, as is coefficient_chunks: perfbench wraps both
     coefficient_chunks,
     stream_seed,
 )
@@ -81,18 +82,6 @@ def domain_grid(domain: str, grid_size: int, seed: int) -> Grid:
     if domain == "real-line":
         return real_line_grid(seed, grid_size)
     raise ValueError(f"unknown domain {domain!r}")
-
-
-def _whitened_scales(spec: ProcessSpec, grid: Grid) -> np.ndarray:
-    """Singular values sigma of the whitened KL loading, descending.
-
-    Equal to the KL scales where the whitened KL functions are orthonormal,
-    exact also where they are not (k > D, or a grid on part of [0, 1]).
-    _kl_system and coefficient_chunks stay module globals (perfbench wraps them).
-    """
-    scales, functions = _kl_system(spec, grid)
-    tilde = (scales[:, None] * functions) * np.sqrt(grid.weights)[None, :]
-    return np.linalg.svd(tilde, compute_uv=False)
 
 
 def _gaussian_twin(spec: ProcessSpec) -> ProcessSpec:
@@ -154,7 +143,7 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     if mc <= 0:
         diag = spec.kernel.diagonal(grid.points)
         return float(var_y * np.sum(grid.weights * diag))
-    sigma = _whitened_scales(spec, grid)
+    sigma = _kl_system(spec, grid).sigma
     total = 0.0
     for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
         z = np.multiply(y, sigma, out=y)
@@ -175,7 +164,7 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     """
     if mc < 1:
         raise ValueError("mc must be >= 1")
-    sigma = _whitened_scales(spec, grid)
+    sigma = _kl_system(spec, grid).sigma
     twin = _gaussian_twin(spec)
 
     def sums(tag: int, power: int):
@@ -300,12 +289,13 @@ def efficiency_table(
     if cells is None:
         cells = default_table_cells()
     twins = [(c.domain, _gaussian_twin(c.spec)) for c in default_table_cells()]
+    first_index = {key: i for i, key in reversed(list(enumerate(twins)))}  # the first index wins
     twin_reports: dict[int, EfficiencyReport] = {}  # by cell seed
 
     def run(cell: TableCell) -> TableRow:
         grid = domain_grid(cell.domain, grid_size, seed)
         key = (cell.domain, _gaussian_twin(cell.spec))
-        tag = twins.index(key) if key in twins else len(twins) + zlib.crc32(cell.label.encode())
+        tag = first_index.get(key, len(twins) + zlib.crc32(cell.label.encode()))
         cell_seed = stream_seed(seed, _TAG_CELL_BASE + tag)
         if cell_seed not in twin_reports:
             twin_reports[cell_seed] = are(key[1], grid, mc, cell_seed)

@@ -14,7 +14,7 @@ travel together as one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,16 +27,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Evaluation points plus quadrature weights.
+def _value_key(value):
+    """Hashable stand-in for a field; an array by shape and the bytes of a + 0.0, so -0.0 is 0.0."""
+    return (value.shape, (value + 0.0).tobytes()) if isinstance(value, np.ndarray) else value
+
+
+class ByValue:
+    """Equality and hash of a frozen dataclass by value; finite array fields by shape and bytes."""
+
+    def _key(self):
+        return (type(self),) + tuple(_value_key(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Grid(ByValue):
+    """Evaluation points plus quadrature weights; grids compare and hash by value.
 
     Parameters
     ----------
     points : array of shape (D,)
-        Strictly increasing evaluation points, D >= 2.
+        Strictly increasing finite evaluation points, D >= 2.
     weights : array of shape (D,)
-        Positive quadrature weights.
+        Positive finite quadrature weights.
     """
 
     points: np.ndarray
@@ -53,6 +73,7 @@ class Grid:
             raise GridMismatchError(
                 f"{self.points.size} points but {self.weights.size} weights"
             )
+        _check_finite(np.stack([self.points, self.weights]), "grid point and weight")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(self.weights > 0):
@@ -97,11 +118,7 @@ class Grid:
         return Grid(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
 
     def matches(self, other: "Grid") -> bool:
-        return (
-            self.points.size == other.points.size
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
+        return self == other
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -115,9 +132,9 @@ def _check_same_grid(a, b):
         raise GridMismatchError("objects live on different grids")
 
 
-@dataclass(frozen=True)
-class Curve:
-    """One function sampled on a grid."""
+@dataclass(frozen=True, eq=False)
+class Curve(ByValue):
+    """One function sampled on a grid; curves compare and hash by value."""
 
     grid: Grid
     values: np.ndarray

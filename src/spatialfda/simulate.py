@@ -11,6 +11,9 @@ kernel they come from the weighted kernel matrix on the grid. Gaussian
 coefficients are iid N(0, 1); the student-t law divides all coefficients of
 a path by one shared sqrt(W/r) with W ~ chi-square(r), which keeps the
 process elliptical rather than making coordinates independently heavy-tailed.
+_kl_system alone builds the KL system, whitened singular values included,
+and its memo holds one (spec, grid), sized by the traffic: a rate study
+draws from one key about 150 times, and each efficiency cell from its own.
 
 Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
@@ -28,13 +31,14 @@ all n paths.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPSDError
-from .funcspace import Basis, Curve, FunctionalSample, Grid
+from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid
 
 GENERATOR_NAME = "numpy.random.Philox"
 
@@ -52,34 +56,8 @@ GAUSSIAN_LAW = "gaussian"
 STUDENT_T_LAW = "student-t"
 
 
-def _value_key(value):
-    """Hashable stand-in for a spec field; arrays (also inside curves) by shape and bytes."""
-    if isinstance(value, np.ndarray):
-        return (value.shape, value.tobytes())
-    if is_dataclass(value):
-        return (type(value),) + tuple(_value_key(getattr(value, f.name)) for f in fields(value))
-    return value
-
-
-class _ByValue:
-    """Equality and hash of a frozen spec by the values of its fields.
-
-    A generated dataclass __eq__ compares an ndarray field elementwise and
-    fails on the ambiguous truth value, and its __hash__ fails on the
-    unhashable array; _value_key compares such fields by shape and bytes.
-    """
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _value_key(self) == _value_key(other)
-
-    def __hash__(self):
-        return hash(_value_key(self))
-
-
 @dataclass(frozen=True, eq=False)
-class KernelSpec(_ByValue):
+class KernelSpec(ByValue):
     """Covariance kernel description.
 
     kind is one of "brownian", "fractional-brownian", "min", "gaussian",
@@ -109,8 +87,8 @@ class KernelSpec(_ByValue):
             if self.matrix is None:
                 raise ValueError("custom kernel needs a matrix")
             m = np.array(self.matrix, dtype=float, copy=True)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("custom kernel matrix must be square")
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+                raise ValueError("custom kernel matrix must be square and finite")
             scale = max(1.0, float(np.max(np.abs(m))))
             if np.max(np.abs(m - m.T)) > 1e-8 * scale:
                 raise NotPSDError("custom kernel matrix is not symmetric")
@@ -170,7 +148,7 @@ class KernelSpec(_ByValue):
 
 
 @dataclass(frozen=True, eq=False)
-class ProcessSpec(_ByValue):
+class ProcessSpec(ByValue):
     """Kernel plus coefficient law plus optional mean and truncation.
 
     truncation=None means: 100 terms for the closed-form Brownian expansion,
@@ -249,23 +227,32 @@ def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
     return Basis(grid, functions, evals[order])
 
 
-def _truncation(spec: ProcessSpec, grid: Grid) -> int:
-    if spec.truncation is not None:
-        return spec.truncation
-    return 100 if spec.kernel.kind == BROWNIAN else grid.size
+@dataclass(frozen=True, eq=False)
+class _KLSystem:
+    """Read-only KL scales (k,), functions and loading (k, D), whitened singular values sigma."""
+
+    scales: np.ndarray
+    functions: np.ndarray
+    loadings: np.ndarray
+    sigma: np.ndarray
 
 
-def _kl_system(spec: ProcessSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """KL scales lambda_k (k,) and function values (k, D) for sampling."""
-    k = _truncation(spec, grid)
+@functools.lru_cache(maxsize=1)
+def _kl_system(spec: ProcessSpec, grid: Grid) -> _KLSystem:
+    k = spec.truncation or (100 if spec.kernel.kind == BROWNIAN else grid.size)
     if spec.kernel.kind == BROWNIAN:
-        return _bm_system(np.arange(1, k + 1), grid.points)
-    if k > grid.size:
-        raise ValueError(
-            f"truncation {k} exceeds the {grid.size} eigenpairs available on this grid"
-        )
-    basis = kernel_eigen(spec.kernel, grid, k)
-    return np.sqrt(basis.eigenvalues), np.asarray(basis.functions)
+        scales, functions = _bm_system(np.arange(1, k + 1), grid.points)
+    elif k > grid.size:
+        raise ValueError(f"truncation {k} exceeds the {grid.size} eigenpairs on this grid")
+    else:
+        basis = kernel_eigen(spec.kernel, grid, k)
+        scales, functions = np.sqrt(basis.eigenvalues), basis.functions
+    loadings = scales[:, None] * functions
+    # not the scales: the whitened functions need not be orthonormal (k > D, a grid inside [0, 1])
+    sigma = np.linalg.svd(loadings * np.sqrt(grid.weights)[None, :], compute_uv=False)
+    for a in (scales, functions, loadings, sigma):
+        a.flags.writeable = False
+    return _KLSystem(scales, functions, loadings, sigma)
 
 
 def stream_seed(seed: int, *tags: int) -> int:
@@ -309,8 +296,7 @@ def _loadings(spec: ProcessSpec, grid: Grid, n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if spec.mean is not None and not spec.mean.grid.matches(grid):
         raise ValueError("mean curve lives on a different grid")
-    scales, functions = _kl_system(spec, grid)
-    return scales[:, None] * functions
+    return _kl_system(spec, grid).loadings
 
 
 def _paths(spec: ProcessSpec, loadings: np.ndarray, n: int, seed: int, out=None):

@@ -279,8 +279,12 @@ def monotonicity_probe(
     population; a nonpositive value for a distinct pair counts as a
     violation. Pairs where x and y are coincident are flagged degenerate
     and not counted; the rule is relative, so the flags do not change when
-    the sample and the pairs are scaled together.
+    the sample and the pairs are scaled together. Empty or off-grid pairs raise.
     """
+    if not pairs:
+        raise ValueError("monotonicity_probe needs at least one pair")
+    if not all(c.grid.matches(sample.grid) for pair in pairs for c in pair):
+        raise GridMismatchError("a probe curve and the sample live on different grids")
     w = sample.grid.weights
     xs = np.array([p[0].values for p in pairs])
     ys = np.array([p[1].values for p in pairs])

@@ -32,7 +32,8 @@ def t_factor(df):
 def full_sandwich(spec, grid, mc, seed):
     """trace(J^-1 Lambda J^-1) from full D x D Monte Carlo matrices of whitened
     paths y @ tilde, on the same two tagged streams as v0_estimate."""
-    scales, functions = _kl_system(spec, grid)
+    kl = _kl_system(spec, grid)
+    scales, functions = kl.scales, kl.functions
     tilde = scales[:, None] * functions * np.sqrt(grid.weights)
     D, k = grid.size, scales.size
     J, Lam = np.zeros((D, D)), np.zeros((D, D))

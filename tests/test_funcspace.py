@@ -67,6 +67,38 @@ def test_grid_validation(points, weights):
         Grid.custom(np.array(points), np.array(weights))
 
 
+@pytest.mark.parametrize(
+    "points,weights",
+    [
+        ([0.0, np.inf], [1.0, np.inf]),
+        ([0.0, 1.0], [0.5, np.inf]),
+        ([-np.inf, 0.0], [0.5, 0.5]),
+        ([0.0, np.nan], [0.5, 0.5]),
+        ([0.0, 1.0], [np.nan, 0.5]),
+    ],
+)
+def test_grid_rejects_non_finite_points_and_weights(points, weights):
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid.custom(points, weights)
+
+
+def test_grids_and_curves_compare_and_hash_by_value():
+    a, b = Grid.uniform(0.0, 1.0, 5), Grid.uniform(0.0, 1.0, 5)
+    assert a is not b and a == b and hash(a) == hash(b) and a.matches(b)
+    assert {a: "unit"}[b] == "unit"
+    for other in (Grid.uniform(0.0, 1.0, 6), Grid.uniform(0.0, 2.0, 5), Grid.custom(a.points, 2 * a.weights)):
+        assert a != other and not a.matches(other)
+    # -0.0 and 0.0 are the same point
+    neg = Grid.custom([-0.0, 1.0], [0.5, 0.5])
+    pos = Grid.custom([0.0, 1.0], [0.5, 0.5])
+    assert neg == pos and hash(neg) == hash(pos)
+    c = Curve(a, np.arange(5.0))
+    assert c == Curve(b, np.arange(5.0)) and hash(c) == hash(Curve(b, np.arange(5.0)))
+    assert c != Curve(a, np.ones(5))
+    assert c != Curve(Grid.uniform(0.0, 2.0, 5), np.arange(5.0))
+    assert c != a
+
+
 @pytest.mark.parametrize("num", [1, 0, -3])
 def test_uniform_grid_needs_two_points(num):
     # the step (b - a) / (num - 1) must not be formed first

@@ -1,6 +1,7 @@
 """Which private names one spatialfda module may import from another."""
 
 import ast
+import types
 from pathlib import Path
 
 import spatialfda
@@ -66,3 +67,12 @@ def test_no_module_starts_threads_or_processes():
                 continue
             found |= {(path.stem, n) for n in names if n.split(".")[0] in banned}
     assert found == set()
+
+
+def test_star_import_binds_no_module():
+    # `from spatialfda import *` must not bind io over the standard library's io
+    names = {}
+    exec("from spatialfda import *", names)
+    assert [n for n in spatialfda.__all__ if isinstance(getattr(spatialfda, n), types.ModuleType)] == []
+    del names["__builtins__"]  # added by exec
+    assert [n for n, v in names.items() if isinstance(v, types.ModuleType)] == []

@@ -12,11 +12,13 @@ from spatialfda import (
     ProcessSpec,
     bm_eigenpair,
     default_table_cells,
+    gc_rate_study,
     kernel_eigen,
     sample_blocks,
     sample_process,
     stream_seed,
 )
+from spatialfda import simulate
 from spatialfda.asymptotics import probe_sample
 from spatialfda.efficiency import _gaussian_twin
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks
@@ -68,6 +70,12 @@ def test_kernel_validation():
         KernelSpec.custom(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
     with pytest.raises(NotPSDError):
         KernelSpec.custom(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_kernel_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec.custom(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_specs_compare_and_hash_by_value():
@@ -125,11 +133,42 @@ def test_bm_eigenpair_closed_form():
 @pytest.mark.parametrize("D", [16, 201])
 def test_bm_eigenpair_is_a_row_of_the_sampling_system_bitwise(D):
     g = Grid.uniform(0.0, 1.0, D)
-    scales, functions = _kl_system(ProcessSpec(KernelSpec.brownian()), g)
+    kl = _kl_system(ProcessSpec(KernelSpec.brownian()), g)
+    scales, functions = kl.scales, kl.functions
     for k in (1, 2, 37, 100):
         lam, phi = bm_eigenpair(k, g)
         assert lam == scales[k - 1]
         assert phi.values.tobytes() == functions[k - 1].tobytes()
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.brownian(), KernelSpec.fractional_brownian(0.7)])
+def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
+    builds = []
+    for name in ("_bm_system", "kernel_eigen"):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *a, _real=real, _name=name: builds.append(_name) or _real(*a)
+        )
+    simulate._kl_system.cache_clear()
+    spec, g = ProcessSpec(kernel), Grid.uniform(0.0, 1.0, 16)
+    # probes, reference blocks and n_values * reps replicates share one build
+    gc_rate_study(spec, probe_sample(spec, g, 5, 1), [20, 40], reps=3, seed=1, n_ref=500)
+    assert len(builds) == 1
+    kl = _kl_system(spec, g)
+    assert len(builds) == 1
+    for a in (kl.scales, kl.functions, kl.loadings, kl.sigma):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a key equal by value reuses the build; another spec or grid builds once
+    _kl_system(ProcessSpec(kernel), Grid.uniform(0.0, 1.0, 16))
+    assert len(builds) == 1
+    other = ProcessSpec(kernel, truncation=3)
+    for _ in range(3):
+        sample_process(other, g, 4, seed=2)
+    assert len(builds) == 2
+    for _ in range(3):
+        sample_process(other, Grid.uniform(0.0, 1.0, 17), 4, seed=2)
+    assert len(builds) == 3
 
 
 def test_bm_eigenpair_rejects_grid_outside_unit_interval():

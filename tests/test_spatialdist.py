@@ -112,6 +112,19 @@ def test_lp_variant_matches_hilbert_for_p2_on_uniform_weights():
     assert sd.norm == pytest.approx(np.linalg.norm(signs.mean(axis=0)), abs=1e-12)
 
 
+def test_monotonicity_probe_checks_its_pairs():
+    g = Grid.uniform(0.0, 1.0, 16)
+    s = sample_process(ProcessSpec(KernelSpec.brownian()), g, 30, seed=3)
+    on = Curve(g, g.points)
+    for off_grid in (Grid.uniform(0.0, 2.0, 16), Grid.uniform(0.0, 1.0, 12)):
+        off = Curve(off_grid, off_grid.points)
+        for pair in ((off, off), (on, off), (off, on)):
+            with pytest.raises(GridMismatchError):
+                monotonicity_probe(s, [(on, on), pair])
+    with pytest.raises(ValueError, match="at least one pair"):
+        monotonicity_probe(s, [])
+
+
 def test_monotonicity_probe_no_violations_on_gaussian_sample():
     g = Grid.uniform(0.0, 1.0, 24)
     s = sample_process(ProcessSpec(KernelSpec.brownian()), g, 200, seed=21)
