@@ -44,7 +44,7 @@ from .efficiency import (
     efficiency_table,
 )
 from .errors import SpatialFDAError
-from .funcspace import Basis, FunctionalSample, Grid, orthonormalize, pca
+from .funcspace import Basis, FunctionalSample, Grid, check_same_grid, orthonormalize, pca
 from .io import read_sample, write_sample, write_table, write_text
 from .quantile import DirectionU, solve_quantile, working_sample
 from .simulate import (
@@ -334,8 +334,7 @@ def _resolve_cli_basis(cfg, sample, d, parser) -> tuple[Basis, str]:
         return orthonormalize(np.array(rows), sample.grid, np.array(lams)), "bm"
     path = _require(cfg, "basis_file", parser, "--basis-file")
     loaded, _ = read_sample(path)
-    if not loaded.grid.matches(sample.grid):
-        raise SpatialFDAError("basis file grid differs from the sample grid")
+    check_same_grid(loaded.grid, sample.grid, "basis file grid differs from the sample grid")
     if len(loaded) < d:
         raise SpatialFDAError(f"basis file has {len(loaded)} rows, need {d}")
     return Basis(sample.grid, loaded.values[:d]), "file"

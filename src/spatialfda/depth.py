@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .funcspace import Curve, FunctionalSample
+from .funcspace import ByValue, Curve, FunctionalSample, check_same_grid
 from .spatialdist import _sign_mean
 
 
@@ -34,14 +33,13 @@ def _batch_depth(queries: np.ndarray, data: np.ndarray, weights: np.ndarray) -> 
 
 def depth_profile(sample: FunctionalSample, queries: FunctionalSample) -> list[float]:
     """Spatial depth of every query curve, in query order."""
-    if not queries.grid.matches(sample.grid):
-        raise GridMismatchError("queries and sample live on different grids")
+    check_same_grid(queries.grid, sample.grid, "queries and sample live on different grids")
     vals = _batch_depth(queries.values, sample.values, sample.grid.weights)
     return [float(v) for v in vals]
 
 
-@dataclass(frozen=True)
-class DDPlotData:
+@dataclass(frozen=True, eq=False)
+class DDPlotData(ByValue):
     """Depth-vs-depth coordinates for a pooled two-sample data set.
 
     points has one row per pooled observation: column 0 is the depth with
@@ -55,7 +53,7 @@ class DDPlotData:
     metadata: dict
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, copy=True)
+        pts = np.array(self.points, dtype=float, order="C", copy=True)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (m, 2) array")
         if pts.shape[0] != len(self.source):
@@ -74,8 +72,7 @@ def dd_plot(sample1: FunctionalSample, sample2: FunctionalSample) -> DDPlotData:
     as-is: an observation is not removed from its own sample, its own term
     simply contributes a zero sign vector. The metadata records this.
     """
-    if not sample1.grid.matches(sample2.grid):
-        raise GridMismatchError("samples live on different grids")
+    check_same_grid(sample1.grid, sample2.grid, "samples live on different grids")
     w = sample1.grid.weights
     pooled = np.concatenate([sample1.values, sample2.values], axis=0)
     d1 = _batch_depth(pooled, sample1.values, w)

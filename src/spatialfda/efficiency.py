@@ -24,7 +24,7 @@ trace(V0) = sum_i Lambda_ii / J_ii^2 (directions off the KL span add 0).
 The student-t law is elliptical: its path is the Gaussian path divided by
 one shared s = sqrt(W/df), W ~ chi-square(df). Signs do not see s and 1/r
 scales by it, so J_t = E[s] J_G and Lambda_t = Lambda_G: a t law's V0 is
-its Gaussian twin's divided by E[s]^2, where
+its Gaussian twin's (one memoized run per grid, mc and seed) over E[s]^2,
 E[s] = sqrt(2/df) Gamma((df+1)/2) / Gamma(df/2) (Magyar & Tyler 2011).
 
 J and Lambda use two independent Monte Carlo streams derived from one study
@@ -34,6 +34,7 @@ and does not change when other parts of a study re-seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -139,10 +140,11 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     and it converges slowly for student-t laws with df <= 4 (infinite
     fourth moment).
     """
-    var_y = spec.coefficient_variance()
-    if mc <= 0:
+    if mc < 0:
+        raise ValueError("mc must be >= 0")
+    if mc == 0:
         diag = spec.kernel.diagonal(grid.points)
-        return float(var_y * np.sum(grid.weights * diag))
+        return float(spec.coefficient_variance() * np.sum(grid.weights * diag))
     sigma = _kl_system(spec, grid).sigma
     total = 0.0
     for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
@@ -158,14 +160,19 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     J_ii = mean(1/r - z_i^2/r^3) and Lambda_ii = mean(z_i^2/r^2), r = ||z||,
     summed chunk by chunk in a fixed order over two independent substreams
     of the seed. The draws are the Gaussian twin's normals, the normal block
-    a t law draws first; a t law then divides by E[s]^2, so every law runs
-    this one path. Raises ConditioningError when J is singular, as for a
-    one-dimensional process.
+    a t law draws first; a t law then divides by E[s]^2, so a t law and its
+    twin at the same (grid, mc, seed) share one run. Raises ConditioningError
+    when J is singular, as for a one-dimensional process.
     """
     if mc < 1:
         raise ValueError("mc must be >= 1")
-    sigma = _kl_system(spec, grid).sigma
-    twin = _gaussian_twin(spec)
+    return _twin_v0(_gaussian_twin(spec), grid, mc, seed) / _mean_scale(spec) ** 2
+
+
+@functools.lru_cache(maxsize=1)
+def _twin_v0(twin: ProcessSpec, grid: Grid, mc: int, seed: int) -> float:
+    """trace(V0) of a Gaussian law from mc draws per matrix; see v0_estimate."""
+    sigma = _kl_system(twin, grid).sigma
 
     def sums(tag: int, power: int):
         # sum of 1/r and of z_i^2 / r^power over the stream; r = 0 adds nothing
@@ -185,21 +192,18 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     J = (inv_r_sum - j_outer) / mc
     if np.min(J) <= inv_r_sum / mc / CONDITION_LIMIT:  # (nearly) one-dimensional process
         raise ConditioningError(f"estimated J condition number exceeds {CONDITION_LIMIT:.0e}")
-    return float(np.sum(lam_sum / mc / J**2)) / _mean_scale(spec) ** 2
+    return float(np.sum(lam_sum / mc / J**2))
 
 
-def are(
-    spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0, *, twin_v0: float | None = None
-) -> EfficiencyReport:
+def are(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> EfficiencyReport:
     """Efficiency report trace(Sigma) / trace(V0) for one process.
 
     trace(Sigma) comes from its closed form (exact), so the whole Monte
-    Carlo budget goes into the sandwich estimate. twin_v0, when given, is
-    v0_estimate of the Gaussian twin at the same grid, mc and seed; the
-    table passes it so that each twin is estimated once.
+    Carlo budget goes into the sandwich estimate, which a t law shares with
+    its Gaussian twin at the same grid, mc and seed (see v0_estimate).
     """
     ts = sigma_trace(spec, grid)
-    tv = v0_estimate(spec, grid, mc, seed) if twin_v0 is None else twin_v0 / _mean_scale(spec) ** 2
+    tv = v0_estimate(spec, grid, mc, seed)
     return EfficiencyReport(
         trace_sigma=ts,
         trace_v0=tv,
@@ -281,25 +285,21 @@ def efficiency_table(
     Each cell runs on the domain_grid of its domain at the study seed. A cell
     whose (domain, Gaussian twin) is a default cell's runs under that cell's
     tagged substream, any other under a tag from the crc32 of its label
-    (stable across processes, unlike hash()). Each (twin, substream) is
-    estimated once and each cell divides that v0 by its own E[s]^2: t3-min
-    and t9-min share one Gaussian min-kernel run, the gauss-kernel t cells
-    the gauss-kernel run. Tags do not depend on the cell list.
+    (stable across processes, unlike hash()). Cells with one twin and
+    substream share one run (see v0_estimate), each over its own E[s]^2:
+    t3-min and t9-min share a Gaussian min-kernel run, the gauss-kernel t
+    cells the gauss-kernel run. Tags do not depend on the cell list.
     """
     if cells is None:
         cells = default_table_cells()
     twins = [(c.domain, _gaussian_twin(c.spec)) for c in default_table_cells()]
     first_index = {key: i for i, key in reversed(list(enumerate(twins)))}  # the first index wins
-    twin_reports: dict[int, EfficiencyReport] = {}  # by cell seed
 
     def run(cell: TableCell) -> TableRow:
         grid = domain_grid(cell.domain, grid_size, seed)
         key = (cell.domain, _gaussian_twin(cell.spec))
         tag = first_index.get(key, len(twins) + zlib.crc32(cell.label.encode()))
-        cell_seed = stream_seed(seed, _TAG_CELL_BASE + tag)
-        if cell_seed not in twin_reports:
-            twin_reports[cell_seed] = are(key[1], grid, mc, cell_seed)
-        rep = are(cell.spec, grid, mc, cell_seed, twin_v0=twin_reports[cell_seed].trace_v0)
+        rep = are(cell.spec, grid, mc, stream_seed(seed, _TAG_CELL_BASE + tag))
         return TableRow(cell.label, rep, cell.reference)
 
     return [run(cell) for cell in cells]

@@ -27,24 +27,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value_key(value):
-    """Hashable stand-in for a field; an array by shape and the bytes of a + 0.0, so -0.0 is 0.0."""
-    return (value.shape, (value + 0.0).tobytes()) if isinstance(value, np.ndarray) else value
-
-
 class ByValue:
-    """Equality and hash of a frozen dataclass by value; finite array fields by shape and bytes."""
+    """Equality and hash of a frozen dataclass by value, over its compared fields.
 
-    def _key(self):
-        return (type(self),) + tuple(_value_key(getattr(self, f.name)) for f in fields(self))
+    Arrays compare by np.array_equal (-0.0 is 0.0) and hash by shape and sum,
+    in place; array fields are C-contiguous and read-only, so equal values
+    reduce in the same order and keep their hash."""
+
+    def _fields(self):
+        return [getattr(self, f.name) for f in fields(self) if f.compare]
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return all(
+            np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b
+            for a, b in zip(self._fields(), other._fields())
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        parts = ((v.shape, v.sum()) if isinstance(v, np.ndarray) else v for v in self._fields())
+        return hash((type(self), *parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +130,10 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} values must be finite")
 
 
-def _check_same_grid(a, b):
-    if not a.grid.matches(b.grid):
-        raise GridMismatchError("objects live on different grids")
+def check_same_grid(a: Grid, b: Grid, what: str = "objects live on different grids") -> None:
+    """Raise GridMismatchError(what) unless the grids a and b are equal."""
+    if a != b:
+        raise GridMismatchError(what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +152,11 @@ class Curve(ByValue):
         _check_finite(self.values, "curve")
 
     def __add__(self, other: "Curve") -> "Curve":
-        _check_same_grid(self, other)
+        check_same_grid(self.grid, other.grid)
         return Curve(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Curve") -> "Curve":
-        _check_same_grid(self, other)
+        check_same_grid(self.grid, other.grid)
         return Curve(self.grid, self.values - other.values)
 
     def __mul__(self, c: float) -> "Curve":
@@ -164,8 +168,8 @@ class Curve(ByValue):
         return Curve(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class FunctionalSample:
+@dataclass(frozen=True, eq=False)
+class FunctionalSample(ByValue):
     """n curves on a shared grid, stored as one (n, D) matrix.
 
     The sample holds a read-only array. An array that owns its data
@@ -213,8 +217,8 @@ class FunctionalSample:
             yield self.curve(i)
 
 
-@dataclass(frozen=True)
-class Basis:
+@dataclass(frozen=True, eq=False)
+class Basis(ByValue):
     """d orthonormal functions on a grid, optionally with eigenvalues.
 
     Orthonormality is with respect to the grid's weighted inner product and
@@ -265,8 +269,8 @@ class Basis:
         return Basis(self.grid, self.functions[:d], ev, self.tol)
 
 
-@dataclass(frozen=True)
-class Coefficients:
+@dataclass(frozen=True, eq=False)
+class Coefficients(ByValue):
     """Coordinates of a curve in a Basis."""
 
     values: np.ndarray  # (d,)
@@ -284,7 +288,7 @@ class Coefficients:
 
 def inner_product(a: Curve, b: Curve) -> float:
     """Weighted inner product <a, b> = sum_i w_i a_i b_i."""
-    _check_same_grid(a, b)
+    check_same_grid(a.grid, b.grid)
     return float(np.sum(a.grid.weights * a.values * b.values))
 
 
@@ -315,7 +319,7 @@ def project(x: Curve, basis: Basis, d: int | None = None) -> Coefficients:
     coefficients never exceeds ||x|| (Parseval inequality), with equality
     when x lies in the span.
     """
-    _check_same_grid(x, basis)
+    check_same_grid(x.grid, basis.grid)
     use = basis if d is None else basis.truncated(d)
     c = (use.functions * use.grid.weights) @ x.values
     return Coefficients(c, use)
@@ -323,7 +327,7 @@ def project(x: Curve, basis: Basis, d: int | None = None) -> Coefficients:
 
 def project_sample(sample: FunctionalSample, basis: Basis, d: int | None = None) -> np.ndarray:
     """Coefficient matrix (n, d) of a whole sample. Plumbing for the solvers."""
-    _check_same_grid(sample, basis)
+    check_same_grid(sample.grid, basis.grid)
     use = basis if d is None else basis.truncated(d)
     return sample.values @ (use.functions * use.grid.weights).T
 

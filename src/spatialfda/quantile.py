@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConditioningError, ConvergenceError
 from .funcspace import (
     Basis,
+    ByValue,
     Coefficients,
     Curve,
     FunctionalSample,
@@ -55,8 +56,8 @@ MAX_ITER = 500
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class DirectionU:
+@dataclass(frozen=True, eq=False)
+class DirectionU(ByValue):
     """Direction u in the open unit ball of the working coefficient space."""
 
     coefficients: np.ndarray

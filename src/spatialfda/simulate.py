@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSDError
-from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid
+from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same_grid
 
 GENERATOR_NAME = "numpy.random.Philox"
 
@@ -294,8 +294,8 @@ def _loadings(spec: ProcessSpec, grid: Grid, n: int) -> np.ndarray:
     """Check the sampling arguments; the (k, D) KL loading lambda_k phi_k of the paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spec.mean is not None and not spec.mean.grid.matches(grid):
-        raise ValueError("mean curve lives on a different grid")
+    if spec.mean is not None:
+        check_same_grid(spec.mean.grid, grid, "mean curve lives on a different grid")
     return _kl_system(spec, grid).loadings
 
 

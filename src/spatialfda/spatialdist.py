@@ -59,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .funcspace import Curve, FunctionalSample, norm
+from .funcspace import ByValue, Curve, FunctionalSample, check_same_grid, norm
 
 # Relative tolerance of the one coincidence rule; see coincident.
 ZERO_RTOL = 1e-12
@@ -71,8 +70,8 @@ def coincident(dist, norm_a, norm_b):
     return dist <= ZERO_RTOL * (norm_a + norm_b)
 
 
-@dataclass(frozen=True)
-class SpatialDistValue:
+@dataclass(frozen=True, eq=False)
+class SpatialDistValue(ByValue):
     """Value of an (empirical) spatial distribution at one query point.
 
     representation is a Curve in the Hilbert case, or a plain dual
@@ -237,8 +236,7 @@ def empirical_spatial_dist(x: Curve, sample: FunctionalSample) -> SpatialDistVal
     Coincident data points contribute zero vectors; the returned norm is
     always in [0, 1].
     """
-    if not x.grid.matches(sample.grid):
-        raise GridMismatchError("query and sample live on different grids")
+    check_same_grid(x.grid, sample.grid, "query and sample live on different grids")
     s = _sign_mean(x.values[None, :], sample.values, sample.grid.weights)[0]
     curve = Curve(x.grid, s)
     return SpatialDistValue(curve, min(norm(curve), 1.0))
@@ -252,12 +250,13 @@ def empirical_spatial_dist_lp(x: np.ndarray, data: np.ndarray, p: float) -> Spat
     for row in rows:
         total += sgn_lp(v - row, p)
     rep = total / rows.shape[0]
+    rep.flags.writeable = False
     q = p / (p - 1.0)
     return SpatialDistValue(rep, min(float(np.linalg.norm(rep, ord=q)), 1.0))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+@dataclass(frozen=True, eq=False)
+class MonotonicityReport(ByValue):
     """Per-pair values of <S_x - S_y, x - y> and the violation count."""
 
     values: np.ndarray
@@ -283,8 +282,8 @@ def monotonicity_probe(
     """
     if not pairs:
         raise ValueError("monotonicity_probe needs at least one pair")
-    if not all(c.grid.matches(sample.grid) for pair in pairs for c in pair):
-        raise GridMismatchError("a probe curve and the sample live on different grids")
+    for c in [c for pair in pairs for c in pair]:
+        check_same_grid(c.grid, sample.grid, "a probe curve and the sample live on different grids")
     w = sample.grid.weights
     xs = np.array([p[0].values for p in pairs])
     ys = np.array([p[1].values for p in pairs])
@@ -294,4 +293,5 @@ def monotonicity_probe(
     degenerate = coincident(*(np.sqrt(np.sum(v * v * w, axis=1)) for v in (dxy, xs, ys)))
     values = np.where(degenerate, 0.0, values)
     violations = int(np.sum((values <= 0.0) & ~degenerate))
+    values.flags.writeable = degenerate.flags.writeable = False
     return MonotonicityReport(values, degenerate, violations)

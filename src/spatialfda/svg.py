@@ -8,7 +8,7 @@ timestamps or randomness, so identical data produces identical bytes.
 from __future__ import annotations
 
 from .depth import DDPlotData
-from .funcspace import Curve
+from .funcspace import Curve, check_same_grid
 
 # Okabe-Ito-ish palette; index 0 is reserved for the reference/median line.
 _COLORS = ("#000000", "#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9")
@@ -113,8 +113,7 @@ def curve_fan_svg(
             f'y2="{_f(py(0.0))}" stroke="#bbbbbb" stroke-width="1"/>\n'
         )
     for i, (label, curve) in enumerate(curves):
-        if not curve.grid.matches(grid):
-            raise ValueError("all curves must share one grid")
+        check_same_grid(curve.grid, grid, "all curves must share one grid")
         pts = " ".join(
             f"{_f(px(t))},{_f(py(v))}" for t, v in zip(xs, curve.values)
         )

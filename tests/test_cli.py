@@ -260,6 +260,17 @@ def test_bm_basis_beyond_the_grid_is_a_rank_error(tmp_path, capsys):
     assert json.loads(err[err.index("{"):])["error"]["type"] == "RankDeficiencyError"
 
 
+def test_basis_file_on_another_grid_is_a_grid_mismatch(tmp_path, capsys):
+    src = simulate(tmp_path, n=25, grid=16)
+    bfile = simulate(tmp_path, name="basis.csv", n=5, grid=12)
+    args = ["quantile", "--in", str(src), "--basis", "file", "--basis-file", str(bfile)]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    doc = json.loads(err[err.index("{"):])["error"]
+    assert doc["type"] == "GridMismatchError"
+    assert doc["message"] == "basis file grid differs from the sample grid"
+
+
 def test_runtime_failure_emits_error_json(tmp_path, capsys):
     rc = run_cli(
         ["depth", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")]

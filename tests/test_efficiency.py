@@ -19,6 +19,7 @@ from spatialfda import (
     sigma_trace,
     v0_estimate,
 )
+from spatialfda import efficiency
 from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
@@ -240,6 +241,39 @@ def test_table_t_rows_reuse_their_gaussian_twin():
     t9 = [c for c in default_table_cells() if c.label == "t9-min"]
     (alone,) = efficiency_table(seed=11, mc=2000, grid_size=30, cells=t9)
     assert alone == rows["t9-min"]
+
+
+def _count_calls(monkeypatch, name):
+    calls, real = [], getattr(efficiency, name)
+    monkeypatch.setattr(efficiency, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+def test_table_calls_are_once_per_row_and_runs_each_twin_once(monkeypatch):
+    efficiency._twin_v0.cache_clear()
+    ares, builds = _count_calls(monkeypatch, "are"), _count_calls(monkeypatch, "_kl_system")
+    efficiency_table(seed=11, mc=500, grid_size=20)
+    assert len(ares) == 15
+    assert len(builds) == 12  # 15 rows, three of them t laws after their twin
+
+
+def test_a_t_law_and_its_twin_share_one_monte_carlo_run(monkeypatch):
+    efficiency._twin_v0.cache_clear()
+    builds = _count_calls(monkeypatch, "_kl_system")
+    draws = _count_calls(monkeypatch, "coefficient_chunks")
+    g = Grid.uniform(0.0, 1.0, 20)
+    are(ProcessSpec(KernelSpec.min_kernel(), "student-t", df=3), g, mc=500, seed=4)
+    are(ProcessSpec(KernelSpec.min_kernel()), g, mc=500, seed=4)
+    assert len(builds) == 1 and len(draws) == 2  # one run: the J and the Lambda stream
+    are(ProcessSpec(KernelSpec.min_kernel()), g, mc=500, seed=5)
+    assert len(builds) == 2
+
+
+def test_sigma_trace_rejects_negative_mc():
+    bm, g = ProcessSpec(KernelSpec.brownian()), Grid.uniform(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match="mc must be >= 0"):
+        sigma_trace(bm, g, mc=-5)
+    assert sigma_trace(bm, g, mc=0) == sigma_trace(bm, g)
 
 
 def test_cells_off_the_default_list_run_under_their_label_tag():

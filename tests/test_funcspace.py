@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,15 @@ from spatialfda import (
     Basis,
     Coefficients,
     Curve,
+    DDPlotData,
+    DirectionU,
     FunctionalSample,
     Grid,
     GridMismatchError,
+    MonotonicityReport,
+    QuantileSolution,
     RankDeficiencyError,
+    SpatialDistValue,
     inner_product,
     mean_curve,
     norm,
@@ -97,6 +104,68 @@ def test_grids_and_curves_compare_and_hash_by_value():
     assert c != Curve(a, np.ones(5))
     assert c != Curve(Grid.uniform(0.0, 2.0, 5), np.arange(5.0))
     assert c != a
+
+
+G3 = Grid.uniform(0.0, 1.0, 3)
+UNIT_BASIS = Basis(G3, np.diag(1.0 / np.sqrt(G3.weights)))  # orthonormal under the grid weights
+
+# Each builder puts z into an array field of a fresh value: 0.0 and -0.0 give
+# equal values, 0.5 a changed one.
+ARRAY_VALUES = {
+    "FunctionalSample": lambda z: FunctionalSample(G3, np.array([[z, 1.0, 2.0]])),
+    "Basis": lambda z: Basis(G3, UNIT_BASIS.functions, np.array([2.0, 1.0, z])),
+    "Coefficients": lambda z: Coefficients(np.array([z, 0.5, 0.25]), UNIT_BASIS),
+    "DirectionU": lambda z: DirectionU(np.array([z, 0.5, 0.25])),
+    "DDPlotData": lambda z: DDPlotData(
+        np.array([[z, 0.5], [0.25, 1.0]]), ("sample1", "sample2"), {"n1": 1}
+    ),
+    "MonotonicityReport": lambda z: MonotonicityReport(
+        np.array([z, 1.0]), np.array([True, False]), 0
+    ),
+    "SpatialDistValue": lambda z: SpatialDistValue(np.array([z, 0.5]), 0.5),
+    "QuantileSolution": lambda z: QuantileSolution(
+        Coefficients(np.array([z, 0.5, 0.25]), UNIT_BASIS),
+        Curve(G3, np.array([z, 1.0, 2.0])),
+        3,
+        1e-9,
+        -0.1,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_VALUES))
+def test_array_value_types_compare_and_hash_by_value(kind):
+    build = ARRAY_VALUES[kind]
+    a, b, neg, changed = build(0.0), build(0.0), build(-0.0), build(0.5)
+    assert a is not b and a == b and a == neg and not a != b
+    assert a != changed and not a == changed
+    assert a != "a" and a != None  # noqa: E711 -- == never raises, whatever the other side
+    if kind == "DDPlotData":  # its metadata is a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(neg)
+
+
+def test_basis_equality_skips_tol_and_tells_missing_eigenvalues_apart():
+    f = UNIT_BASIS.functions
+    loose = Basis(G3, f, tol=1e-6)
+    assert loose == Basis(G3, f) and hash(loose) == hash(Basis(G3, f))
+    assert Basis(G3, f) != Basis(G3, f, np.array([2.0, 1.0, 0.0]))
+
+
+def test_curve_equality_and_hash_read_arrays_in_place():
+    n = 10**6
+    a = Curve(Grid.uniform(0.0, 1.0, n), np.linspace(-1.0, 1.0, n))
+    b = Curve(Grid.uniform(0.0, 1.0, n), np.linspace(-1.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        assert hash(a) == hash(b) and a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n  # less than one float copy of a field
 
 
 @pytest.mark.parametrize("num", [1, 0, -3])

@@ -7,6 +7,7 @@ import pytest
 from spatialfda import (
     Curve,
     Grid,
+    GridMismatchError,
     KernelSpec,
     NotPSDError,
     ProcessSpec,
@@ -310,7 +311,7 @@ def test_sample_blocks_checks_its_arguments_before_the_first_block():
     with pytest.raises(ValueError):
         sample_blocks(ProcessSpec(KernelSpec.brownian()), g, 0, seed=1)
     off_grid = Curve(Grid.uniform(0.0, 1.0, 8), np.zeros(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatchError):
         sample_blocks(ProcessSpec(KernelSpec.brownian(), mean=off_grid), g, 5, seed=1)
 
 

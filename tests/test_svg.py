@@ -1,8 +1,9 @@
 import re
 
 import numpy as np
+import pytest
 
-from spatialfda import Curve, DDPlotData, Grid, curve_fan_svg, dd_plot_svg
+from spatialfda import Curve, DDPlotData, Grid, GridMismatchError, curve_fan_svg, dd_plot_svg
 
 
 def test_dd_plot_svg_deterministic_and_well_formed():
@@ -31,3 +32,11 @@ def test_curve_fan_svg_layers_and_labels():
     assert "<title>1:0.5</title>" in out
     # no float noise beyond the fixed three-decimal format
     assert re.search(r"\d[eE][-+]\d", out) is None
+
+
+def test_curve_fan_svg_rejects_curves_on_another_grid():
+    g = Grid.uniform(0.0, 1.0, 20)
+    other = Grid.uniform(0.0, 2.0, 20)
+    curves = [("median", Curve(g, np.zeros(20))), ("other", Curve(other, np.ones(20)))]
+    with pytest.raises(GridMismatchError, match="all curves must share one grid"):
+        curve_fan_svg(curves)
