@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConditioningError, RankDeficiencyError
 from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
-from .quantile import DirectionU, bahadur_split, linearization
+from .quantile import DirectionU, bahadur_split, default_dimension, linearization
 from .simulate import ProcessSpec, sample_blocks, sample_process, stream_seed
 from .spatialdist import SpatialDistValue, _sign_mean
 
@@ -260,7 +260,7 @@ def bahadur_rate_study(
     """
     n_values = [int(n) for n in n_values]
     if d is None:
-        d = max(1, math.isqrt(max(n_values)))
+        d = default_dimension(max(n_values))
     if d < 2:  # checked before the draw, like the rank bound below
         raise ConditioningError(
             f"a Bahadur study needs working dimension d >= 2, got {d}: off the data "

@@ -46,7 +46,7 @@ from .efficiency import (
 from .errors import SpatialFDAError
 from .funcspace import Basis, FunctionalSample, Grid, check_same_grid, orthonormalize, pca
 from .io import read_sample, write_sample, write_table, write_text
-from .quantile import DirectionU, solve_quantile, working_sample
+from .quantile import DirectionU, default_dimension, solve_quantile, working_sample
 from .simulate import (
     GAUSSIAN_LAW,
     GENERATOR_NAME,
@@ -219,16 +219,19 @@ def _merge(args: argparse.Namespace, parser) -> dict:
     """Config-file values fill in unset flags; built-in defaults fill the rest.
 
     The merged values are checked once, so a bad config value is a usage
-    error (exit 2) just like a bad flag, and so is a config key that names
-    no option of the subcommand.
+    error (exit 2) just like a bad flag, and so are a config key that names
+    no option of the subcommand and a config file that holds no JSON object.
     """
     cfg = dict(DEFAULTS.get(args.subcommand, {}))
     options = vars(args)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # invalid JSON, or bytes that are not utf-8
+                parser.error(f"config file must hold a JSON object: {exc}")
         if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
+            parser.error("config file must hold a JSON object")
         for key, value in loaded.items():
             key = str(key).replace("-", "_")
             if key not in options:
@@ -343,7 +346,7 @@ def _resolve_cli_basis(cfg, sample, d, parser) -> tuple[Basis, str]:
 def _cmd_quantile(cfg, parser) -> int:
     sample = ingest(_require(cfg, "in_path", parser, "--in"))
     n = len(sample)
-    d = cfg.get("d") or max(1, math.isqrt(n))
+    d = cfg.get("d") or default_dimension(n)
     basis, basis_name = _resolve_cli_basis(cfg, sample, d, parser)
 
     jobs: list[tuple[str, DirectionU]] = []

@@ -53,15 +53,14 @@ class DDPlotData(ByValue):
     metadata: dict
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, order="C", copy=True)
+        super().__post_init__()
+        pts = self.points
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (m, 2) array")
         if pts.shape[0] != len(self.source):
             raise ValueError("one source label per point required")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("depth coordinates must lie in [0, 1]")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "source", tuple(self.source))
 
 

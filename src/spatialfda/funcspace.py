@@ -21,18 +21,36 @@ import numpy as np
 from .errors import GridMismatchError, RankDeficiencyError
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, order="C", copy=True)
-    out.flags.writeable = False
-    return out
-
-
 class ByValue:
-    """Equality and hash of a frozen dataclass by value, over its compared fields.
+    """A frozen dataclass that holds its arrays by one rule and compares by value.
+
+    __post_init__, which subclasses call first, takes in each field annotated
+    as an ndarray: as bool where the annotation says bool, else as float64.
+    An array that owns its data (base is None) and is already read-only and
+    C-contiguous in that dtype is adopted, so the library's freshly drawn or
+    read arrays are never copied. Anything else, such as a caller's
+    writeable array or a view of one, is copied row-major, so later writes
+    cannot reach the value and its layout cannot reach the numbers. Float
+    arrays must be finite. None, or a by-value object, is left as given.
 
     Arrays compare by np.array_equal (-0.0 is 0.0) and hash by shape and sum,
-    in place; array fields are C-contiguous and read-only, so equal values
-    reduce in the same order and keep their hash."""
+    in place, so equal values reduce in the same order and keep their hash."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            a = getattr(self, f.name)
+            ann = str(f.type)
+            if "ndarray" not in ann.lower() or a is None or isinstance(a, ByValue):
+                continue
+            dtype = bool if "bool" in ann else float
+            owned = type(a) is np.ndarray and a.base is None and not a.flags.writeable
+            if not (owned and a.flags.c_contiguous and a.dtype == dtype):
+                a = np.array(a, dtype=dtype, order="C", copy=True)
+                a.flags.writeable = False
+                object.__setattr__(self, f.name, a)
+            # min and max propagate NaN, so no temporary of the array's size is needed
+            if dtype is float and a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise ValueError(f"{type(self).__name__} {f.name} must be finite")
 
     def _fields(self):
         return [getattr(self, f.name) for f in fields(self) if f.compare]
@@ -66,8 +84,7 @@ class Grid(ByValue):
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(self, "weights", _readonly(self.weights))
+        super().__post_init__()
         if self.points.ndim != 1 or self.weights.ndim != 1:
             raise ValueError("grid points and weights must be 1-d arrays")
         if self.points.size < 2:
@@ -76,7 +93,6 @@ class Grid(ByValue):
             raise GridMismatchError(
                 f"{self.points.size} points but {self.weights.size} weights"
             )
-        _check_finite(np.stack([self.points, self.weights]), "grid point and weight")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(self.weights > 0):
@@ -118,16 +134,10 @@ class Grid(ByValue):
 
     @staticmethod
     def custom(points, weights) -> "Grid":
-        return Grid(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
+        return Grid(points, weights)
 
     def matches(self, other: "Grid") -> bool:
         return self == other
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    # min and max propagate NaN, so no n x D temporary is needed
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise ValueError(f"{what} values must be finite")
 
 
 def check_same_grid(a: Grid, b: Grid, what: str = "objects live on different grids") -> None:
@@ -144,12 +154,11 @@ class Curve(ByValue):
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        super().__post_init__()
         if self.values.shape != (self.grid.size,):
             raise GridMismatchError(
                 f"curve has {self.values.shape} values on a grid of size {self.grid.size}"
             )
-        _check_finite(self.values, "curve")
 
     def __add__(self, other: "Curve") -> "Curve":
         check_same_grid(self.grid, other.grid)
@@ -170,30 +179,14 @@ class Curve(ByValue):
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSample(ByValue):
-    """n curves on a shared grid, stored as one (n, D) matrix.
-
-    The sample holds a read-only array. An array that owns its data
-    (base is None) and is already read-only, C-contiguous float64 is
-    adopted as it is: the library hands over its freshly drawn or read
-    arrays this way, so their values are never copied. Anything else,
-    such as a caller's writeable array or a view of one, is copied
-    row-major, so later writes to it cannot reach the sample and its
-    layout cannot reach the numbers.
-    """
+    """n curves on a shared grid, stored as one read-only (n, D) matrix; see ByValue."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         vals = self.values
-        if not (
-            type(vals) is np.ndarray
-            and vals.base is None
-            and not vals.flags.writeable
-            and vals.flags.c_contiguous
-            and vals.dtype == np.float64
-        ):
-            vals = np.array(vals, dtype=float, order="C", copy=True)
         if vals.ndim != 2:
             raise ValueError("sample values must be a 2-d array (n, D)")
         if vals.shape[1] != self.grid.size:
@@ -202,9 +195,6 @@ class FunctionalSample(ByValue):
             )
         if vals.shape[0] < 1:
             raise ValueError("empty sample")
-        _check_finite(vals, "sample")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -232,7 +222,7 @@ class Basis(ByValue):
     tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", _readonly(self.functions))
+        super().__post_init__()
         if self.functions.ndim != 2 or self.functions.shape[1] != self.grid.size:
             raise GridMismatchError("basis functions do not match the grid")
         if self.functions.shape[0] > self.grid.size:
@@ -240,15 +230,14 @@ class Basis(ByValue):
                 f"{self.functions.shape[0]} basis functions on a grid of size "
                 f"{self.grid.size}"
             )
-        if self.eigenvalues is not None:
-            ev = _readonly(self.eigenvalues)
+        ev = self.eigenvalues
+        if ev is not None:
             if ev.shape != (self.functions.shape[0],):
                 raise ValueError("one eigenvalue per basis function expected")
             if ev.size and ev[-1] < 0:
                 raise ValueError("basis eigenvalues must be nonnegative")
             if np.any(np.diff(ev) > 1e-12 * max(1.0, float(ev[0]))):
                 raise ValueError("basis eigenvalues must be nonincreasing")
-            object.__setattr__(self, "eigenvalues", ev)
         gram = (self.functions * self.grid.weights) @ self.functions.T
         err = np.max(np.abs(gram - np.eye(self.functions.shape[0])))
         if err > self.tol:
@@ -277,7 +266,7 @@ class Coefficients(ByValue):
     basis: Basis
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        super().__post_init__()
         if self.values.shape != (self.basis.dimension,):
             raise ValueError("coefficient length must equal the basis dimension")
 

@@ -63,13 +63,11 @@ class DirectionU(ByValue):
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float, copy=True)
-        if c.ndim != 1:
+        super().__post_init__()
+        if self.coefficients.ndim != 1:
             raise ValueError("direction coefficients must be a 1-d array")
-        if not np.linalg.norm(c) < 1.0:
-            raise ValueError("direction must be finite with ||u|| < 1 strictly")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
+        if not np.linalg.norm(self.coefficients) < 1.0:
+            raise ValueError("direction must have ||u|| < 1 strictly")
 
     @property
     def norm(self) -> float:
@@ -357,6 +355,11 @@ class WorkingSample:
         return self.line is not None
 
 
+def default_dimension(n: int) -> int:
+    """The default working dimension d = max(1, floor(sqrt(n))) of n curves."""
+    return max(1, math.isqrt(n))
+
+
 def working_sample(
     sample: FunctionalSample,
     basis: Basis | None = None,
@@ -371,7 +374,7 @@ def working_sample(
     quantiles are solved along that line whatever ``center`` says.
     """
     if d is None:
-        d = basis.dimension if basis is not None else max(1, math.isqrt(len(sample)))
+        d = basis.dimension if basis is not None else default_dimension(len(sample))
     if basis is None:
         basis = pca(sample, d)
     elif basis.dimension != d:

@@ -72,6 +72,7 @@ class KernelSpec(ByValue):
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in (
             BROWNIAN,
             FRACTIONAL_BROWNIAN,
@@ -86,17 +87,14 @@ class KernelSpec(ByValue):
         if self.kind == CUSTOM_KERNEL:
             if self.matrix is None:
                 raise ValueError("custom kernel needs a matrix")
-            m = np.array(self.matrix, dtype=float, copy=True)
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
-                raise ValueError("custom kernel matrix must be square and finite")
+            m = self.matrix
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError("custom kernel matrix must be square")
             scale = max(1.0, float(np.max(np.abs(m))))
             if np.max(np.abs(m - m.T)) > 1e-8 * scale:
                 raise NotPSDError("custom kernel matrix is not symmetric")
-            m = 0.5 * (m + m.T)
-            if np.min(np.linalg.eigvalsh(m)) < -1e-8 * scale:
+            if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < -1e-8 * scale:
                 raise NotPSDError("custom kernel matrix is not positive semidefinite")
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def brownian() -> "KernelSpec":
@@ -116,7 +114,7 @@ class KernelSpec(ByValue):
 
     @staticmethod
     def custom(matrix) -> "KernelSpec":
-        return KernelSpec(CUSTOM_KERNEL, matrix=np.asarray(matrix, dtype=float))
+        return KernelSpec(CUSTOM_KERNEL, matrix=matrix)
 
     def _formula(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """k(s, t) of a shipped kind, elementwise over broadcast arrays."""
@@ -128,7 +126,7 @@ class KernelSpec(ByValue):
         return np.exp(-((s - t) ** 2))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Kernel matrix K(t_i, t_j): _formula at (t[:, None], t[None, :]), or the custom one."""
+        """K(t_i, t_j): _formula at (t[:, None], t[None, :]), or the custom (m + m.T) / 2."""
         t = np.asarray(points, dtype=float)
         if self.kind != CUSTOM_KERNEL:
             return self._formula(t[:, None], t[None, :])
@@ -137,7 +135,7 @@ class KernelSpec(ByValue):
                 f"custom kernel matrix is {self.matrix.shape[0]} x "
                 f"{self.matrix.shape[0]} but the grid has {t.size} points"
             )
-        return np.array(self.matrix)
+        return 0.5 * (self.matrix + self.matrix.T)
 
     def diagonal(self, points: np.ndarray) -> np.ndarray:
         """K(t, t) in O(D): _formula at (t, t), so np.diag(evaluate(t)) bit for bit."""
@@ -163,6 +161,7 @@ class ProcessSpec(ByValue):
     truncation: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.coefficient_law not in (GAUSSIAN_LAW, STUDENT_T_LAW):
             raise ValueError(f"unknown coefficient law {self.coefficient_law!r}")
         if self.coefficient_law == STUDENT_T_LAW:

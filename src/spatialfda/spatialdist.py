@@ -58,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .funcspace import ByValue, Curve, FunctionalSample, check_same_grid, norm
 
@@ -84,6 +85,7 @@ class SpatialDistValue(ByValue):
     norm: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.norm <= 1.0 + 1e-10:
             raise ValueError(f"spatial distribution norm {self.norm} outside [0, 1]")
 
@@ -250,7 +252,6 @@ def empirical_spatial_dist_lp(x: np.ndarray, data: np.ndarray, p: float) -> Spat
     for row in rows:
         total += sgn_lp(v - row, p)
     rep = total / rows.shape[0]
-    rep.flags.writeable = False
     q = p / (p - 1.0)
     return SpatialDistValue(rep, min(float(np.linalg.norm(rep, ord=q)), 1.0))
 
@@ -260,7 +261,7 @@ class MonotonicityReport(ByValue):
     """Per-pair values of <S_x - S_y, x - y> and the violation count."""
 
     values: np.ndarray
-    degenerate: np.ndarray  # True where x and y coincide (value pinned to 0)
+    degenerate: NDArray[np.bool_]  # True where x and y coincide (value pinned to 0)
     violations: int
 
     @property
@@ -293,5 +294,4 @@ def monotonicity_probe(
     degenerate = coincident(*(np.sqrt(np.sum(v * v * w, axis=1)) for v in (dxy, xs, ys)))
     values = np.where(degenerate, 0.0, values)
     violations = int(np.sum((values <= 0.0) & ~degenerate))
-    values.flags.writeable = degenerate.flags.writeable = False
     return MonotonicityReport(values, degenerate, violations)

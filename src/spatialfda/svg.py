@@ -7,6 +7,8 @@ timestamps or randomness, so identical data produces identical bytes.
 
 from __future__ import annotations
 
+from html import escape
+
 from .depth import DDPlotData
 from .funcspace import Curve, check_same_grid
 
@@ -85,7 +87,7 @@ def curve_fan_svg(
     """Polyline per labeled curve on shared axes; first curve drawn black.
 
     The vertical range is the data range padded by 5 percent; each curve's
-    label goes into a <title> child so viewers show it on hover.
+    label goes, escaped, into a <title> child so viewers show it on hover.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -121,7 +123,7 @@ def curve_fan_svg(
         w = "2" if i == 0 else "1.2"
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{w}"><title>{label}</title></polyline>\n'
+            f'stroke-width="{w}"><title>{escape(label, quote=False)}</title></polyline>\n'
         )
     parts.append(_text(f"{xs[0]:g}", pad, height - pad + 16.0, "middle"))
     parts.append(_text(f"{xs[-1]:g}", width - pad, height - pad + 16.0, "middle"))

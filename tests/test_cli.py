@@ -483,11 +483,21 @@ def test_out_of_range_count_is_usage_error(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize(
     "conf,message",
-    [({"nn": 7}, "'nn'"), ({"n": 0}, "--n"), ({"n": 7.5}, "--n"), ({"seed": -3}, "--seed")],
+    [
+        ({"nn": 7}, "'nn'"),
+        ({"n": 0}, "--n"),
+        ({"n": 7.5}, "--n"),
+        ({"seed": -3}, "--seed"),
+        # whole files that are not a JSON object: invalid JSON, an array, a number
+        ('{"process": bm}', "JSON object"),
+        ("[1, 2]", "JSON object"),
+        ("7", "JSON object"),
+    ],
 )
 def test_bad_config_entry_is_usage_error(tmp_path, capsys, conf, message):
     cfg = tmp_path / "conf.json"
-    cfg.write_text(json.dumps({"process": "bm", "seed": 1, **conf}))
+    text = conf if isinstance(conf, str) else json.dumps({"process": "bm", "seed": 1, **conf})
+    cfg.write_text(text)
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2

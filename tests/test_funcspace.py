@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,9 @@ from spatialfda import (
     FunctionalSample,
     Grid,
     GridMismatchError,
+    KernelSpec,
     MonotonicityReport,
+    ProcessSpec,
     QuantileSolution,
     RankDeficiencyError,
     SpatialDistValue,
@@ -26,6 +29,7 @@ from spatialfda import (
     reconstruct,
     total_variance,
 )
+from spatialfda.funcspace import ByValue
 
 
 def test_uniform_grid_weights_sum_to_length():
@@ -112,6 +116,12 @@ UNIT_BASIS = Basis(G3, np.diag(1.0 / np.sqrt(G3.weights)))  # orthonormal under 
 # Each builder puts z into an array field of a fresh value: 0.0 and -0.0 give
 # equal values, 0.5 a changed one.
 ARRAY_VALUES = {
+    "Grid": lambda z: Grid(np.array([z, 1.0, 2.0]), np.array([0.5, 1.0, 0.5])),
+    "Curve": lambda z: Curve(G3, np.array([z, 1.0, 2.0])),
+    "KernelSpec": lambda z: KernelSpec.custom(np.array([[1.0, z], [z, 1.0]])),
+    "ProcessSpec": lambda z: ProcessSpec(
+        KernelSpec.min_kernel(), mean=Curve(G3, np.array([z, 1.0, 2.0]))
+    ),
     "FunctionalSample": lambda z: FunctionalSample(G3, np.array([[z, 1.0, 2.0]])),
     "Basis": lambda z: Basis(G3, UNIT_BASIS.functions, np.array([2.0, 1.0, z])),
     "Coefficients": lambda z: Coefficients(np.array([z, 0.5, 0.25]), UNIT_BASIS),
@@ -146,6 +156,57 @@ def test_array_value_types_compare_and_hash_by_value(kind):
             hash(a)
     else:
         assert hash(a) == hash(b) == hash(neg)
+
+
+def held_arrays(value):
+    """Every ndarray a value holds, through nested dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from held_arrays(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_VALUES))
+def test_array_value_types_hold_read_only_row_major_finite_arrays(kind):
+    arrays = list(held_arrays(ARRAY_VALUES[kind](0.0)))
+    assert arrays and all(not a.flags.writeable and a.flags.c_contiguous for a in arrays)
+    with pytest.raises(ValueError, match="finite"):
+        ARRAY_VALUES[kind](np.nan)
+
+
+def test_every_by_value_type_is_in_the_array_table():
+    def subclasses(cls):
+        return {s for c in cls.__subclasses__() for s in {c} | subclasses(c)}
+
+    assert {cls.__name__ for cls in subclasses(ByValue)} <= set(ARRAY_VALUES)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: MonotonicityReport(v, np.array([False, False]), 0),
+        lambda v: SpatialDistValue(v, 0.5),
+        lambda v: Curve(Grid.uniform(0.0, 1.0, 2), v),
+    ],
+)
+def test_a_callers_later_write_cannot_reach_a_value(build):
+    v = np.array([0.25, 0.5])
+    value = build(v)
+    h = hash(value)
+    v[0] = 5.0
+    assert hash(value) == h and value == build(np.array([0.25, 0.5]))
+
+
+def test_arrays_take_the_dtype_of_their_field_and_are_adopted_when_owned_read_only():
+    vals, flags = np.array([0.25, 1.0]), np.array([True, False])
+    vals.flags.writeable = flags.flags.writeable = False
+    report = MonotonicityReport(vals, flags, 0)
+    assert report.values is vals and report.degenerate is flags
+    assert MonotonicityReport(np.ones(2), [1, 0], 0).degenerate.dtype == bool
+    # a bool array in a float field holds numbers: True + True is 2
+    doubled = 2.0 * Curve(Grid.uniform(0.0, 1.0, 2), flags)
+    assert doubled.values.dtype == np.float64 and doubled.values.tolist() == [2.0, 0.0]
 
 
 def test_basis_equality_skips_tol_and_tells_missing_eigenvalues_apart():

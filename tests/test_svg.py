@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ def test_curve_fan_svg_layers_and_labels():
     assert "<title>1:0.5</title>" in out
     # no float noise beyond the fixed three-decimal format
     assert re.search(r"\d[eE][-+]\d", out) is None
+
+
+def test_curve_fan_svg_escapes_its_labels():
+    g = Grid.uniform(0.0, 1.0, 5)
+    root = ET.fromstring(curve_fan_svg([("a<b & c", Curve(g, np.arange(5.0)))]))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")] == ["a<b & c"]
 
 
 def test_curve_fan_svg_rejects_curves_on_another_grid():
