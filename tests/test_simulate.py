@@ -62,6 +62,12 @@ def test_custom_kernel_diagonal_reads_its_matrix():
     assert KernelSpec.custom(m).diagonal(np.array([0.0, 1.0])).tolist() == [2.0, 3.0]
 
 
+def test_custom_kernel_evaluates_to_the_symmetric_part_of_its_matrix():
+    m = np.array([[2.0, 0.5], [0.5 + 1e-10, 3.0]])  # asymmetric within the tolerance
+    k = KernelSpec.custom(m).evaluate(np.array([0.0, 1.0]))
+    assert np.array_equal(k, k.T) and k[0, 1] == 0.5 * (m[0, 1] + m[1, 0])
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         KernelSpec.fractional_brownian(0.0)
