@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 import zlib
 from dataclasses import dataclass, replace
 
@@ -53,6 +54,7 @@ from .simulate import (
     coefficient_chunks,
     stream_seed,
 )
+from .spatialdist import coincident
 
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
@@ -67,22 +69,29 @@ _TAG_GRID = 3
 _TAG_CELL_BASE = 16
 
 
-def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
-    """The N(0, 1/2) point grid belonging to a study seed.
-
-    Drawn once from the seed's grid substream, so every real-line cell of
-    the same study shares it.
-    """
-    return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
-
-
 def domain_grid(domain: str, grid_size: int, seed: int) -> Grid:
-    """Equispaced on [0, 1] for "unit-interval", real_line_grid(seed, grid_size) for "real-line"."""
+    """The grid of a table cell's domain at a study seed.
+
+    Equispaced on [0, 1] for "unit-interval". For "real-line", the
+    N(0, 1/2) point grid drawn once from the seed's grid substream, so
+    every real-line cell of the same study shares it.
+    """
     if domain == "unit-interval":
         return Grid.uniform(0.0, 1.0, grid_size)
     if domain == "real-line":
-        return real_line_grid(seed, grid_size)
+        return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
     raise ValueError(f"unknown domain {domain!r}")
+
+
+def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
+    """Deprecated: use domain_grid("real-line", grid_size, seed)."""
+    warnings.warn(
+        "real_line_grid is deprecated and will be removed in a later release; "
+        'use domain_grid("real-line", grid_size, seed)',
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return domain_grid("real-line", grid_size, seed)
 
 
 def _gaussian_twin(spec: ProcessSpec) -> ProcessSpec:
@@ -182,7 +191,8 @@ def _twin_v0(twin: ProcessSpec, grid: Grid, mc: int, seed: int) -> float:
             z2 = np.multiply(y, sigma, out=y)
             np.square(z2, out=z2)
             r = np.sqrt(np.sum(z2, axis=1))
-            inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 1e-300)
+            # z coincides with the mean 0 by the package's one rule (only at r = 0)
+            inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=~coincident(r, r, 0.0))
             inv_r_sum += float(np.sum(inv_r))
             weighted += inv_r**power @ z2
         return inv_r_sum, weighted

@@ -31,7 +31,9 @@ class ConditioningError(SpatialFDAError):
 class ConvergenceError(SpatialFDAError):
     """Iteration budget exhausted without meeting the stopping rule.
 
-    The last iterate is attached as ``last`` so callers can inspect it.
+    The last iterate is attached as ``last`` so callers can inspect it;
+    solve_quantile, and so quantile_fan, attach it as a QuantileSolution in
+    the caller's basis.
     """
 
     def __init__(self, message: str, last=None):

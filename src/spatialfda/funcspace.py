@@ -14,6 +14,7 @@ travel together as one object.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -137,6 +138,12 @@ class Grid(ByValue):
         return Grid(points, weights)
 
     def matches(self, other: "Grid") -> bool:
+        """Deprecated: use ==."""
+        warnings.warn(
+            "Grid.matches is deprecated and will be removed in a later release; use ==",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         return self == other
 
 
@@ -302,21 +309,38 @@ def total_variance(sample: FunctionalSample) -> float:
 
 
 def project(x: Curve, basis: Basis, d: int | None = None) -> Coefficients:
-    """Coordinates of x in the first d basis functions.
+    """Coordinates of x in the basis functions.
 
     The projection is a contraction: the Euclidean norm of the returned
     coefficients never exceeds ||x|| (Parseval inequality), with equality
-    when x lies in the span.
+    when x lies in the span. d is deprecated: pass basis.truncated(d).
     """
     check_same_grid(x.grid, basis.grid)
+    if d is not None:
+        warnings.warn(
+            "the d parameter of project is deprecated and will be removed in a later "
+            "release; pass basis.truncated(d)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     use = basis if d is None else basis.truncated(d)
     c = (use.functions * use.grid.weights) @ x.values
     return Coefficients(c, use)
 
 
 def project_sample(sample: FunctionalSample, basis: Basis, d: int | None = None) -> np.ndarray:
-    """Coefficient matrix (n, d) of a whole sample. Plumbing for the solvers."""
+    """Coefficient matrix (n, d) of a whole sample. Plumbing for the solvers.
+
+    d is deprecated: pass basis.truncated(d).
+    """
     check_same_grid(sample.grid, basis.grid)
+    if d is not None:
+        warnings.warn(
+            "the d parameter of project_sample is deprecated and will be removed in a "
+            "later release; pass basis.truncated(d)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     use = basis if d is None else basis.truncated(d)
     return sample.values @ (use.functions * use.grid.weights).T
 

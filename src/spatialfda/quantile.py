@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,25 @@ class QuantileSolution:
 
 @dataclass(frozen=True)
 class BahadurReport:
-    """Norms of the linearization residual and the linear term itself."""
+    """Deprecated: bahadur_split returns the two norms; bahadur_rate_study reports them.
+
+    Norms of the linearization residual and the linear term itself.
+    """
 
     residual_norm: float
     linear_term_norm: float
     n: int
     d: int
     reference_n: int
+
+    def __new__(cls, *args, **kwargs):
+        warnings.warn(
+            "BahadurReport is deprecated and will be removed in a later release; "
+            "use the (residual, linear) norms that bahadur_split returns",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return super().__new__(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +446,32 @@ def solve_quantile(
         work = sample
     else:
         work = working_sample(sample, basis, d, True if center is None else center)
-    basis, d = work.basis, work.dimension
+    d = work.dimension
     if u is None:
         u = DirectionU.zero(d)
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
-    raw = _solve_coeffs(
-        work.data, b, work.norms, work.start, tol, step_tol, max_iter, track_objective
-    )
+    try:
+        raw = _solve_coeffs(
+            work.data, b, work.norms, work.start, tol, step_tol, max_iter, track_objective
+        )
+    except ConvergenceError as err:
+        err.last = _solution(work, err.last)  # the last iterate, in the caller's basis
+        raise
+    return _solution(work, raw)
+
+
+def _solution(work: WorkingSample, raw: _RawSolution) -> QuantileSolution:
+    """The solver's result in the basis of the working sample, its offset and mean added back."""
     if work.line is not None:
         q_centered = raw.q[0] * work.line
     else:
         q_centered = raw.q if work.center else raw.q - work.offset
 
-    coeffs = Coefficients(q_centered + work.offset, basis)
+    coeffs = Coefficients(q_centered + work.offset, work.basis)
     if work.center or work.degenerate:
-        curve = work.mean + reconstruct(Coefficients(q_centered, basis))
+        curve = work.mean + reconstruct(Coefficients(q_centered, work.basis))
     else:
         curve = reconstruct(coeffs)
     return QuantileSolution(
@@ -552,27 +574,30 @@ def bahadur_residual(
     d: int,
     reference: FunctionalSample,
 ) -> BahadurReport:
-    """Residual of the linear representation of the u-quantile.
+    """Deprecated: use linearization and bahadur_split, as bahadur_rate_study does.
 
-    The population quantile and Hessian on the working subspace are
-    replaced by estimates from the (much larger) reference sample; the
-    report records the reference size. The residual is
+    Residual of the linear representation of the u-quantile. The population
+    quantile and Hessian on the working subspace are replaced by estimates
+    from the (much larger) reference sample; the report records the
+    reference size. The residual is
 
         (Qhat - Q_ref) + J_ref^{-1} * mean_i(score_i)
 
     with score_i the unit vector from the i-th sample point to Q_ref minus
     u; its norm shrinks faster than the linear term's 1/sqrt(n).
     """
+    warnings.warn(
+        "bahadur_residual is deprecated and will be removed in a later release; "
+        "use linearization and bahadur_split, as bahadur_rate_study does",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     work = basis.truncated(d) if basis.dimension != d else basis
     b = u.coefficients
     q_ref, J_inv = linearization(project_sample(reference, work), b)
     residual, linear = bahadur_split(project_sample(sample, work), b, q_ref, J_inv)
-    return BahadurReport(
-        residual_norm=residual,
-        linear_term_norm=linear,
-        n=len(sample),
-        d=d,
-        reference_n=len(reference),
-    )
+    report = object.__new__(BahadurReport)  # past BahadurReport's own warning: one per call
+    report.__init__(residual, linear, len(sample), d, len(reference))
+    return report

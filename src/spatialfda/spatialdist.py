@@ -7,8 +7,10 @@ object plays the role of a centered CDF; its norm never exceeds 1, and
 1 - ||S_x|| is the spatial depth (see the depth module).
 
 All Hilbert-space geometry is the weighted grid inner product from
-funcspace. The l_p variant of the sign map is provided for plain coefficient
-vectors only.
+funcspace. The l_p pair sgn_lp and empirical_spatial_dist_lp, on plain
+unweighted coefficient vectors, is deprecated and will be removed in a later
+release; sgn_hilbert and empirical_spatial_dist are the sign and the spatial
+distribution on a weighted grid.
 
 Whether two points coincide, and so have the zero sign, is decided in one
 place for the whole package: coincident(dist, ||a||, ||b||), true when
@@ -55,6 +57,7 @@ hold a near pair.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +79,8 @@ class SpatialDistValue(ByValue):
     """Value of an (empirical) spatial distribution at one query point.
 
     representation is a Curve in the Hilbert case, or a plain dual
-    coefficient vector for the l_p case. norm is cached because callers
+    coefficient vector from the deprecated empirical_spatial_dist_lp; once
+    that is removed it is a Curve only. norm is cached because callers
     (depth, rate studies) use it constantly; it is at most 1 up to
     round-off, being an average of unit and zero vectors.
     """
@@ -105,13 +109,25 @@ def sgn_hilbert(x: Curve, ref_scale: float = 0.0) -> Curve:
 
 
 def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
-    """Dual vector of the norming functional at x in l_p, p in (1, inf).
+    """Deprecated: use sgn_hilbert, the spatial sign on a weighted grid.
 
+    Dual vector of the norming functional at x in l_p, p in (1, inf).
     Component i is sign(x_i) |x_i|^(p-1) / ||x||_p^(p-1); the result has
     l_q norm exactly 1 (q conjugate to p), and p = 2 recovers x / ||x||.
     Zero input maps to zero. The map is evaluated on x / max|x_i|, which
     leaves it unchanged and keeps the norm and the powers finite.
     """
+    warnings.warn(
+        "sgn_lp is deprecated and will be removed in a later release; "
+        "use sgn_hilbert, the spatial sign on a weighted grid",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return _sgn_lp(x, p)
+
+
+def _sgn_lp(x, p):
+    """sgn_lp without its warning, for empirical_spatial_dist_lp."""
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError("p must lie in (1, inf)")
     v = np.asarray(x, dtype=float)
@@ -245,12 +261,21 @@ def empirical_spatial_dist(x: Curve, sample: FunctionalSample) -> SpatialDistVal
 
 
 def empirical_spatial_dist_lp(x: np.ndarray, data: np.ndarray, p: float) -> SpatialDistValue:
-    """l_p analogue on plain coefficient vectors: mean of sgn_lp(x - row)."""
+    """Deprecated: use empirical_spatial_dist, on a weighted grid.
+
+    l_p analogue on plain coefficient vectors: mean of sgn_lp(x - row).
+    """
+    warnings.warn(
+        "empirical_spatial_dist_lp is deprecated and will be removed in a later "
+        "release; use empirical_spatial_dist, on a weighted grid",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     v = np.asarray(x, dtype=float)
     rows = np.atleast_2d(np.asarray(data, dtype=float))
     total = np.zeros_like(v)
     for row in rows:
-        total += sgn_lp(v - row, p)
+        total += _sgn_lp(v - row, p)
     rep = total / rows.shape[0]
     q = p / (p - 1.0)
     return SpatialDistValue(rep, min(float(np.linalg.norm(rep, ord=q)), 1.0))

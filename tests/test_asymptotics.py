@@ -244,19 +244,21 @@ def test_studies_are_thread_invariant():
     assert rep1.fitted_slope_int == rep2.fitted_slope_int
 
 
-def test_bahadur_residual_matches_rate_study_bitwise():
-    # both run the same linearization and split, so a one-replicate study
-    # reproduces bahadur_residual on the study's own draws exactly
-    from spatialfda import DirectionU, bahadur_residual, pca
+def test_bahadur_split_matches_rate_study_bitwise():
+    # a one-replicate study is linearization + bahadur_split on its own draws
+    from spatialfda import pca, project_sample
     from spatialfda.asymptotics import _TAG_DATA, _TAG_REF
+    from spatialfda.quantile import bahadur_split, linearization
 
     g = Grid.uniform(0.0, 1.0, 16)
     n_values, d, n_ref, seed = [100, 400], 5, 3000, 8
     rep = bahadur_rate_study(BM, g, n_values, reps=1, seed=seed, d=d, n_ref=n_ref)
     ref = sample_process(BM, g, n_ref, stream_seed(seed, _TAG_REF))
     basis = pca(ref, d)
+    b = np.zeros(d)
+    q_ref, J_inv = linearization(project_sample(ref, basis), b)
     for i_n, n in enumerate(n_values):
         data = sample_process(BM, g, n, stream_seed(seed, _TAG_DATA, i_n, 0))
-        one = bahadur_residual(data, DirectionU.zero(d), basis, d, ref)
-        assert one.residual_norm == rep.residual_errors[i_n]
-        assert one.linear_term_norm == rep.linear_errors[i_n]
+        residual, linear = bahadur_split(project_sample(data, basis), b, q_ref, J_inv)
+        assert residual == rep.residual_errors[i_n]
+        assert linear == rep.linear_errors[i_n]

@@ -15,12 +15,11 @@ from spatialfda import (
     default_table_cells,
     domain_grid,
     efficiency_table,
-    real_line_grid,
     sigma_trace,
     v0_estimate,
 )
 from spatialfda import efficiency
-from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_J, _TAG_LAMBDA
+from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_GRID, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
 
@@ -74,17 +73,17 @@ def test_sigma_trace_mc_agrees_with_closed_form():
 
 
 def test_real_line_grid_properties():
-    g = real_line_grid(seed=5, grid_size=150)
+    g = domain_grid("real-line", 150, 5)
     assert g.size == 150
     assert np.all(np.diff(g.points) > 0)
     np.testing.assert_allclose(g.weights, 1.0 / 150)
-    assert np.array_equal(g.points, real_line_grid(seed=5, grid_size=150).points)
+    assert np.array_equal(g.points, domain_grid("real-line", 150, 5).points)
 
 
 def test_domain_grid():
     for domain, expected in (
         ("unit-interval", Grid.uniform(0.0, 1.0, 30)),
-        ("real-line", real_line_grid(5, 30)),
+        ("real-line", Grid.gaussian(30, seed=stream_seed(5, _TAG_GRID))),
     ):
         g = domain_grid(domain, 30, 5)
         assert np.array_equal(g.points, expected.points)
@@ -190,7 +189,7 @@ def test_efficiency_table_small_run():
     [
         (ProcessSpec(KernelSpec.min_kernel()), Grid.uniform(0.0, 1.0, 20)),
         (ProcessSpec(KernelSpec.fractional_brownian(0.3)), Grid.uniform(0.0, 1.0, 16)),
-        (ProcessSpec(KernelSpec.gaussian_kernel()), real_line_grid(2, 20)),
+        (ProcessSpec(KernelSpec.gaussian_kernel()), domain_grid("real-line", 20, 2)),
     ],
 )
 def test_diagonal_estimator_matches_the_full_sandwich(spec, grid):

@@ -14,6 +14,7 @@ from spatialfda import (
     Grid,
     KernelSpec,
     ProcessSpec,
+    QuantileSolution,
     bahadur_residual,
     gradient,
     hessian,
@@ -23,6 +24,7 @@ from spatialfda import (
     project_sample,
     quantile_fan,
     read_sample,
+    reconstruct,
     sample_process,
     solve_quantile,
     working_sample,
@@ -340,8 +342,19 @@ def test_convergence_error_carries_last_iterate():
     with pytest.raises(ConvergenceError) as err:
         solve_quantile(s, d=3, max_iter=1)
     last = err.value.last
+    assert isinstance(last, QuantileSolution)
     assert last.iterations == 1
     assert not last.converged
+    # the solver's centred iterate, moved to the caller's basis like a solution
+    from spatialfda.quantile import _solve_coeffs
+
+    work = working_sample(s, d=3)
+    with pytest.raises(ConvergenceError) as raw:
+        _solve_coeffs(work.data, np.zeros(3), work.norms, work.start, max_iter=1)
+    q = raw.value.last.q
+    assert last.coefficients.basis == work.basis
+    assert np.array_equal(last.coefficients.values, q + work.offset)
+    assert last.curve == work.mean + reconstruct(Coefficients(q, work.basis))
 
 
 def test_fan_layout_and_ordering():
@@ -379,7 +392,8 @@ def test_bahadur_report_smaller_residual():
     ref = bm_sample(4000, D=20, seed=41)
     s = bm_sample(150, D=20, seed=42)
     basis = pca(ref, 3)
-    rep = bahadur_residual(s, DirectionU.along(1, 0.25, 3), basis, 3, ref)
+    with pytest.deprecated_call():
+        rep = bahadur_residual(s, DirectionU.along(1, 0.25, 3), basis, 3, ref)
     assert rep.n == 150
     assert rep.d == 3
     assert rep.reference_n == 4000
