@@ -20,12 +20,19 @@ All three share one replicate loop, run in order on the calling thread;
 every (sample size, replicate) pair has its own tagged substream of the
 study seed, so reports are reproducible bit for bit.
 
-Memory. The gc and integrated studies, and reference_spatial_dist, never
-hold the reference sample: its paths are drawn one simulate.CHUNK block at
-a time and each block's sign mean is added in, so their working set is
-O(CHUNK * D) in n_ref, plus the probes and the largest replicate sample.
-The bahadur study still holds all n_ref reference paths, since its PCA and
-reference quantile need the whole sample at once.
+The gc and integrated studies, and reference_spatial_dist, run in the
+whitened KL frame of simulate (kl_coordinates): the probes are mapped into
+it once, every reference and replicate path arrives as its r = min(k, D)
+coordinates z = xi * sigma, plus a zero off-span column when r < D, and the
+sign kernel runs there with unit weights. Distances, sign means and
+||S_n - S|| are the grid's exactly, and no path is ever formed on the grid.
+
+Memory. Those three never hold a sample: the reference and each replicate
+arrive one simulate.CHUNK block of coordinates at a time, and each block's
+sign mean is added in, so their working set is O(CHUNK * min(k, D)) in
+n_ref and n, plus the probes. The bahadur study still holds all n_ref
+reference paths on the grid, since its PCA and reference quantile need the
+whole sample at once.
 """
 
 from __future__ import annotations
@@ -38,7 +45,14 @@ import numpy as np
 from .errors import ConditioningError, RankDeficiencyError
 from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
 from .quantile import DirectionU, bahadur_split, default_dimension, linearization
-from .simulate import ProcessSpec, sample_blocks, sample_process, stream_seed
+from .simulate import (
+    ProcessSpec,
+    kl_coordinate_blocks,
+    kl_coordinates,
+    kl_curves,
+    sample_process,
+    stream_seed,
+)
 from .spatialdist import SpatialDistValue, _sign_mean
 
 DEFAULT_N_REF = 100_000
@@ -65,19 +79,19 @@ class ReferenceSpatialDist:
     n_ref: int
 
 
-def _reference_sign_mean(
-    spec: ProcessSpec, queries: np.ndarray, grid: Grid, n_ref: int, seed: int
+def _frame_sign_mean(
+    spec: ProcessSpec, grid: Grid, coords: np.ndarray, n: int, seed: int
 ) -> np.ndarray:
-    """Sign mean of each query row over the n_ref paths of the reference substream.
+    """Sign mean of each kl_coordinates row over the n paths of a substream.
 
-    The paths arrive as sample_blocks blocks and are never held together:
-    the result is sum_b m_b * _sign_mean(queries, block_b, w) / n_ref.
+    The paths arrive as kl_coordinate_blocks blocks and are never held
+    together: the result is sum_b m_b * _sign_mean(coords, block_b, 1) / n.
     """
-    w = grid.weights
-    total = np.zeros_like(queries)
-    for block in sample_blocks(spec, grid, n_ref, stream_seed(seed, _TAG_REF)):
-        total += block.shape[0] * _sign_mean(queries, block, w)
-    return total / n_ref
+    ones = np.ones(coords.shape[1])
+    total = np.zeros_like(coords)
+    for z in kl_coordinate_blocks(spec, grid, n, seed):
+        total += z.shape[0] * _sign_mean(coords, z, ones)
+    return total / n
 
 
 def probe_sample(spec: ProcessSpec, grid: Grid, n_probes: int, seed: int) -> FunctionalSample:
@@ -89,10 +103,24 @@ def reference_spatial_dist(
     spec: ProcessSpec, x: Curve, n_ref: int = DEFAULT_N_REF, seed: int = 0
 ) -> ReferenceSpatialDist:
     """Spatial distribution at x under the spec, from n_ref simulated paths."""
-    curve = Curve(x.grid, _reference_sign_mean(spec, x.values[None, :], x.grid, n_ref, seed)[0])
+    coords = kl_coordinates(spec, x.grid, x.values[None, :])
+    s = _frame_sign_mean(spec, x.grid, coords, n_ref, stream_seed(seed, _TAG_REF))
+    curve = Curve(x.grid, kl_curves(spec, x.grid, s, x.values[None, :])[0])
     val = SpatialDistValue(curve, min(norm(curve), 1.0))
     err = math.sqrt(max(0.0, 1.0 - val.norm**2) / n_ref)
     return ReferenceSpatialDist(val, err, n_ref)
+
+
+def _check_design(n_values, replications: int) -> None:
+    """The rules on a study's sample sizes and replicate count, for RateReport and every study."""
+    if len(n_values) < 2:
+        raise ValueError("need at least two sample sizes to fit a slope")
+    if list(n_values) != sorted(set(n_values)):
+        raise ValueError("n_values must be strictly increasing")
+    if n_values[0] < 1:
+        raise ValueError("sample sizes must be >= 1")
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +148,7 @@ class RateReport:
     notes: str = ""
 
     def __post_init__(self):
-        if len(self.n_values) < 2:
-            raise ValueError("need at least two sample sizes to fit a slope")
-        if list(self.n_values) != sorted(set(self.n_values)):
-            raise ValueError("n_values must be strictly increasing")
+        _check_design(self.n_values, self.replications)
         for name in ("sup_errors", "integrated_errors", "residual_errors", "linear_errors"):
             vals = getattr(self, name)
             if vals is None:
@@ -138,14 +163,11 @@ def _fit_slope(n_values, medians) -> float:
     return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(medians), 1)[0])
 
 
-def _replicates(spec: ProcessSpec, grid: Grid, n_values, reps: int, seed: int, score):
-    """score of a fresh sample for each (sample size, replicate), as one array in that order."""
+def _replicates(n_values, reps: int, seed: int, score):
+    """score(n, seed) of each (sample size, replicate) substream, as one array in that order."""
     return np.array(
         [
-            [
-                score(sample_process(spec, grid, n, stream_seed(seed, _TAG_DATA, i_n, rep)))
-                for rep in range(reps)
-            ]
+            [score(n, stream_seed(seed, _TAG_DATA, i_n, rep)) for rep in range(reps)]
             for i_n, n in enumerate(n_values)
         ]
     )
@@ -156,17 +178,18 @@ def _sign_errors(
 ) -> np.ndarray:
     """Squared sign-mean error at each probe, indexed (size, replicate, probe).
 
-    The reference sign mean comes from n_ref paths on the reference
-    substream, streamed block by block (_reference_sign_mean).
+    Reference and replicates are sign means in the KL frame of the probes
+    (_frame_sign_mean), the reference over n_ref paths of its substream.
     """
-    w = probes.grid.weights
-    s_ref = _reference_sign_mean(spec, probes.values, probes.grid, n_ref, seed)
+    grid = probes.grid
+    coords = kl_coordinates(spec, grid, probes.values)
+    s_ref = _frame_sign_mean(spec, grid, coords, n_ref, stream_seed(seed, _TAG_REF))
 
-    def score(data):
-        diff = _sign_mean(probes.values, data.values, w) - s_ref
-        return np.sum(w * diff * diff, axis=1)
+    def score(n, stream):
+        diff = _frame_sign_mean(spec, grid, coords, n, stream) - s_ref
+        return np.einsum("pc,pc->p", diff, diff)
 
-    return _replicates(spec, probes.grid, n_values, reps, seed, score)
+    return _replicates(n_values, reps, seed, score)
 
 
 def gc_rate_study(
@@ -182,9 +205,11 @@ def gc_rate_study(
     For each replicate and sample size n, draws n fresh paths, evaluates
     the empirical spatial distribution at every probe and records the
     largest norm distance to the reference values. Medians over replicates
-    feed the slope fit; the expected exponent is -1/2.
+    feed the slope fit; the expected exponent is -1/2. n_values or reps
+    that RateReport would reject raise ValueError before any draw.
     """
     n_values = [int(n) for n in n_values]
+    _check_design(n_values, reps)
     sq = _sign_errors(spec, K, n_values, reps, seed, n_ref)
     med = np.median(np.sqrt(sq.max(axis=2)), axis=1)
     return RateReport(
@@ -213,9 +238,11 @@ def integrated_error_study(
 
     The integral of ||S_hat - S||^2 against the process law is approximated
     by an average over n_probes fresh probe paths, fixed across replicates.
-    The expected log-log slope is -1.
+    The expected log-log slope is -1. n_values or reps that RateReport
+    would reject raise ValueError before any draw.
     """
     n_values = [int(n) for n in n_values]
+    _check_design(n_values, reps)
     probes = probe_sample(spec, grid, n_probes, seed)
     sq = _sign_errors(spec, probes, n_values, reps, seed, n_ref)
     med = np.median(sq.mean(axis=2), axis=1)
@@ -254,11 +281,13 @@ def bahadur_rate_study(
 
     Unlike the gc and integrated studies, this one holds all n_ref reference
     paths at once: the PCA and the reference quantile need the whole sample.
-    Raises ConditioningError for d = 1 (the default d when max(n_values) < 4)
-    and RankDeficiencyError when d exceeds the reference rank, both before
-    the reference draw.
+    Raises ValueError for n_values or reps that RateReport would reject,
+    ConditioningError for d = 1 (the default d when max(n_values) < 4) and
+    RankDeficiencyError when d exceeds the reference rank, all before the
+    reference draw.
     """
     n_values = [int(n) for n in n_values]
+    _check_design(n_values, reps)
     if d is None:
         d = default_dimension(max(n_values))
     if d < 2:  # checked before the draw, like the rank bound below
@@ -281,10 +310,11 @@ def bahadur_rate_study(
     b = u.coefficients
     q_ref, J_inv = linearization(project_sample(ref_data, basis), b)
 
-    def score(data):
+    def score(n, stream):
+        data = sample_process(spec, grid, n, stream)
         return bahadur_split(project_sample(data, basis), b, q_ref, J_inv)
 
-    splits = _replicates(spec, grid, n_values, reps, seed, score)
+    splits = _replicates(n_values, reps, seed, score)
     res_med, lin_med = np.median(splits, axis=1).T
     return RateReport(
         study="bahadur",

@@ -50,6 +50,7 @@ from .quantile import DirectionU, default_dimension, solve_quantile, working_sam
 from .simulate import (
     GAUSSIAN_LAW,
     GENERATOR_NAME,
+    SAMPLER_NAME,
     STUDENT_T_LAW,
     KernelSpec,
     ProcessSpec,
@@ -298,6 +299,7 @@ def _cmd_simulate(cfg, parser) -> int:
             "seed": seed,
             "version": __version__,
             "generator": GENERATOR_NAME,
+            "sampler": SAMPLER_NAME,
         },
     )
     return 0
@@ -492,6 +494,7 @@ def _cmd_converge(cfg, parser) -> int:
         "kind": "rate-report",
         "version": __version__,
         "generator": GENERATOR_NAME,
+        "sampler": SAMPLER_NAME,
         "report": dataclasses.asdict(rep),
     }
     emit_json(doc, cfg.get("out"))

@@ -15,18 +15,36 @@ _kl_system alone builds the KL system, whitened singular values included,
 and its memo holds one (spec, grid), sized by the traffic: a rate study
 draws from one key about 150 times, and each efficiency cell from its own.
 
+Sampling draws r = min(k, D) normals per path. With the whitened loading
+L diag(sqrt(w)) = U Sigma V' (sigma its singular values), k iid normals y
+give y L, and r normals xi give z = xi * sigma and z V' / sqrt(w): the same law,
+since at most r directions of the k coefficients reach the grid. At k <= D
+the sampler keeps the loading L and its k normals, so those paths are as
+they always were; at k > D (the 100-term Brownian system on a grid of
+fewer than 100 points) its loading is Sigma V' / sqrt(w). V is computed
+only on the paths that need it: that sampling, and the whitened KL frame
+below. SAMPLER_NAME names this rule in every artifact it shapes.
+
+The whitened KL frame. kl_coordinate_blocks yields the z rows themselves,
+and kl_coordinates maps fixed curves into the same coordinates, with one
+extra column for the part of a curve off the span of V when r < D. Every
+distance between a curve and a path is then a Euclidean distance in r or
+r + 1 coordinates, and no (n, D) path array is formed; the rate studies
+run there.
+
 Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed, and the first paths do not change when more
 are requested.
 
-Memory. Each Monte Carlo stream allocates one (min(CHUNK, n), k) normals
+Memory. Each Monte Carlo stream allocates one (min(CHUNK, n), r) normals
 buffer and draws every chunk into it in place, so a stream's working set
 is one chunk however many paths it draws, and the heap is not shrunk and
 regrown from chunk to chunk. sample_process writes the paths straight into
 the (n, D) array that its FunctionalSample adopts, so every path is held
-once; sample_blocks yields CHUNK-row blocks for callers that never hold
-all n paths.
+once; sample_blocks yields CHUNK-row blocks of paths, and
+kl_coordinate_blocks CHUNK-row blocks of coordinates, for callers that
+never hold all n paths.
 """
 
 from __future__ import annotations
@@ -41,6 +59,8 @@ from .errors import NotPSDError
 from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same_grid
 
 GENERATOR_NAME = "numpy.random.Philox"
+# Names the sampling rule of the module notes in CSV metadata and rate reports.
+SAMPLER_NAME = "kl-whitened-1"
 
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
@@ -228,12 +248,34 @@ def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
 
 @dataclass(frozen=True, eq=False)
 class _KLSystem:
-    """Read-only KL scales (k,), functions and loading (k, D), whitened singular values sigma."""
+    """Read-only KL scales (k,), functions and loading (k, D), whitened singular values sigma.
+
+    root_w is sqrt(w) of the grid. v, V of L diag(sqrt(w)) = U Sigma V', and
+    sampling_loadings are computed on first use: sampling at k <= D and the
+    efficiency study need neither.
+    """
 
     scales: np.ndarray
     functions: np.ndarray
     loadings: np.ndarray
     sigma: np.ndarray
+    root_w: np.ndarray
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """(D, r), r = min(k, D): the right singular vectors of the whitened loading."""
+        vt = np.linalg.svd(self.loadings * self.root_w, full_matrices=False)[2]
+        vt.flags.writeable = False
+        return vt.T
+
+    @functools.cached_property
+    def sampling_loadings(self) -> np.ndarray:
+        """(r, D) loading of r normals per path: L itself at k <= D, Sigma V' / sqrt(w) at k > D."""
+        if self.sigma.size == self.scales.size:
+            return self.loadings
+        out = self.sigma[:, None] * self.v.T / self.root_w
+        out.flags.writeable = False
+        return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -247,11 +289,12 @@ def _kl_system(spec: ProcessSpec, grid: Grid) -> _KLSystem:
         basis = kernel_eigen(spec.kernel, grid, k)
         scales, functions = np.sqrt(basis.eigenvalues), basis.functions
     loadings = scales[:, None] * functions
+    root_w = np.sqrt(grid.weights)
     # not the scales: the whitened functions need not be orthonormal (k > D, a grid inside [0, 1])
-    sigma = np.linalg.svd(loadings * np.sqrt(grid.weights)[None, :], compute_uv=False)
-    for a in (scales, functions, loadings, sigma):
+    sigma = np.linalg.svd(loadings * root_w[None, :], compute_uv=False)
+    for a in (scales, functions, loadings, sigma, root_w):
         a.flags.writeable = False
-    return _KLSystem(scales, functions, loadings, sigma)
+    return _KLSystem(scales, functions, loadings, sigma, root_w)
 
 
 def stream_seed(seed: int, *tags: int) -> int:
@@ -289,21 +332,22 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
         yield y
 
 
-def _loadings(spec: ProcessSpec, grid: Grid, n: int) -> np.ndarray:
-    """Check the sampling arguments; the (k, D) KL loading lambda_k phi_k of the paths."""
+def _system(spec: ProcessSpec, grid: Grid, n: int) -> _KLSystem:
+    """Check the sampling arguments; the KL system of the paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.mean is not None:
         check_same_grid(spec.mean.grid, grid, "mean curve lives on a different grid")
-    return _kl_system(spec, grid).loadings
+    return _kl_system(spec, grid)
 
 
 def _paths(spec: ProcessSpec, loadings: np.ndarray, n: int, seed: int, out=None):
     """The sampling kernel: one (m, D) block of paths per RNG chunk, m <= CHUNK.
 
-    Block b is Y_b @ loadings plus the mean. With out, an (n, D) array, the
-    blocks are written into its consecutive rows and yielded as views of
-    them; without, each block is a new array.
+    Block b is Y_b @ loadings plus the mean, Y_b the block's r normals per
+    path. With out, an (n, D) array, the blocks are written into its
+    consecutive rows and yielded as views of them; without, each block is a
+    new array.
     """
     row = 0
     for y in coefficient_chunks(spec, n, loadings.shape[0], seed):
@@ -322,9 +366,12 @@ def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
     block per RNG chunk on demand, so a caller that consumes the blocks in
     turn holds O(CHUNK * D) floats whatever n is. Each block is a new
     array; concatenated in order, the blocks are sample_process's values
-    bit for bit.
+    bit for bit, drawn from r = min(k, D) normals per path (module notes).
+    A caller that needs only distances between paths and fixed curves can
+    skip the grid altogether: kl_coordinate_blocks draws the same law as
+    (m, r) coordinate blocks, and kl_coordinates maps the curves into them.
     """
-    return _paths(spec, _loadings(spec, grid, n), n, seed)
+    return _paths(spec, _system(spec, grid, n).sampling_loadings, n, seed)
 
 
 def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
@@ -334,9 +381,82 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
     paths do not change when more are requested. The paths are written
     once, into the array the returned sample holds.
     """
-    loadings = _loadings(spec, grid, n)
+    loadings = _system(spec, grid, n).sampling_loadings
     values = np.empty((n, grid.size))
     for _ in _paths(spec, loadings, n, seed, out=values):
         pass
     values.flags.writeable = False
     return FunctionalSample(grid, values)
+
+
+def kl_coordinate_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
+    """n paths of the process as (m, c) blocks of whitened KL coordinates, m <= CHUNK.
+
+    A path's coordinates are z = y * sigma, y its r = min(k, D) coefficients
+    from coefficient_chunks; its values are z V' / sqrt(w) plus the mean.
+    That is the law of sample_process, and at k > D, where both draw the
+    same r normals, its paths up to rounding. c is r, or r + 1 when r < D:
+    the last column is then the frame's off-span column (kl_coordinates),
+    zero for every path. Arguments are checked at once, as in sample_blocks;
+    each block is a view of one buffer that the next block overwrites, so a
+    caller holds O(CHUNK * c) floats whatever n is.
+    """
+    sigma = _system(spec, grid, n).sigma
+    return _coordinate_blocks(spec, sigma, grid.size, n, seed)
+
+
+def _coordinate_blocks(spec: ProcessSpec, sigma: np.ndarray, size: int, n: int, seed: int):
+    """kl_coordinate_blocks after its checks, on a D = size grid."""
+    r = sigma.size
+    wide = np.zeros((min(CHUNK, n), r + 1)) if r < size else None
+    for y in coefficient_chunks(spec, n, r, seed):
+        if wide is None:  # z in place in the normals buffer
+            yield np.multiply(y, sigma, out=y)
+        else:
+            m = y.shape[0]
+            np.multiply(y, sigma, out=wide[:m, :r])
+            yield wide[:m]
+
+
+def _frame_split(spec: ProcessSpec, grid: Grid, values) -> tuple[_KLSystem, np.ndarray, np.ndarray]:
+    """The KL system, and the whitened (x - mean) sqrt(w) of curve rows split as pi V' + perp."""
+    system = _system(spec, grid, 1)
+    x = np.asarray(values, dtype=float)
+    if spec.mean is not None:
+        x = x - spec.mean.values
+    x = x * system.root_w
+    pi = x @ system.v
+    return system, pi, x - pi @ system.v.T
+
+
+def kl_coordinates(spec: ProcessSpec, grid: Grid, values) -> np.ndarray:
+    """Curve rows (P, D) in the whitened KL frame of kl_coordinate_blocks: (P, c).
+
+    Row i starts with pi_i = (x_i - mean) sqrt(w) V. When r < D, a last
+    column holds ||perp_i||, the norm of the part of (x_i - mean) sqrt(w)
+    off the span of V. The Euclidean distance from row i to a path's
+    coordinates is then the weighted grid distance from x_i to the path,
+    for any x_i. Signs and sign means taken in the frame with unit weights
+    are the grid's, read in row i's orthonormal frame (V, perp_i /
+    ||perp_i||); kl_curves maps them back.
+    """
+    _, pi, perp = _frame_split(spec, grid, values)
+    if pi.shape[1] == grid.size:
+        return pi
+    return np.column_stack([pi, np.sqrt(np.einsum("pd,pd->p", perp, perp))])
+
+
+def kl_curves(spec: ProcessSpec, grid: Grid, coords: np.ndarray, values) -> np.ndarray:
+    """Grid values (P, D) of frame vectors, row i read in the frame of curve row i of values.
+
+    The inverse of kl_coordinates for vectors such as a sign mean at x_i:
+    (coords_i[:r] V' + coords_i[r] perp_i / ||perp_i||) / sqrt(w), where the
+    off-span term is zero when r = D or perp_i = 0. No mean is added.
+    """
+    system, pi, perp = _frame_split(spec, grid, values)
+    r = pi.shape[1]
+    out = coords[:, :r] @ system.v.T
+    if r < grid.size:
+        c = np.sqrt(np.einsum("pd,pd->p", perp, perp))[:, None]
+        out += coords[:, r:] * np.divide(perp, c, out=np.zeros_like(perp), where=c > 0.0)
+    return out / system.root_w

@@ -238,7 +238,7 @@ def _add_near_signs(s, tile, x, weights, near, tile_norm, x_norm) -> None:
     receives its terms in increasing j however the pairs are chunked; a
     chunk holds about one tile's worth of floats.
     """
-    xj, qi = np.nonzero(near)
+    xj, qi = divmod(np.flatnonzero(near), near.shape[1])  # np.nonzero's pairs, in its order
     step = max(1, near.size // tile.shape[1])
     for lo in range(0, qi.size, step):
         rows, cols = qi[lo : lo + step], xj[lo : lo + step]

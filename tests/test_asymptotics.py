@@ -19,8 +19,8 @@ from spatialfda import (
     sample_process,
     stream_seed,
 )
-from spatialfda.asymptotics import _TAG_REF, _reference_sign_mean
-from spatialfda.simulate import CHUNK
+from spatialfda.asymptotics import _TAG_REF, _frame_sign_mean
+from spatialfda.simulate import CHUNK, kl_coordinates, kl_curves
 from spatialfda.spatialdist import _sign_mean
 
 BM = ProcessSpec(KernelSpec.brownian())
@@ -47,23 +47,79 @@ def test_reference_spatial_dist_determinism():
 
 def test_streamed_reference_sign_mean_matches_the_one_shot_kernel():
     # three blocks, and queries that coincide with a path of the first and
-    # of the last block, so zero signs are met inside the blocks too
+    # of the last block, so zero signs are met inside the blocks too; at
+    # k = 100 > D = 16 the frame's coordinates and sample_process's paths
+    # come from the same normals, so the paths agree up to rounding
     g = Grid.uniform(0.0, 1.0, 16)
-    n_ref, seed = 2 * CHUNK + 5, 8
-    ref = sample_process(BM, g, n_ref, stream_seed(seed, _TAG_REF))
+    n_ref, stream = 2 * CHUNK + 5, stream_seed(8, _TAG_REF)
+    ref = sample_process(BM, g, n_ref, stream)
     fresh = sample_process(BM, g, 6, seed=40).values
     queries = np.vstack([fresh, ref.values[[3, n_ref - 2]]])
     one_shot = _sign_mean(queries, ref.values, g.weights)
-    streamed = _reference_sign_mean(BM, queries, g, n_ref, seed)
-    np.testing.assert_allclose(streamed, one_shot, rtol=0.0, atol=1e-13)
+    streamed = _frame_sign_mean(BM, g, kl_coordinates(BM, g, queries), n_ref, stream)
+    np.testing.assert_allclose(kl_curves(BM, g, streamed, queries), one_shot, rtol=0.0, atol=1e-13)
     x = Curve(g, fresh[0])
-    value = reference_spatial_dist(BM, x, n_ref=n_ref, seed=seed).value
+    value = reference_spatial_dist(BM, x, n_ref=n_ref, seed=8).value
     np.testing.assert_allclose(
         value.representation.values,
         empirical_spatial_dist(x, ref).representation.values,
         rtol=0.0,
         atol=1e-13,
     )
+
+
+def test_coordinate_score_of_an_off_span_probe_is_the_grid_kernels():
+    # r = 5 < D = 16: the probes' off-span column carries their distance to
+    # the 5-dimensional span of the paths, and the score is still exact
+    from spatialfda.asymptotics import _TAG_DATA, _sign_errors
+    from spatialfda.simulate import _kl_system, kl_coordinate_blocks
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec = ProcessSpec(KernelSpec.brownian(), truncation=5)
+    probes = FunctionalSample(g, np.vstack([np.cos(7.0 * g.points), 0.3 * np.sign(g.points - 0.5)]))
+    assert np.all(kl_coordinates(spec, g, probes.values)[:, 5] > 0.05)
+    kl = _kl_system(spec, g)
+    n_values, seed, n_ref = [50, 200], 6, CHUNK + 30
+    scores = _sign_errors(spec, probes, n_values, 1, seed, n_ref)
+
+    def grid_sign_mean(n, stream):
+        blocks = [z[:, :5] @ kl.v.T / kl.root_w for z in kl_coordinate_blocks(spec, g, n, stream)]
+        return _sign_mean(probes.values, np.concatenate(blocks), g.weights)
+
+    s_ref = grid_sign_mean(n_ref, stream_seed(seed, _TAG_REF))
+    for i_n, n in enumerate(n_values):
+        diff = grid_sign_mean(n, stream_seed(seed, _TAG_DATA, i_n, 0)) - s_ref
+        np.testing.assert_allclose(
+            scores[i_n, 0], np.sum(g.weights * diff * diff, axis=1), rtol=0.0, atol=1e-12
+        )
+
+
+def test_rate_studies_check_their_arguments_before_the_reference_draw(monkeypatch):
+    import spatialfda.asymptotics as asy
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asy, "kl_coordinate_blocks", no_draw)
+    monkeypatch.setattr(asy, "sample_process", no_draw)
+    g = Grid.uniform(0.0, 1.0, 16)
+    probes = FunctionalSample(g, np.ones((2, 16)))
+    studies = {
+        "gc": lambda n_values, reps: gc_rate_study(BM, probes, n_values, reps, seed=1),
+        "integrated": lambda n_values, reps: integrated_error_study(BM, g, n_values, reps, 1),
+        "bahadur": lambda n_values, reps: bahadur_rate_study(BM, g, n_values, reps, 1, d=3),
+    }
+    for study in studies.values():
+        for n_values, reps, message in [
+            ([250, 1000], 0, "at least one replication, got 0"),
+            ([4000, 250], 2, "strictly increasing"),
+            ([250], 2, "at least two sample sizes"),
+            ([0, 250], 2, "sample sizes must be >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                study(n_values, reps)
+    with pytest.raises(ValueError, match="at least one replication"):
+        RateReport("gc", (100, 400), 0, 0)
 
 
 def test_gc_study_memory_does_not_grow_with_the_reference_sample():
@@ -177,9 +233,11 @@ def test_bahadur_study_rejects_one_dimension_before_the_reference_draw(monkeypat
 
 
 def test_bahadur_study_residual_faster_than_linear():
+    # 48 replicates put the +-0.2 band on the linear slope near 4 standard
+    # deviations of its Monte Carlo spread (about 0.05; 0.1 at 12 replicates)
     g = Grid.uniform(0.0, 1.0, 16)
     rep = bahadur_rate_study(
-        BM, g, [100, 400, 1600], reps=12, seed=13, d=6, n_ref=20_000
+        BM, g, [100, 400, 1600], reps=48, seed=13, d=6, n_ref=20_000
     )
     assert rep.study == "bahadur"
     assert rep.fitted_slope_linear == pytest.approx(-0.5, abs=0.2)

@@ -51,6 +51,7 @@ def test_simulate_writes_readable_csv(tmp_path):
     assert meta["process"] == "bm"
     assert meta["seed"] == "5"
     assert meta["version"] == __version__
+    assert meta["sampler"] == "kl-whitened-1"
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -187,6 +188,7 @@ def test_converge_gc_with_csv(tmp_path):
     assert rc == 0
     doc = json.loads(js.read_text())
     assert doc["kind"] == "rate-report"
+    assert doc["sampler"] == "kl-whitened-1"
     assert doc["report"]["study"] == "gc"
     assert doc["report"]["n_values"] == [50, 200]
     lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -22,7 +23,14 @@ from spatialfda import (
 from spatialfda import simulate
 from spatialfda.asymptotics import probe_sample
 from spatialfda.efficiency import _gaussian_twin
-from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks
+from spatialfda.simulate import (
+    CHUNK,
+    _kl_system,
+    coefficient_chunks,
+    kl_coordinate_blocks,
+    kl_coordinates,
+    kl_curves,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -163,7 +171,7 @@ def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
     assert len(builds) == 1
     kl = _kl_system(spec, g)
     assert len(builds) == 1
-    for a in (kl.scales, kl.functions, kl.loadings, kl.sigma):
+    for a in (kl.scales, kl.functions, kl.loadings, kl.sigma, kl.root_w, kl.v):
         with pytest.raises(ValueError):
             a[0] = 0.0
     # a key equal by value reuses the build; another spec or grid builds once
@@ -336,3 +344,72 @@ def test_truncation_limits():
     # brownian closed form is not grid-limited
     bm = ProcessSpec(KernelSpec.brownian(), truncation=40)
     assert sample_process(bm, g, 5, seed=1).values.shape == (5, 12)
+
+
+# sha256 of sample_process(...).values.tobytes(), taken from the sampler as
+# it was before it drew r = min(k, D) normals: at D >= k nothing may move
+PINNED_PATHS = {
+    "bm-128": "9edc0afade0b513a267675b30e18dc2f4e4c424d3bb21fa1bfce89b11ad97087",
+    "fbm-32": "20957c889b31b96331c49f7fbd750c91a7439131bf7b4604a19c93f9484e8b15",
+    "t-min-24": "db8b4fd5ff7e9df6d1eccca464a6c6f086723dee0f8d9e3f0aee671a7862f786",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PATHS))
+def test_sample_process_at_d_at_least_k_is_pinned(case):
+    spec, D, seed = {
+        "bm-128": (ProcessSpec(KernelSpec.brownian()), 128, 5),  # k = 100
+        "fbm-32": (ProcessSpec(KernelSpec.fractional_brownian(0.7)), 32, 6),  # k = D
+        "t-min-24": (ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5), 24, 7),
+    }[case]
+    g = Grid.uniform(0.0, 1.0, D)
+    values = sample_process(spec, g, 300, seed).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_PATHS[case]
+    assert _kl_system(spec, g).sampling_loadings is _kl_system(spec, g).loadings
+
+
+def test_reduced_draws_have_the_kl_covariance():
+    # k = 100 > D = 16: 16 normals per path, loading Sigma V' / sqrt(w)
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec, n = ProcessSpec(KernelSpec.brownian()), 100_000
+    kl = _kl_system(spec, g)
+    assert kl.sampling_loadings.shape == (16, 16)
+    x = sample_process(spec, g, n, seed=3).values
+    cov = kl.loadings.T @ kl.loadings
+    # standard error of a Gaussian sample second moment (mean known, 0)
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+    err = np.abs(x.T @ x / n - cov)
+    assert np.all(err <= 4.5 * se + 1e-15)  # the t = 0 row and column are 0 exactly
+
+
+@pytest.mark.parametrize("truncation", [None, 5])
+def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
+    # r = D (k = 100 > 16) and r = 5 < D, where the off-span column is 0
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec = ProcessSpec(KernelSpec.brownian(), mean=Curve(g, g.points), truncation=truncation)
+    kl = _kl_system(spec, g)
+    r = kl.sigma.size
+    blocks = [b.copy() for b in kl_coordinate_blocks(spec, g, CHUNK + 7, seed=4)]
+    z = np.concatenate(blocks)
+    assert z.shape == (CHUNK + 7, r + (r < 16))
+    assert not z[:, r:].any()
+    paths = z[:, :r] @ kl.v.T / kl.root_w + g.points
+    np.testing.assert_allclose(kl_coordinates(spec, g, paths), z, rtol=0.0, atol=1e-12)
+    if truncation is None:  # the same normals as sample_process
+        ref = sample_process(spec, g, CHUNK + 7, seed=4).values
+        np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        kl_coordinate_blocks(spec, g, 0, seed=1)
+
+
+def test_kl_curves_inverts_kl_coordinates_off_the_span():
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec = ProcessSpec(KernelSpec.brownian(), truncation=5)
+    x = np.vstack([np.cos(7.0 * g.points), np.zeros(16)])
+    coords = kl_coordinates(spec, g, x)
+    assert coords.shape == (2, 6) and coords[0, 5] > 0.1 and coords[1, 5] == 0.0
+    np.testing.assert_allclose(kl_curves(spec, g, coords, x), x, rtol=0.0, atol=1e-12)
+    # the frame is orthonormal under the grid inner product
+    np.testing.assert_allclose(
+        np.sum(coords**2, axis=1), np.sum(g.weights * x * x, axis=1), rtol=1e-13
+    )
