@@ -29,7 +29,6 @@ from .efficiency import (
     default_table_cells,
     domain_grid,
     efficiency_table,
-    real_line_grid,
     sigma_trace,
     v0_estimate,
 )
@@ -61,13 +60,11 @@ from .funcspace import (
 from .io import read_sample, write_sample, write_table
 from .parallel import max_threads, set_max_threads
 from .quantile import (
-    BahadurReport,
     DirectionU,
     FanEntry,
     QuantileFan,
     QuantileSolution,
     WorkingSample,
-    bahadur_residual,
     gradient,
     hessian,
     objective,
@@ -88,10 +85,8 @@ from .spatialdist import (
     MonotonicityReport,
     SpatialDistValue,
     empirical_spatial_dist,
-    empirical_spatial_dist_lp,
     monotonicity_probe,
     sgn_hilbert,
-    sgn_lp,
 )
 from .svg import curve_fan_svg, dd_plot_svg
 

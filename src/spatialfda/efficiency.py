@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 import zlib
 from dataclasses import dataclass, replace
 
@@ -81,17 +80,6 @@ def domain_grid(domain: str, grid_size: int, seed: int) -> Grid:
     if domain == "real-line":
         return Grid.gaussian(grid_size, seed=stream_seed(seed, _TAG_GRID))
     raise ValueError(f"unknown domain {domain!r}")
-
-
-def real_line_grid(seed: int, grid_size: int = DEFAULT_GRID_SIZE) -> Grid:
-    """Deprecated: use domain_grid("real-line", grid_size, seed)."""
-    warnings.warn(
-        "real_line_grid is deprecated and will be removed in a later release; "
-        'use domain_grid("real-line", grid_size, seed)',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return domain_grid("real-line", grid_size, seed)
 
 
 def _gaussian_twin(spec: ProcessSpec) -> ProcessSpec:

@@ -14,7 +14,6 @@ travel together as one object.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -136,15 +135,6 @@ class Grid(ByValue):
     @staticmethod
     def custom(points, weights) -> "Grid":
         return Grid(points, weights)
-
-    def matches(self, other: "Grid") -> bool:
-        """Deprecated: use ==."""
-        warnings.warn(
-            "Grid.matches is deprecated and will be removed in a later release; use ==",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self == other
 
 
 def check_same_grid(a: Grid, b: Grid, what: str = "objects live on different grids") -> None:
@@ -308,41 +298,22 @@ def total_variance(sample: FunctionalSample) -> float:
     return float(np.mean(np.sum(centered * centered * sample.grid.weights, axis=1)))
 
 
-def project(x: Curve, basis: Basis, d: int | None = None) -> Coefficients:
+def project(x: Curve, basis: Basis) -> Coefficients:
     """Coordinates of x in the basis functions.
 
     The projection is a contraction: the Euclidean norm of the returned
     coefficients never exceeds ||x|| (Parseval inequality), with equality
-    when x lies in the span. d is deprecated: pass basis.truncated(d).
+    when x lies in the span.
     """
     check_same_grid(x.grid, basis.grid)
-    if d is not None:
-        warnings.warn(
-            "the d parameter of project is deprecated and will be removed in a later "
-            "release; pass basis.truncated(d)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    use = basis if d is None else basis.truncated(d)
-    c = (use.functions * use.grid.weights) @ x.values
-    return Coefficients(c, use)
+    c = (basis.functions * basis.grid.weights) @ x.values
+    return Coefficients(c, basis)
 
 
-def project_sample(sample: FunctionalSample, basis: Basis, d: int | None = None) -> np.ndarray:
-    """Coefficient matrix (n, d) of a whole sample. Plumbing for the solvers.
-
-    d is deprecated: pass basis.truncated(d).
-    """
+def project_sample(sample: FunctionalSample, basis: Basis) -> np.ndarray:
+    """Coefficient matrix (n, d) of a whole sample. Plumbing for the solvers."""
     check_same_grid(sample.grid, basis.grid)
-    if d is not None:
-        warnings.warn(
-            "the d parameter of project_sample is deprecated and will be removed in a "
-            "later release; pass basis.truncated(d)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    use = basis if d is None else basis.truncated(d)
-    return sample.values @ (use.functions * use.grid.weights).T
+    return sample.values @ (basis.functions * basis.grid.weights).T
 
 
 def reconstruct(c: Coefficients) -> Curve:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,29 +102,6 @@ class QuantileSolution:
     anchored_at_datum: int | None = None
     degenerate: bool = False
     objective_trace: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class BahadurReport:
-    """Deprecated: bahadur_split returns the two norms; bahadur_rate_study reports them.
-
-    Norms of the linearization residual and the linear term itself.
-    """
-
-    residual_norm: float
-    linear_term_norm: float
-    n: int
-    d: int
-    reference_n: int
-
-    def __new__(cls, *args, **kwargs):
-        warnings.warn(
-            "BahadurReport is deprecated and will be removed in a later release; "
-            "use the (residual, linear) norms that bahadur_split returns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return super().__new__(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -565,39 +541,3 @@ def bahadur_split(
     linear = J_inv @ _gradient_raw(q_ref, C, b, c_norms)[0]
     residual = (q_hat - q_ref) + linear
     return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))
-
-
-def bahadur_residual(
-    sample: FunctionalSample,
-    u: DirectionU,
-    basis: Basis,
-    d: int,
-    reference: FunctionalSample,
-) -> BahadurReport:
-    """Deprecated: use linearization and bahadur_split, as bahadur_rate_study does.
-
-    Residual of the linear representation of the u-quantile. The population
-    quantile and Hessian on the working subspace are replaced by estimates
-    from the (much larger) reference sample; the report records the
-    reference size. The residual is
-
-        (Qhat - Q_ref) + J_ref^{-1} * mean_i(score_i)
-
-    with score_i the unit vector from the i-th sample point to Q_ref minus
-    u; its norm shrinks faster than the linear term's 1/sqrt(n).
-    """
-    warnings.warn(
-        "bahadur_residual is deprecated and will be removed in a later release; "
-        "use linearization and bahadur_split, as bahadur_rate_study does",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if u.dimension != d:
-        raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
-    work = basis.truncated(d) if basis.dimension != d else basis
-    b = u.coefficients
-    q_ref, J_inv = linearization(project_sample(reference, work), b)
-    residual, linear = bahadur_split(project_sample(sample, work), b, q_ref, J_inv)
-    report = object.__new__(BahadurReport)  # past BahadurReport's own warning: one per call
-    report.__init__(residual, linear, len(sample), d, len(reference))
-    return report

@@ -7,10 +7,7 @@ object plays the role of a centered CDF; its norm never exceeds 1, and
 1 - ||S_x|| is the spatial depth (see the depth module).
 
 All Hilbert-space geometry is the weighted grid inner product from
-funcspace. The l_p pair sgn_lp and empirical_spatial_dist_lp, on plain
-unweighted coefficient vectors, is deprecated and will be removed in a later
-release; sgn_hilbert and empirical_spatial_dist are the sign and the spatial
-distribution on a weighted grid.
+funcspace.
 
 Whether two points coincide, and so have the zero sign, is decided in one
 place for the whole package: coincident(dist, ||a||, ||b||), true when
@@ -57,7 +54,6 @@ hold a near pair.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +74,18 @@ def coincident(dist, norm_a, norm_b):
 class SpatialDistValue(ByValue):
     """Value of an (empirical) spatial distribution at one query point.
 
-    representation is a Curve in the Hilbert case, or a plain dual
-    coefficient vector from the deprecated empirical_spatial_dist_lp; once
-    that is removed it is a Curve only. norm is cached because callers
-    (depth, rate studies) use it constantly; it is at most 1 up to
-    round-off, being an average of unit and zero vectors.
+    representation is the mean sign as a Curve on the sample's grid. norm
+    is cached because callers (depth, rate studies) use it constantly; it
+    is at most 1 up to round-off, being an average of unit and zero vectors.
     """
 
-    representation: Curve | np.ndarray
+    representation: Curve
     norm: float
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.representation, Curve):
+            raise ValueError("spatial distribution representation must be a Curve")
         if not 0.0 <= self.norm <= 1.0 + 1e-10:
             raise ValueError(f"spatial distribution norm {self.norm} outside [0, 1]")
 
@@ -106,36 +102,6 @@ def sgn_hilbert(x: Curve, ref_scale: float = 0.0) -> Curve:
     if coincident(nx, 0.0, ref_scale):
         return Curve(x.grid, np.zeros(x.grid.size))
     return Curve(x.grid, x.values / nx)
-
-
-def sgn_lp(x: np.ndarray, p: float) -> np.ndarray:
-    """Deprecated: use sgn_hilbert, the spatial sign on a weighted grid.
-
-    Dual vector of the norming functional at x in l_p, p in (1, inf).
-    Component i is sign(x_i) |x_i|^(p-1) / ||x||_p^(p-1); the result has
-    l_q norm exactly 1 (q conjugate to p), and p = 2 recovers x / ||x||.
-    Zero input maps to zero. The map is evaluated on x / max|x_i|, which
-    leaves it unchanged and keeps the norm and the powers finite.
-    """
-    warnings.warn(
-        "sgn_lp is deprecated and will be removed in a later release; "
-        "use sgn_hilbert, the spatial sign on a weighted grid",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _sgn_lp(x, p)
-
-
-def _sgn_lp(x, p):
-    """sgn_lp without its warning, for empirical_spatial_dist_lp."""
-    if not np.isfinite(p) or p <= 1.0:
-        raise ValueError("p must lie in (1, inf)")
-    v = np.asarray(x, dtype=float)
-    vmax = float(np.max(np.abs(v), initial=0.0))
-    if vmax == 0.0:
-        return np.zeros_like(v)
-    a = v / vmax
-    return np.sign(a) * np.abs(a) ** (p - 1.0) / np.linalg.norm(a, ord=p) ** (p - 1.0)
 
 
 # Queries go to BLAS in tiles of exactly this many; see the module notes.
@@ -258,27 +224,6 @@ def empirical_spatial_dist(x: Curve, sample: FunctionalSample) -> SpatialDistVal
     s = _sign_mean(x.values[None, :], sample.values, sample.grid.weights)[0]
     curve = Curve(x.grid, s)
     return SpatialDistValue(curve, min(norm(curve), 1.0))
-
-
-def empirical_spatial_dist_lp(x: np.ndarray, data: np.ndarray, p: float) -> SpatialDistValue:
-    """Deprecated: use empirical_spatial_dist, on a weighted grid.
-
-    l_p analogue on plain coefficient vectors: mean of sgn_lp(x - row).
-    """
-    warnings.warn(
-        "empirical_spatial_dist_lp is deprecated and will be removed in a later "
-        "release; use empirical_spatial_dist, on a weighted grid",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    v = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(np.asarray(data, dtype=float))
-    total = np.zeros_like(v)
-    for row in rows:
-        total += _sgn_lp(v - row, p)
-    rep = total / rows.shape[0]
-    q = p / (p - 1.0)
-    return SpatialDistValue(rep, min(float(np.linalg.norm(rep, ord=q)), 1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,7 +72,7 @@ def test_sigma_trace_mc_agrees_with_closed_form():
     assert mc == pytest.approx(exact, rel=0.02)
 
 
-def test_real_line_grid_properties():
+def test_real_line_domain_grid_properties():
     g = domain_grid("real-line", 150, 5)
     assert g.size == 150
     assert np.all(np.diff(g.points) > 0)

@@ -132,7 +132,7 @@ ARRAY_VALUES = {
     "MonotonicityReport": lambda z: MonotonicityReport(
         np.array([z, 1.0]), np.array([True, False]), 0
     ),
-    "SpatialDistValue": lambda z: SpatialDistValue(np.array([z, 0.5]), 0.5),
+    "SpatialDistValue": lambda z: SpatialDistValue(Curve(G3, np.array([z, 0.5, 0.25])), 0.5),
     "QuantileSolution": lambda z: QuantileSolution(
         Coefficients(np.array([z, 0.5, 0.25]), UNIT_BASIS),
         Curve(G3, np.array([z, 1.0, 2.0])),
@@ -186,7 +186,7 @@ def test_every_by_value_type_is_in_the_array_table():
     "build",
     [
         lambda v: MonotonicityReport(v, np.array([False, False]), 0),
-        lambda v: SpatialDistValue(v, 0.5),
+        lambda v: SpatialDistValue(Curve(Grid.uniform(0.0, 1.0, 2), v), 0.5),
         lambda v: Curve(Grid.uniform(0.0, 1.0, 2), v),
     ],
 )

@@ -15,7 +15,6 @@ from spatialfda import (
     KernelSpec,
     ProcessSpec,
     QuantileSolution,
-    bahadur_residual,
     gradient,
     hessian,
     objective,
@@ -391,13 +390,13 @@ def test_fan_layout_and_ordering():
 def test_bahadur_report_smaller_residual():
     ref = bm_sample(4000, D=20, seed=41)
     s = bm_sample(150, D=20, seed=42)
+    from spatialfda.quantile import bahadur_split, linearization
+
     basis = pca(ref, 3)
-    with pytest.deprecated_call():
-        rep = bahadur_residual(s, DirectionU.along(1, 0.25, 3), basis, 3, ref)
-    assert rep.n == 150
-    assert rep.d == 3
-    assert rep.reference_n == 4000
-    assert 0.0 < rep.residual_norm < rep.linear_term_norm
+    b = DirectionU.along(1, 0.25, 3).coefficients
+    q_ref, J_inv = linearization(project_sample(ref, basis), b)
+    residual, linear = bahadur_split(project_sample(s, basis), b, q_ref, J_inv)
+    assert 0.0 < residual < linear
 
 
 def test_bahadur_linear_term_is_the_mean_score():

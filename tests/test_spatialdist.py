@@ -12,11 +12,9 @@ from spatialfda import (
     KernelSpec,
     ProcessSpec,
     empirical_spatial_dist,
-    empirical_spatial_dist_lp,
     monotonicity_probe,
     sample_process,
     sgn_hilbert,
-    sgn_lp,
 )
 
 
@@ -43,25 +41,6 @@ def test_sgn_hilbert_unit_norm_and_zero():
     assert np.all(sgn_hilbert(zero).values == 0.0)
     tiny = Curve(g, np.full(50, 1e-14))
     assert np.all(sgn_hilbert(tiny, ref_scale=1.0).values == 0.0)
-
-
-def test_sgn_lp_dual_norm_one():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=12)
-    with pytest.deprecated_call():
-        for p in (1.5, 2.0, 3.0, 7.0):
-            s = sgn_lp(x, p)
-            q = p / (p - 1.0)
-            assert np.linalg.norm(s, ord=q) == pytest.approx(1.0, rel=1e-12)
-            # the defining property: <s, x> = ||x||_p
-            assert float(s @ x) == pytest.approx(np.linalg.norm(x, ord=p), rel=1e-12)
-        # p = 2 recovers the Euclidean unit vector
-        np.testing.assert_allclose(sgn_lp(x, 2.0), x / np.linalg.norm(x), atol=1e-14)
-        assert np.all(sgn_lp(np.zeros(4), 2.5) == 0.0)
-        with pytest.raises(ValueError):
-            sgn_lp(x, 1.0)
-        with pytest.raises(ValueError):
-            sgn_lp(x, np.inf)
 
 
 def test_one_dimensional_reduction_to_cdf():
@@ -101,17 +80,6 @@ def test_grid_mismatch_raises():
     s = sample_process(ProcessSpec(KernelSpec.brownian()), g1, 5, seed=0)
     with pytest.raises(GridMismatchError):
         empirical_spatial_dist(Curve(g2, np.zeros(11)), s)
-
-
-def test_lp_variant_matches_hilbert_for_p2_on_uniform_weights():
-    rng = np.random.default_rng(9)
-    data = rng.normal(size=(30, 6))
-    x = rng.normal(size=6)
-    with pytest.deprecated_call():
-        sd = empirical_spatial_dist_lp(x, data, 2.0)
-    signs = np.array([(x - row) / np.linalg.norm(x - row) for row in data])
-    np.testing.assert_allclose(sd.representation, signs.mean(axis=0), atol=1e-12)
-    assert sd.norm == pytest.approx(np.linalg.norm(signs.mean(axis=0)), abs=1e-12)
 
 
 def test_monotonicity_probe_checks_its_pairs():
@@ -341,22 +309,23 @@ def test_monotonicity_probe_is_scale_free(scale):
 
 def test_tiny_nonzero_inputs_keep_a_unit_sign():
     # no absolute floor: only the exact zero maps to the zero sign
-    with pytest.deprecated_call():
-        assert np.linalg.norm(sgn_lp(np.array([1e-14, 0.0]), 3.0), ord=1.5) == pytest.approx(1.0)
     from spatialfda import norm
 
     g = Grid.uniform(0.0, 1.0, 50)
     assert norm(sgn_hilbert(Curve(g, np.full(50, 1e-14)))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sgn_lp_stays_finite_for_huge_inputs():
-    x = np.array([10.0, 1.0])
-    with pytest.deprecated_call():
-        np.testing.assert_allclose(sgn_lp(1e200 * x, 3.0), sgn_lp(x, 3.0), rtol=0.0, atol=1e-14)
-
-
 def test_spatial_dist_value_rejects_nan_norm():
     from spatialfda import SpatialDistValue
 
     with pytest.raises(ValueError):
-        SpatialDistValue(np.zeros(2), float("nan"))
+        SpatialDistValue(Curve(Grid.uniform(0.0, 1.0, 2), np.zeros(2)), float("nan"))
+
+
+def test_spatial_dist_value_rejects_a_bare_array():
+    # a Curve field is left as given by ByValue, so an array would keep the
+    # caller's writeable buffer and lose its grid
+    from spatialfda import SpatialDistValue
+
+    with pytest.raises(ValueError, match="Curve"):
+        SpatialDistValue(np.array([0.25, 0.5]), 0.5)
