@@ -307,6 +307,7 @@ def _cmd_simulate(cfg, parser) -> int:
 
 def _parse_u_vector(text: str, d: int, parser) -> np.ndarray:
     vec = np.zeros(d)
+    seen = set()
     for part in text.split(","):
         k_str, sep, c_str = part.partition(":")
         if not sep:
@@ -317,6 +318,9 @@ def _parse_u_vector(text: str, d: int, parser) -> np.ndarray:
             parser.error(f'--u-spec entry {part!r} is not "k:c"')
         if not 1 <= k <= d:
             parser.error(f"--u-spec index {k} outside 1..{d}")
+        if k in seen:
+            parser.error(f"--u-spec {text!r} gives index {k} twice")
+        seen.add(k)
         if not math.isfinite(c):
             parser.error(f"--u-spec coefficient {c_str!r} is not finite")
         vec[k - 1] = c

@@ -23,7 +23,12 @@ centers the sample at its mean curve, solves, and adds the mean back.
 Everything that depends on the sample alone (the basis, the projection, the
 centering, the rank-1 test, the start point and the row norms) is done once
 by working_sample; many directions u then share that one WorkingSample, as
-quantile_fan and the command line's quantile fan do.
+quantile_fan and the command line's quantile fan do. They also share the
+sample evaluated at the start point (differences, distances, coincident
+count, mean sign) and the Hessian there, formed by the first solve. Within a
+solve, the line search evaluates the sample at each trial point, and an
+accepted trial's differences and distances seed the next iterate, so each
+iterate forms them once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,35 +123,38 @@ def _objective_raw(q, C, b, c_norm_mean):
     return float(np.mean(r) - c_norm_mean - b @ q)
 
 
-def _inverse_distances(q, C, c_norms=None):
-    """Differences q - C_i, distances r_i, inverses 1/r_i and the coincident count.
+class _Evaluation:
+    """The sample C evaluated at a point q; no array of it is ever written.
 
-    C_i coincides with q when coincident(r_i, ||q||, ||C_i||), c_norms being
-    the row norms of C (computed when not given); its inverse is 0, so
-    coincident points drop out of every sum built on inv_r.
+    diff holds the differences q - C_i, r their norms and inv_r the inverses
+    1/r_i, with m the number of C_i that coincide with q (coincident(r_i,
+    ||q||, ||C_i||), c_norms being the row norms of C, computed when not
+    given). A coincident C_i gets inverse 0, so it drops out of every sum
+    built on inv_r: the mean sign (1/n) sum_i inv_r_i diff_i and, where m is
+    0, the Hessian of the objective, both computed on first use.
     """
-    if c_norms is None:
-        c_norms = _row_norms(C)
-    diff = q - C
-    r = _row_norms(diff)
-    coin = coincident(r, float(np.linalg.norm(q)), c_norms)
-    inv_r = np.zeros_like(r)
-    np.divide(1.0, r, out=inv_r, where=~coin)
-    return diff, r, inv_r, int(coin.sum())
 
+    def __init__(self, q, C, c_norms=None):
+        if c_norms is None:
+            c_norms = _row_norms(C)
+        self.q = q
+        self.diff = q - C
+        self.r = _row_norms(self.diff)
+        coin = coincident(self.r, float(np.linalg.norm(q)), c_norms)
+        self.inv_r = np.zeros_like(self.r)
+        np.divide(1.0, self.r, out=self.inv_r, where=~coin)
+        self.m = int(coin.sum())
 
-def _gradient_raw(q, C, b, c_norms=None):
-    """Gradient over non-coincident terms, the coincident count, diff, r and inv_r."""
-    diff, r, inv_r, m = _inverse_distances(q, C, c_norms)
-    grad = inv_r @ diff / C.shape[0] - b
-    return grad, m, diff, r, inv_r
+    @cached_property
+    def sign_mean(self):
+        return self.inv_r @ self.diff / self.diff.shape[0]
 
-
-def _hessian_raw(inv_r, diff):
-    """(1/n) sum_i [ I/r_i - d_i d_i^T / r_i^3 ], precomputed pieces."""
-    n, d = diff.shape
-    m = diff * (inv_r ** 1.5)[:, None]
-    return (np.sum(inv_r) * np.eye(d) - m.T @ m) / n
+    @cached_property
+    def hessian(self):
+        """(1/n) sum_i [ I/r_i - d_i d_i^T / r_i^3 ]."""
+        n, d = self.diff.shape
+        w = self.diff * (self.inv_r ** 1.5)[:, None]
+        return (np.sum(self.inv_r) * np.eye(d) - w.T @ w) / n
 
 
 def floored_inverse(mat: np.ndarray, what: str) -> np.ndarray:
@@ -181,11 +190,16 @@ class _RawSolution:
     trace: tuple[float, ...] | None
 
 
-def _decrease(diff, r, b, s):
-    """g(q + s) - g(q) from diff = q - C and r = ||diff||, without cancellation:
-    ||d + s|| - ||d|| = (2<d, s> + ||s||^2) / (||d + s|| + ||d||)."""
-    num = 2.0 * (diff @ s) + float(s @ s)
-    return float(np.mean(num / (_row_norms(diff + s) + r)) - b @ s)
+def _decrease(at, trial, b, s):
+    """g(q + s) - g(q) from the sample evaluated at q and at the trial point
+    q + s, without cancellation: with d_i = q - C_i,
+    ||d_i + s|| - ||d_i|| = (2<d_i, s> + ||s||^2) / (||d_i + s|| + ||d_i||).
+
+    The trial point is formed as the next iterate is, so the evaluation of an
+    accepted trial serves as the next iterate's, bit for bit.
+    """
+    num = 2.0 * (at.diff @ s) + float(s @ s)
+    return float(np.mean(num / (trial.r + at.r)) - b @ s)
 
 
 def _solve_coeffs(
@@ -193,20 +207,26 @@ def _solve_coeffs(
 ):
     """Minimize g over R^d from start (by default C's median), c_norms the row norms of C.
 
-    Every exit is decided by one optimality test on the current iterate q at
-    the top of the loop: ||grad|| <= tol off the data, and, when q coincides
-    with m data, ||reduced grad|| <= m/n, the reduced gradient leaving those m
-    out (then C[j] itself is returned). An iterate within 1e-3 of the median
-    distance from its nearest datum C[j] first moves onto C[j] when that does
-    not raise g. The step is the Weiszfeld step over the non-coincident data
-    (Vardi & Zhang 2000 on a datum), or a Newton step off the data when the
-    Hessian has a Cholesky factor whose squared pivots span at most
-    CONDITION_LIMIT and the step gives descent. Backtracking and the move
-    onto a datum test the exact decrease of g (_decrease); the trace is
-    g(start) plus the running sum of accepted decreases. A failed line search,
-    a stalled step and the max_iter-th step only record why the loop must stop;
-    the iterate is tested once more and, failing, raises ConvergenceError with
-    the iteration that stopped.
+    start may also be the _Evaluation of C at the start point, as a working
+    sample shares it among its solves; in 1-D with b != 0 the solver starts
+    at an order statistic instead. Every exit is decided by one optimality
+    test on the current iterate q at the top of the loop: ||grad|| <= tol off
+    the data, and, when q coincides with m data, ||reduced grad|| <= m/n, the
+    reduced gradient leaving those m out (then C[j] itself is returned). An
+    iterate within 1e-3 of the median distance from its nearest datum C[j]
+    first moves onto C[j] when that does not raise g. The step is the
+    Weiszfeld step over the non-coincident data (Vardi & Zhang 2000 on a
+    datum), or a Newton step off the data when the Hessian has a Cholesky
+    factor whose squared pivots span at most CONDITION_LIMIT and the step
+    gives descent. Backtracking and the move onto a datum test the exact
+    decrease of g (_decrease) against the sample evaluated at the trial
+    point itself, C[j] for the move; the accepted trial's evaluation is the
+    next iterate's, so each iterate's differences and distances are formed
+    once, and a failed line search keeps the current one. The trace is
+    g(start) plus the running sum of accepted decreases. A failed line
+    search, a stalled step and the max_iter-th step only record why the loop
+    must stop; the iterate is tested once more and, failing, raises
+    ConvergenceError with the iteration that stopped.
     """
     C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -218,37 +238,50 @@ def _solve_coeffs(
         start = np.partition(C[:, 0], k)[k : k + 1]
     elif start is None:
         start = np.median(C, axis=0)
+    if not isinstance(start, _Evaluation):
+        start = _Evaluation(np.array(start, dtype=float), C, c_norms)
+    at = start
     cmax = float(c_norms.max())
     c_norm_mean = float(c_norms.mean())
-    q = np.array(start, dtype=float)
-    trace = [_objective_raw(q, C, b, c_norm_mean)] if track else None
+
+    def objective_at(ev):
+        # ||C_i - q|| = ||q - C_i|| bit for bit, as C - q = -(q - C) exactly
+        return float(np.mean(ev.r) - c_norm_mean - b @ ev.q)
+
+    trace = [objective_at(at)] if track else None
     stop = None  # (reason, iteration) once the loop must end after one more test
 
-    def solution(qv, its, gn, converged, anchored=None):
-        fv = _objective_raw(qv, C, b, c_norm_mean)
-        return _RawSolution(qv, its, gn, fv, converged, anchored, tuple(trace) if track else None)
+    def solution(ev, its, gn, converged, anchored=None):
+        # off the data, from the last distances; on a datum, at that datum
+        if anchored is None:
+            q, fv = ev.q, objective_at(ev)
+        else:
+            q = C[anchored].copy()
+            fv = _objective_raw(q, C, b, c_norm_mean)
+        return _RawSolution(q, its, gn, fv, converged, anchored, tuple(trace) if track else None)
 
     for it in range(1, max_iter + 2):
-        grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
-        j = int(np.argmin(r))
-        if m == 0 and r[j] <= 1e-3 * float(np.median(r)):
-            dg = _decrease(diff, r, b, -diff[j])
+        j = int(np.argmin(at.r))
+        if at.m == 0 and at.r[j] <= 1e-3 * float(np.median(at.r)):
+            on_datum = _Evaluation(C[j].copy(), C, c_norms)
+            dg = _decrease(at, on_datum, b, -at.diff[j])
             if dg <= 0:
-                q = C[j].copy()
+                at = on_datum
                 if track:
                     trace.append(trace[-1] + dg)
-                grad, m, diff, r, inv_r = _gradient_raw(q, C, b, c_norms)
+        m = at.m
+        grad = at.sign_mean - b
         gn = float(np.linalg.norm(grad))
         its = it if stop is None else stop[1]
         if gn <= (m / n + 1e-15 if m else tol):
-            return solution(C[j].copy() if m else q, its, gn, True, j if m else None)
+            return solution(at, its, gn, True, j if m else None)
         if stop is not None:
-            last = solution(q, its, gn, False)
+            last = solution(at, its, gn, False)
             raise ConvergenceError(f"{stop[0]} (grad norm {gn:.3e})", last=last)
 
-        step = grad * (-n / float(np.sum(inv_r)))
+        step = grad * (-n / float(np.sum(at.inv_r)))
         if m == 0:
-            hess = _hessian_raw(inv_r, diff)
+            hess = at.hessian
             try:
                 # the squared pivots of a Cholesky factor bound the condition
                 # number from below; no factor means not positive definite
@@ -264,18 +297,19 @@ def _solve_coeffs(
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
-            dg = _decrease(diff, r, b, t * step)
+            trial = _Evaluation(at.q + t * step, C, c_norms)
+            dg = _decrease(at, trial, b, t * step)
             if dg <= 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             stop = (f"no decrease found at iteration {it}", it)
             continue
-        q = q + t * step
+        at = trial
         if track:
             trace.append(trace[-1] + dg)
         # relative to the data scale, like every test here: scale equivariant
-        if t * float(np.linalg.norm(step)) <= step_tol * (cmax + float(np.linalg.norm(q))):
+        if t * float(np.linalg.norm(step)) <= step_tol * (cmax + float(np.linalg.norm(at.q))):
             stop = (f"step stalled below tolerance at iteration {it}", it)
         elif it >= max_iter:
             stop = (f"no convergence in {max_iter} iterations", it)
@@ -298,21 +332,21 @@ def gradient(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> Coeffi
     """Gradient of the objective at Q; Q must not coincide with a datum."""
     if u.dimension != Q.basis.dimension:
         raise ValueError("direction and coefficients have different dimensions")
-    grad, m, *_ = _gradient_raw(Q.values, project_sample(sample, Q.basis), u.coefficients)
-    if m > 0:
+    at = _Evaluation(Q.values, project_sample(sample, Q.basis))
+    if at.m > 0:
         raise ValueError(
             "gradient undefined at a data point; the solver handles this case "
             "through its anchored branch"
         )
-    return Coefficients(grad, Q.basis)
+    return Coefficients(at.sign_mean - u.coefficients, Q.basis)
 
 
 def hessian(Q: Coefficients, sample: FunctionalSample) -> np.ndarray:
     """Hessian matrix of the objective at Q (independent of u)."""
-    diff, _, inv_r, m = _inverse_distances(Q.values, project_sample(sample, Q.basis))
-    if m > 0:
+    at = _Evaluation(Q.values, project_sample(sample, Q.basis))
+    if at.m > 0:
         raise ValueError("hessian undefined at a data point")
-    return _hessian_raw(inv_r, diff)
+    return at.hessian
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +357,10 @@ class WorkingSample:
     at their mean ``offset`` when ``center``, the raw coefficients otherwise,
     and the (n, 1) coordinates along the principal ``line`` when the sample
     is collinear. start is its coordinatewise median (the solver's first
-    iterate) and norms its row norms; mean is the sample's mean curve.
+    iterate) and norms its row norms; mean is the sample's mean curve. The
+    data evaluated at start, and the Hessian there when no datum coincides
+    with start, are computed by its first solve and shared by every later
+    one.
     """
 
     basis: Basis
@@ -342,6 +379,10 @@ class WorkingSample:
     @property
     def degenerate(self) -> bool:
         return self.line is not None
+
+    @cached_property
+    def _at_start(self) -> _Evaluation:
+        return _Evaluation(self.start, self.data, self.norms)
 
 
 def default_dimension(n: int) -> int:
@@ -430,7 +471,7 @@ def solve_quantile(
     b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
     try:
         raw = _solve_coeffs(
-            work.data, b, work.norms, work.start, tol, step_tol, max_iter, track_objective
+            work.data, b, work.norms, work._at_start, tol, step_tol, max_iter, track_objective
         )
     except ConvergenceError as err:
         err.last = _solution(work, err.last)  # the last iterate, in the caller's basis
@@ -522,8 +563,7 @@ def linearization(C_ref: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     c_norms = np.linalg.norm(C_ref, axis=1)
     q_ref = _solve_coeffs(C_ref, b, c_norms).q
-    diff, _, inv_r, _ = _inverse_distances(q_ref, C_ref, c_norms)
-    return q_ref, floored_inverse(_hessian_raw(inv_r, diff), "reference Hessian")
+    return q_ref, floored_inverse(_Evaluation(q_ref, C_ref, c_norms).hessian, "reference Hessian")
 
 
 def bahadur_split(
@@ -538,6 +578,6 @@ def bahadur_split(
     """
     c_norms = np.linalg.norm(C, axis=1)
     q_hat = _solve_coeffs(C, b, c_norms).q
-    linear = J_inv @ _gradient_raw(q_ref, C, b, c_norms)[0]
+    linear = J_inv @ (_Evaluation(q_ref, C, c_norms).sign_mean - b)
     residual = (q_hat - q_ref) + linear
     return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))

@@ -457,6 +457,14 @@ def test_u_spec_outside_unit_ball_is_usage_error(tmp_path, capsys, spec):
     assert "norm >= 1" in capsys.readouterr().err
 
 
+def test_u_spec_repeating_an_index_is_usage_error(tmp_path, capsys):
+    src = simulate(tmp_path, n=30, grid=12)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["quantile", "--in", str(src), "--u-spec", "1:0.5,1:-0.2"])
+    assert exc.value.code == 2
+    assert "index 1 twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan,0,0,0,0", "0,0.6,0.8,0,0"])
 def test_bad_u_file_row_is_named(tmp_path, capsys, bad):
     src = simulate(tmp_path, n=30, grid=12)

@@ -298,6 +298,52 @@ def test_working_sample_solves_equal_sample_solves(center):
     assert_same_solution(solve_quantile(working_sample(s)), solve_quantile(s))
 
 
+def test_working_sample_solves_do_not_depend_on_their_order():
+    # the solves share the start point's evaluation and Hessian; no solve
+    # may leave state there that changes a later one
+    s = bm_sample(150, D=30, seed=36)
+    work = working_sample(s)
+    d = work.dimension
+    directions = [DirectionU.zero(d)]
+    directions += [DirectionU.along(k, c, d) for k in (1, 2, 5) for c in (0.6, -0.3)]
+
+    def solve_all(order):
+        return {i: solve_quantile(work, directions[i], track_objective=True) for i in order}
+
+    forward = solve_all(range(len(directions)))
+    backward = solve_all(reversed(range(len(directions))))
+    for i, u in enumerate(directions):
+        fresh = solve_quantile(s, u, track_objective=True)
+        for got in (forward[i], backward[i]):
+            assert_same_solution(got, fresh)
+            assert got.converged == fresh.converged
+            assert got.objective_trace == fresh.objective_trace
+
+
+def test_working_sample_starting_on_a_datum_solves_as_a_fresh_solve():
+    # curve 0 is the coordinatewise median of the coefficients, so it is
+    # the start point of the centred working sample: m > 0 there, and the
+    # Hessian at the start is never formed
+    g = Grid.uniform(0.0, 1.0, 24)
+    funcs = np.vstack([np.sin(np.pi * k * g.points) for k in (1, 2, 3)]) + 0.1
+    basis = orthonormalize(funcs, g)
+    rng = np.random.default_rng(37)
+    sides = np.vstack([rng.uniform(0.5, 2.0, (10, 3)), -rng.uniform(0.5, 2.0, (10, 3))])
+    coeffs = np.vstack([[0.2, -0.1, 0.05], sides + [0.2, -0.1, 0.05]])
+    s = FunctionalSample(g, coeffs @ np.asarray(basis.functions))
+    work = working_sample(s, basis, 3)
+    assert work.start.tobytes() == work.data[0].tobytes()
+    assert work._at_start.m > 0
+    directions = [DirectionU.zero(3), DirectionU.along(1, 0.5, 3), DirectionU.along(3, -0.2, 3)]
+    for u in directions:
+        got = solve_quantile(work, u, track_objective=True)
+        want = solve_quantile(s, u, basis=basis, d=3, track_objective=True)
+        assert got.converged
+        assert_same_solution(got, want)
+        assert got.objective_trace == want.objective_trace
+    assert "hessian" not in vars(work._at_start)
+
+
 def test_solve_depends_on_values_not_layout():
     # pca builds its functions transposed; a basis read from a file is row-major
     s = bm_sample(30, D=16, seed=3)
