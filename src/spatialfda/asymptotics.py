@@ -16,9 +16,9 @@ medians estimates the rate exponent.
     score) against the norm of the linear term itself; the remainder decays
     strictly faster than n^{-1/2}, the linear term at n^{-1/2}.
 
-All three share one replicate loop, run in order on the calling thread;
-every (sample size, replicate) pair has its own tagged substream of the
-study seed, so reports are reproducible bit for bit.
+All three score their (sample size, replicate) pairs in one fixed order,
+and every pair has its own tagged substream of the study seed, so reports
+are reproducible bit for bit.
 
 The gc and integrated studies, and reference_spatial_dist, run in the
 whitened KL frame of simulate (kl_coordinates): the probes are mapped into
@@ -27,12 +27,21 @@ coordinates z = xi * sigma, plus a zero off-span column when r < D, and the
 sign kernel runs there with unit weights. Distances, sign means and
 ||S_n - S|| are the grid's exactly, and no path is ever formed on the grid.
 
+Threads. Those three hand their runs (the reference first, then every
+replicate in order) to simulate.kl_coordinate_runs, which draws the next
+chunk of coordinates on one worker thread while the sign mean of the
+current chunk is taken here; the first replicate's draw overlaps the
+reference's last sign mean. Each chunk's draw depends only on its
+substream, so no output depends on that thread. Everything else, the
+bahadur study included, runs on the calling thread.
+
 Memory. Those three never hold a sample: the reference and each replicate
-arrive one simulate.CHUNK block of coordinates at a time, and each block's
-sign mean is added in, so their working set is O(CHUNK * min(k, D)) in
-n_ref and n, plus the probes. The bahadur study still holds all n_ref
-reference paths on the grid, since its PCA and reference quantile need the
-whole sample at once.
+arrive one simulate.CHUNK block of coordinates at a time, each block's sign
+mean is added in as soon as it arrives, and each run is scored as soon as
+its last block is in. Their working set is two blocks, O(CHUNK * min(k,
+D)) in n_ref and n, plus the probes and the reference sign mean. The
+bahadur study still holds all n_ref reference paths on the grid, since its
+PCA and reference quantile need the whole sample at once.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .funcspace import Curve, FunctionalSample, Grid, norm, pca, project_sample
 from .quantile import DirectionU, bahadur_split, default_dimension, linearization
 from .simulate import (
     ProcessSpec,
-    kl_coordinate_blocks,
+    kl_coordinate_runs,
     kl_coordinates,
     kl_curves,
     sample_process,
@@ -79,19 +88,21 @@ class ReferenceSpatialDist:
     n_ref: int
 
 
-def _frame_sign_mean(
-    spec: ProcessSpec, grid: Grid, coords: np.ndarray, n: int, seed: int
-) -> np.ndarray:
-    """Sign mean of each kl_coordinates row over the n paths of a substream.
+def _frame_sign_means(spec: ProcessSpec, grid: Grid, coords: np.ndarray, runs):
+    """Sign mean of each kl_coordinates row over the paths of each (n, seed) run.
 
-    The paths arrive as kl_coordinate_blocks blocks and are never held
-    together: the result is sum_b m_b * _sign_mean(coords, block_b, 1) / n.
+    Yields one mean per run, in order, as soon as the run's last block is
+    in. The paths arrive as kl_coordinate_runs blocks and are never held
+    together: run i's mean is sum_b m_b * _sign_mean(coords, block_b, 1) / n_i.
     """
     ones = np.ones(coords.shape[1])
-    total = np.zeros_like(coords)
-    for z in kl_coordinate_blocks(spec, grid, n, seed):
+    total, rows = np.zeros_like(coords), 0
+    for i, z in kl_coordinate_runs(spec, grid, runs):
         total += z.shape[0] * _sign_mean(coords, z, ones)
-    return total / n
+        rows += z.shape[0]
+        if rows == runs[i][0]:
+            yield total / rows
+            total, rows = np.zeros_like(coords), 0
 
 
 def probe_sample(spec: ProcessSpec, grid: Grid, n_probes: int, seed: int) -> FunctionalSample:
@@ -104,7 +115,7 @@ def reference_spatial_dist(
 ) -> ReferenceSpatialDist:
     """Spatial distribution at x under the spec, from n_ref simulated paths."""
     coords = kl_coordinates(spec, x.grid, x.values[None, :])
-    s = _frame_sign_mean(spec, x.grid, coords, n_ref, stream_seed(seed, _TAG_REF))
+    [s] = _frame_sign_means(spec, x.grid, coords, [(n_ref, stream_seed(seed, _TAG_REF))])
     curve = Curve(x.grid, kl_curves(spec, x.grid, s, x.values[None, :])[0])
     val = SpatialDistValue(curve, min(norm(curve), 1.0))
     err = math.sqrt(max(0.0, 1.0 - val.norm**2) / n_ref)
@@ -163,14 +174,13 @@ def _fit_slope(n_values, medians) -> float:
     return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(medians), 1)[0])
 
 
-def _replicates(n_values, reps: int, seed: int, score):
-    """score(n, seed) of each (sample size, replicate) substream, as one array in that order."""
-    return np.array(
-        [
-            [score(n, stream_seed(seed, _TAG_DATA, i_n, rep)) for rep in range(reps)]
-            for i_n, n in enumerate(n_values)
-        ]
-    )
+def _data_runs(n_values, reps: int, seed: int) -> list[tuple[int, int]]:
+    """(n, substream seed) of each (sample size, replicate) pair, sizes outermost."""
+    return [
+        (n, stream_seed(seed, _TAG_DATA, i_n, rep))
+        for i_n, n in enumerate(n_values)
+        for rep in range(reps)
+    ]
 
 
 def _sign_errors(
@@ -178,18 +188,20 @@ def _sign_errors(
 ) -> np.ndarray:
     """Squared sign-mean error at each probe, indexed (size, replicate, probe).
 
-    Reference and replicates are sign means in the KL frame of the probes
-    (_frame_sign_mean), the reference over n_ref paths of its substream.
+    Reference and replicates are sign means in the KL frame of the probes,
+    from one _frame_sign_means pass: the reference over n_ref paths of its
+    substream first, then each (size, replicate) substream in order.
     """
     grid = probes.grid
     coords = kl_coordinates(spec, grid, probes.values)
-    s_ref = _frame_sign_mean(spec, grid, coords, n_ref, stream_seed(seed, _TAG_REF))
-
-    def score(n, stream):
-        diff = _frame_sign_mean(spec, grid, coords, n, stream) - s_ref
-        return np.einsum("pc,pc->p", diff, diff)
-
-    return _replicates(n_values, reps, seed, score)
+    runs = [(n_ref, stream_seed(seed, _TAG_REF))] + _data_runs(n_values, reps, seed)
+    means = _frame_sign_means(spec, grid, coords, runs)
+    s_ref = next(means)
+    sq = []
+    for s in means:
+        diff = s - s_ref
+        sq.append(np.einsum("pc,pc->p", diff, diff))
+    return np.array(sq).reshape(len(n_values), reps, -1)
 
 
 def gc_rate_study(
@@ -281,15 +293,19 @@ def bahadur_rate_study(
 
     Unlike the gc and integrated studies, this one holds all n_ref reference
     paths at once: the PCA and the reference quantile need the whole sample.
-    Raises ValueError for n_values or reps that RateReport would reject,
+    The default d is default_dimension(max(n_values)), capped at the rank
+    bound min(n_ref - 1, D) before the draw and, unless u fixes d, at the
+    reference sample's numerical rank (pca's rule) after it. Raises
+    ValueError for n_values or reps that RateReport would reject,
     ConditioningError for d = 1 (the default d when max(n_values) < 4) and
-    RankDeficiencyError when d exceeds the reference rank, all before the
-    reference draw.
+    RankDeficiencyError when an explicit d exceeds that bound, all before
+    the reference draw.
     """
     n_values = [int(n) for n in n_values]
     _check_design(n_values, reps)
+    cap_at_rank = d is None and u is None
     if d is None:
-        d = default_dimension(max(n_values))
+        d = max(1, min(default_dimension(max(n_values)), n_ref - 1, grid.size))
     if d < 2:  # checked before the draw, like the rank bound below
         raise ConditioningError(
             f"a Bahadur study needs working dimension d >= 2, got {d}: off the data "
@@ -301,21 +317,20 @@ def bahadur_rate_study(
             f"requested {d} components from an {n_ref} x {grid.size} sample "
             f"(centered rank is at most min(n - 1, D))"
         )
-    if u is None:
-        u = DirectionU.zero(d)
-    elif u.dimension != d:
+    if u is not None and u.dimension != d:
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     ref_data = sample_process(spec, grid, n_ref, stream_seed(seed, _TAG_REF))
-    basis = pca(ref_data, d)
-    b = u.coefficients
+    basis = pca(ref_data, d, cap_at_rank=cap_at_rank)
+    d = basis.dimension
+    b = (DirectionU.zero(d) if u is None else u).coefficients
     q_ref, J_inv = linearization(project_sample(ref_data, basis), b)
 
     def score(n, stream):
         data = sample_process(spec, grid, n, stream)
         return bahadur_split(project_sample(data, basis), b, q_ref, J_inv)
 
-    splits = _replicates(n_values, reps, seed, score)
-    res_med, lin_med = np.median(splits, axis=1).T
+    splits = np.array([score(n, stream) for n, stream in _data_runs(n_values, reps, seed)])
+    res_med, lin_med = np.median(splits.reshape(len(n_values), reps, 2), axis=1).T
     return RateReport(
         study="bahadur",
         n_values=tuple(n_values),

@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="accepted and checked (>= 1), with no effect on any artifact: the work, "
-        "BLAS included, runs on one thread",
+        "BLAS included, runs on one thread, plus one thread drawing ahead in the gc "
+        "and integrated studies",
     )
 
     process = argparse.ArgumentParser(add_help=False)
@@ -169,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         help='direction as "k:c" pairs, e.g. "1:0.5" or "1:0.25,2:-0.1"; repeatable',
     )
     qua.add_argument("--u-file", dest="u_file", help="CSV of direction coefficient rows")
-    qua.add_argument("--d", type=int, help="working dimension (default floor(sqrt(n)))")
+    qua.add_argument(
+        "--d",
+        type=int,
+        help="working dimension (default floor(sqrt(n)); with the pca basis, at most the "
+        "sample's rank)",
+    )
     qua.add_argument("--basis", choices=("pca", "bm", "file"))
     qua.add_argument("--basis-file", dest="basis_file", help="functional-data CSV of basis rows")
     qua.add_argument("--out", help="output CSV of quantile curves")
@@ -329,10 +335,12 @@ def _parse_u_vector(text: str, d: int, parser) -> np.ndarray:
     return vec
 
 
-def _resolve_cli_basis(cfg, sample, d, parser) -> tuple[Basis, str]:
-    name = cfg["basis"]
-    if name == "pca":
-        return pca(sample, d), "pca"
+def _resolve_cli_basis(cfg, sample, parser) -> tuple[Basis, str]:
+    """--basis at --d, by default floor(sqrt(n)); a default PCA d is capped at the sample's rank."""
+    name, d = cfg["basis"], cfg.get("d")
+    if name == "pca":  # the default d of working_sample
+        return pca(sample, d or default_dimension(len(sample)), cap_at_rank=not d), "pca"
+    d = d or default_dimension(len(sample))
     if name == "bm":
         rows = []
         lams = []
@@ -352,8 +360,8 @@ def _resolve_cli_basis(cfg, sample, d, parser) -> tuple[Basis, str]:
 def _cmd_quantile(cfg, parser) -> int:
     sample = ingest(_require(cfg, "in_path", parser, "--in"))
     n = len(sample)
-    d = cfg.get("d") or default_dimension(n)
-    basis, basis_name = _resolve_cli_basis(cfg, sample, d, parser)
+    basis, basis_name = _resolve_cli_basis(cfg, sample, parser)
+    d = basis.dimension
 
     jobs: list[tuple[str, DirectionU]] = []
     for text in cfg.get("u_spec") or []:

@@ -321,13 +321,18 @@ def reconstruct(c: Coefficients) -> Curve:
     return Curve(c.basis.grid, c.values @ c.basis.functions)
 
 
-def pca(sample: FunctionalSample, d: int) -> Basis:
+def pca(sample: FunctionalSample, d: int, cap_at_rank: bool = False) -> Basis:
     """Principal components of a sample under the grid inner product.
 
     Centers the sample, then eigendecomposes the weighted Gram matrix of the
     centered curves (n x n) when n < D, or the weighted covariance (D x D)
     otherwise. Returns a Basis whose rows are the top d eigenfunctions and
     whose ``eigenvalues`` are the corresponding variances (divisor n).
+
+    The centered sample's numerical rank is the number of eigenvalues above
+    max(n, D) * eps times the largest (and above 0), and at most
+    min(n - 1, D). With cap_at_rank, a d above that rank is lowered to it
+    (but not below 1) instead of raising.
 
     Raises
     ------
@@ -338,6 +343,8 @@ def pca(sample: FunctionalSample, d: int) -> Basis:
     n, D = sample.values.shape
     if d < 1:
         raise ValueError("d must be >= 1")
+    if cap_at_rank:
+        d = max(1, min(d, n - 1, D))
     if d > min(n - 1, D):
         raise RankDeficiencyError(
             f"requested {d} components from an {n} x {D} sample "
@@ -349,9 +356,11 @@ def pca(sample: FunctionalSample, d: int) -> Basis:
         evals, evecs = np.linalg.eigh(A @ A.T)  # ascending
     else:
         evals, evecs = np.linalg.eigh((A.T @ A) / n)
-    evals = evals[::-1][:d]
-    evecs = evecs[:, ::-1][:, :d]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     rank_tol = max(n, D) * np.finfo(float).eps * max(evals[0], 0.0)
+    if cap_at_rank:
+        d = max(1, min(d, int(np.count_nonzero(evals > rank_tol))))  # rank_tol >= 0
+    evals, evecs = evals[:d], evecs[:, :d]
     if evals[d - 1] <= rank_tol or evals[d - 1] <= 0.0:
         raise RankDeficiencyError(f"sample has numerical rank below {d} (degenerate directions)")
     if n < D:

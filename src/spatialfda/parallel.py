@@ -2,8 +2,12 @@
 
 Every Monte Carlo loop and batch of solves runs as a plain ordered loop on
 the calling thread, so outputs are identical for any cap by construction.
-No code path reads the cap; it stays for the public API, and ``--threads``
-is checked and then has no effect on any artifact.
+The one other thread is simulate.kl_coordinate_runs' draw-ahead worker: in
+the gc and integrated studies it draws the next chunk of normals while the
+calling thread takes the sign mean of the current one. Each chunk has its
+own Philox substream and its own buffer, so no output depends on it. No
+code path reads the cap; it stays for the public API, and ``--threads`` is
+checked and then has no effect on any artifact.
 
 BLAS is the one place where a thread count changes numbers: OpenBLAS splits
 a product differently at 1 and at 2 threads, and its idle workers spin

@@ -399,16 +399,19 @@ def working_sample(
     """Project, center and rank-check a sample once, for many solve_quantile calls.
 
     basis and d resolve as in solve_quantile (PCA of dimension floor(sqrt(n))
-    by default). A sample whose centered coefficients have rank 1 (second
-    singular value at most 1e-10 of the first) keeps its principal line; its
-    quantiles are solved along that line whatever ``center`` says.
+    by default, capped at the sample's numerical rank). A sample whose
+    centered coefficients have rank 1 (second singular value at most 1e-10
+    of the first) keeps its principal line; its quantiles are solved along
+    that line whatever ``center`` says.
     """
-    if d is None:
-        d = basis.dimension if basis is not None else default_dimension(len(sample))
     if basis is None:
-        basis = pca(sample, d)
-    elif basis.dimension != d:
+        if d is None:
+            basis = pca(sample, default_dimension(len(sample)), cap_at_rank=True)
+        else:
+            basis = pca(sample, d)
+    elif d is not None and basis.dimension != d:
         basis = basis.truncated(d)
+    d = basis.dimension
     C = project_sample(sample, basis)
     offset = C.mean(axis=0)
     centered = C - offset
@@ -441,11 +444,12 @@ def solve_quantile(
 ) -> QuantileSolution:
     """Sample spatial u-quantile over a d-dimensional working subspace.
 
-    Defaults: u = 0 (the spatial median), d = floor(sqrt(n)), basis from
-    sample PCA. With center=True (the default, the standard workflow) the
-    sample is centered at its mean curve before solving and the mean is
-    added back, so the returned curve includes mean components outside the
-    basis span.
+    Defaults: u = 0 (the spatial median), d = floor(sqrt(n)) capped at the
+    centered sample's numerical rank (pca's rule), basis from sample PCA; an
+    explicit d above that rank raises RankDeficiencyError. With center=True
+    (the default, the standard workflow) the sample is centered at its mean
+    curve before solving and the mean is added back, so the returned curve
+    includes mean components outside the basis span.
 
     Collinear samples (centered coefficient rank 1) are solved along their
     principal line, ignoring any direction component off that line, and

@@ -30,17 +30,26 @@ and kl_coordinates maps fixed curves into the same coordinates, with one
 extra column for the part of a curve off the span of V when r < D. Every
 distance between a curve and a path is then a Euclidean distance in r or
 r + 1 coordinates, and no (n, D) path array is formed; the rate studies
-run there.
+run there, through kl_coordinate_runs, which yields the blocks of many
+(n, seed) runs in turn.
 
 Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed, and the first paths do not change when more
-are requested.
+are requested. Since a chunk's draw depends on nothing but its substream,
+any thread may draw it: coefficient_chunks draws each chunk on the calling
+thread, and kl_coordinate_runs draws the next chunk on one worker thread
+while the caller works on the current one. That is the package's one
+thread besides BLAS's, and no output depends on it.
 
-Memory. Each Monte Carlo stream allocates one (min(CHUNK, n), r) normals
+Memory. coefficient_chunks allocates one (min(CHUNK, n), r) normals
 buffer and draws every chunk into it in place, so a stream's working set
 is one chunk however many paths it draws, and the heap is not shrunk and
-regrown from chunk to chunk. sample_process writes the paths straight into
+regrown from chunk to chunk; a block is overwritten by the next one.
+kl_coordinate_runs holds two such coordinate buffers (plus one normals
+buffer for the worker when r < D): the caller holds block j in one while
+block j + 1 is drawn into the other, and block j is overwritten once the
+caller asks for block j + 1. sample_process writes the paths straight into
 the (n, D) array that its FunctionalSample adopts, so every path is held
 once; sample_blocks yields CHUNK-row blocks of paths, and
 kl_coordinate_blocks CHUNK-row blocks of coordinates, for callers that
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,29 +317,39 @@ def stream_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _chunks(n: int, seed: int) -> list:
+    """(substream, rows) of each chunk of an n-path stream: CHUNK rows each, the last one short."""
+    children = np.random.SeedSequence(seed).spawn(max(1, math.ceil(n / CHUNK)))
+    return [(child, min(CHUNK, n - j * CHUNK)) for j, child in enumerate(children)]
+
+
+def _fill(spec: ProcessSpec, child: np.random.SeedSequence, out: np.ndarray) -> np.ndarray:
+    """Draw one chunk's (m, k) coefficients into out, and return it.
+
+    The chunk's Philox substream fills the normals in row order; a student-t
+    law then divides each row by sqrt(W / df), W the path's chi-square
+    variate from a child of the chunk's seed.
+    """
+    y = np.random.Generator(np.random.Philox(child)).standard_normal(out=out)
+    if spec.coefficient_law == STUDENT_T_LAW:
+        scales = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
+        w = scales.chisquare(spec.df, size=out.shape[0])
+        y /= np.sqrt(w / spec.df)[:, None]
+    return y
+
+
 def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
     """Yield (m, k) coefficient blocks Y, m <= CHUNK, totalling n rows.
 
-    Each chunk gets its own Philox substream spawned from the seed; it fills
-    the normal block in row order, and a student-t law draws the chi-square
-    variate of each path from a child of the chunk's seed, so a chunk's
-    first rows do not depend on its length. Every block is a view of one
+    Each chunk gets its own Philox substream spawned from the seed (_fill),
+    so a chunk's first rows do not depend on its length. The chunks are
+    drawn in turn on the calling thread. Every block is a view of one
     (min(CHUNK, n), k) buffer and is overwritten by the next block: a caller
     that keeps a block copies it, and may use it as scratch space.
     """
-    n_chunks = max(1, math.ceil(n / CHUNK))
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
     buf = np.empty((min(CHUNK, n), k))
-    done = 0
-    for child in children:
-        m = min(CHUNK, n - done)
-        y = np.random.Generator(np.random.Philox(child)).standard_normal(out=buf[:m])
-        if spec.coefficient_law == STUDENT_T_LAW:
-            scales = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
-            w = scales.chisquare(spec.df, size=m)
-            y /= np.sqrt(w / spec.df)[:, None]
-        done += m
-        yield y
+    for child, m in _chunks(n, seed):
+        yield _fill(spec, child, buf[:m])
 
 
 def _system(spec: ProcessSpec, grid: Grid, n: int) -> _KLSystem:
@@ -397,25 +417,59 @@ def kl_coordinate_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
     That is the law of sample_process, and at k > D, where both draw the
     same r normals, its paths up to rounding. c is r, or r + 1 when r < D:
     the last column is then the frame's off-span column (kl_coordinates),
-    zero for every path. Arguments are checked at once, as in sample_blocks;
-    each block is a view of one buffer that the next block overwrites, so a
-    caller holds O(CHUNK * c) floats whatever n is.
+    zero for every path. This is the one-run case of kl_coordinate_runs:
+    arguments are checked at once, and a block stays valid until the next
+    one is asked for, so a caller holds O(CHUNK * c) floats whatever n is.
     """
-    sigma = _system(spec, grid, n).sigma
-    return _coordinate_blocks(spec, sigma, grid.size, n, seed)
+    return (z for _, z in kl_coordinate_runs(spec, grid, [(n, seed)]))
 
 
-def _coordinate_blocks(spec: ProcessSpec, sigma: np.ndarray, size: int, n: int, seed: int):
-    """kl_coordinate_blocks after its checks, on a D = size grid."""
+def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs):
+    """kl_coordinate_blocks of each (n, seed) of runs in turn, drawn one chunk ahead.
+
+    Yields (i, z) for every block z of run i, runs in order. Each run's
+    blocks are kl_coordinate_blocks(spec, grid, n, seed)'s bit for bit: the
+    same substreams, rows and chi-square children as coefficient_chunks.
+    While the caller holds block j, one worker thread draws block j + 1
+    into the other of two buffers; asking for block j + 1 hands block j's
+    buffer back for block j + 2. So a block stays valid until the next one
+    is asked for, and is then overwritten. Every chunk has its own
+    substream and its own buffer while it is drawn, so no output depends on
+    the thread. The worker starts with the first block and is joined when
+    the generator is exhausted or closed; a single chunk starts no worker.
+    Arguments are checked at once.
+    """
+    runs = [(int(n), int(seed)) for n, seed in runs]
+    sigma = _system(spec, grid, min((n for n, _ in runs), default=1)).sigma
+    return _coordinate_runs(spec, sigma, grid.size, runs)
+
+
+def _coordinate_runs(spec: ProcessSpec, sigma: np.ndarray, size: int, runs: list):
+    """kl_coordinate_runs after its checks, on a D = size grid."""
     r = sigma.size
-    wide = np.zeros((min(CHUNK, n), r + 1)) if r < size else None
-    for y in coefficient_chunks(spec, n, r, seed):
-        if wide is None:  # z in place in the normals buffer
-            yield np.multiply(y, sigma, out=y)
-        else:
-            m = y.shape[0]
-            np.multiply(y, sigma, out=wide[:m, :r])
-            yield wide[:m]
+    plan = [(i, child, m) for i, (n, seed) in enumerate(runs) for child, m in _chunks(n, seed)]
+    rows = max((m for _, _, m in plan), default=0)
+    slots = [np.zeros((rows, r + (r < size))) for _ in plan[:2]]
+    normals = np.empty((rows, r)) if r < size else None  # the drawing thread's scratch
+
+    def draw(j):
+        _, child, m = plan[j]
+        z = slots[j % 2][:m]
+        y = _fill(spec, child, z if normals is None else normals[:m])
+        np.multiply(y, sigma, out=z[:, :r])  # in place when c = r
+        return z
+
+    if len(plan) < 2:  # nothing to overlap
+        for j, (i, _, _) in enumerate(plan):
+            yield i, draw(j)
+        return
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw, 0)
+        for j, (i, _, _) in enumerate(plan):
+            z = ahead.result()
+            if j + 1 < len(plan):  # into the buffer of block j - 1, which the caller is done with
+                ahead = pool.submit(draw, j + 1)
+            yield i, z
 
 
 def _frame_split(spec: ProcessSpec, grid: Grid, values) -> tuple[_KLSystem, np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from spatialfda import (
     sample_process,
     stream_seed,
 )
-from spatialfda.asymptotics import _TAG_REF, _frame_sign_mean
+from spatialfda.asymptotics import _TAG_REF, _frame_sign_means
 from spatialfda.simulate import CHUNK, kl_coordinates, kl_curves
 from spatialfda.spatialdist import _sign_mean
 
@@ -56,7 +56,7 @@ def test_streamed_reference_sign_mean_matches_the_one_shot_kernel():
     fresh = sample_process(BM, g, 6, seed=40).values
     queries = np.vstack([fresh, ref.values[[3, n_ref - 2]]])
     one_shot = _sign_mean(queries, ref.values, g.weights)
-    streamed = _frame_sign_mean(BM, g, kl_coordinates(BM, g, queries), n_ref, stream)
+    [streamed] = _frame_sign_means(BM, g, kl_coordinates(BM, g, queries), [(n_ref, stream)])
     np.testing.assert_allclose(kl_curves(BM, g, streamed, queries), one_shot, rtol=0.0, atol=1e-13)
     x = Curve(g, fresh[0])
     value = reference_spatial_dist(BM, x, n_ref=n_ref, seed=8).value
@@ -100,7 +100,7 @@ def test_rate_studies_check_their_arguments_before_the_reference_draw(monkeypatc
     def no_draw(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(asy, "kl_coordinate_blocks", no_draw)
+    monkeypatch.setattr(asy, "kl_coordinate_runs", no_draw)
     monkeypatch.setattr(asy, "sample_process", no_draw)
     g = Grid.uniform(0.0, 1.0, 16)
     probes = FunctionalSample(g, np.ones((2, 16)))
@@ -208,12 +208,26 @@ def test_bahadur_study_checks_the_rank_bound_before_the_reference_draw(monkeypat
         pca(ref, 10)
     monkeypatch.setattr(asy, "sample_process", no_draw)
     with pytest.raises(RankDeficiencyError) as exc:
-        bahadur_rate_study(BM, g, [4, 100], reps=1, seed=1, n_ref=8)  # d = 10 > n_ref - 1
+        bahadur_rate_study(BM, g, [4, 100], reps=1, seed=1, n_ref=8, d=10)  # 10 > n_ref - 1
     assert str(exc.value) == str(expected.value)
     with pytest.raises(RankDeficiencyError, match="89 components from an 100000 x 64"):
-        bahadur_rate_study(BM, Grid.uniform(0.0, 1.0, 64), [250, 1000, 8000], reps=1, seed=1)
+        bahadur_rate_study(BM, Grid.uniform(0.0, 1.0, 64), [250, 1000, 8000], reps=1, seed=1, d=89)
     with pytest.raises(ValueError, match="dimension"):
         bahadur_rate_study(BM, g, [4, 16], reps=1, seed=1, u=DirectionU.zero(3), n_ref=50)
+
+
+def test_bahadur_study_caps_its_default_dimension():
+    # the default floor(sqrt(400)) = 20 exceeds D = 16, and BM paths are 0 at
+    # t = 0, so the reference has rank 15; an explicit d of 16 still raises
+    from spatialfda import DirectionU, RankDeficiencyError
+
+    g = Grid.uniform(0.0, 1.0, 16)
+    rep = bahadur_rate_study(BM, g, [100, 400], reps=2, seed=1, n_ref=2000)
+    assert rep.notes.startswith("working dimension 15 ")
+    with pytest.raises(RankDeficiencyError, match="numerical rank below 16"):
+        bahadur_rate_study(BM, g, [100, 400], reps=2, seed=1, n_ref=2000, d=16)
+    with pytest.raises(RankDeficiencyError, match="numerical rank below 16"):  # u fixes d = 16
+        bahadur_rate_study(BM, g, [100, 400], reps=2, seed=1, u=DirectionU.zero(16), n_ref=2000)
 
 
 def test_bahadur_study_rejects_one_dimension_before_the_reference_draw(monkeypatch):

@@ -105,6 +105,18 @@ def test_quantile_defaults_to_median_on_stdout(tmp_path, capsys):
     assert doc["d"] == 5  # floor(sqrt(30))
 
 
+def test_quantile_default_dimension_is_capped_at_the_sample_rank(tmp_path, capsys):
+    # floor(sqrt(4000)) = 63 > D = 50; the paths are 0 at t = 0, so the rank is 49
+    src = simulate(tmp_path, n=4000, grid=50)
+    capsys.readouterr()
+    assert run_cli(["quantile", "--in", str(src)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d"] == 49 and doc["solutions"][0]["converged"]
+    assert run_cli(["quantile", "--in", str(src), "--d", "63"]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err[err.index("{"):])["error"]["type"] == "RankDeficiencyError"
+
+
 def test_depth_and_ddplot(tmp_path):
     a = simulate(tmp_path, "a.csv", n=25, seed=1)
     b = simulate(tmp_path, "b.csv", n=35, seed=2)

@@ -365,6 +365,23 @@ def test_working_sample_fixes_basis_d_and_center(name):
         solve_quantile(work, DirectionU.zero(2))  # d is the working sample's
 
 
+def test_default_dimension_is_capped_at_the_sample_rank():
+    # floor(sqrt(4000)) = 63 exceeds D = 50, and the BM paths are 0 at t = 0,
+    # so the centred sample has rank 49 by pca's rule
+    from spatialfda import RankDeficiencyError
+
+    s = bm_sample(4000, D=50, seed=3)
+    assert working_sample(s).dimension == 49
+    assert pca(s, 63, cap_at_rank=True).dimension == 49
+    sol = solve_quantile(s)
+    assert sol.converged
+    np.testing.assert_array_equal(sol.curve.values, solve_quantile(s, d=49).curve.values)
+    for d in (50, 63):  # an explicit d keeps raising
+        with pytest.raises(RankDeficiencyError):
+            solve_quantile(s, d=d)
+    assert working_sample(bm_sample(30, seed=34)).dimension == 5  # below the rank: floor(sqrt(30))
+
+
 def test_cli_fan_rows_equal_per_direction_solves(tmp_path):
     path = tmp_path / "s.csv"
     write_sample(path, bm_sample(90, D=25, seed=35))

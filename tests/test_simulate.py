@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,7 @@ from spatialfda.simulate import (
     _kl_system,
     coefficient_chunks,
     kl_coordinate_blocks,
+    kl_coordinate_runs,
     kl_coordinates,
     kl_curves,
 )
@@ -400,6 +404,86 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
         np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
         kl_coordinate_blocks(spec, g, 0, seed=1)
+
+
+RUN_LISTS = {
+    "one": [(1, 7)],
+    "chunk": [(CHUNK, 7)],
+    "chunk+1": [(CHUNK + 1, 7)],
+    "2chunk+3": [(2 * CHUNK + 3, 7)],
+    "mixed": [(CHUNK + 1, 7), (1, 8), (2 * CHUNK + 3, 9), (5, 10)],
+}
+
+
+@pytest.mark.parametrize("runs", RUN_LISTS.values(), ids=RUN_LISTS.keys())
+@pytest.mark.parametrize("truncation", [None, 5])
+@pytest.mark.parametrize("law", ["gaussian", "student-t"])
+def test_coordinate_runs_are_the_serial_chunks(law, truncation, runs):
+    # drawn one chunk ahead on a worker, every block is coefficient_chunks'
+    # (the serial reference path) times sigma, bit for bit; at truncation 5
+    # r = 5 < D = 16 and the off-span column is 0
+    g = Grid.uniform(0.0, 1.0, 16)
+    t_law = law == "student-t"
+    mean = Curve(g, np.sin(3.0 * g.points)) if t_law else None
+    spec = ProcessSpec(KernelSpec.brownian(), law, 5 if t_law else None, mean, truncation)
+    sigma = _kl_system(spec, g).sigma
+    r = sigma.size
+    got = [(i, z.copy()) for i, z in kl_coordinate_runs(spec, g, runs)]
+    want = [
+        (i, y * sigma)
+        for i, (n, seed) in enumerate(runs)
+        for y in coefficient_chunks(spec, n, r, seed)
+    ]
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, z), (_, y) in zip(got, want):
+        assert z.shape == (y.shape[0], r + (r < 16))
+        assert np.array_equal(z[:, :r], y)
+        assert not z[:, r:].any()
+
+
+def test_a_held_block_is_not_overwritten_while_the_next_is_drawn():
+    # the caller holds each block while the worker draws the next one, with
+    # thread switches forced often; a buffer handed back too early shows here
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec = ProcessSpec(KernelSpec.brownian(), "student-t", df=5)
+    runs = [(5 * CHUNK + 1, 2), (CHUNK, 3), (7, 4)]
+    sigma = _kl_system(spec, g).sigma
+    want = [y * sigma for n, seed in runs for y in coefficient_chunks(spec, n, sigma.size, seed)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = 0
+        for (_, z), w in zip(kl_coordinate_runs(spec, g, runs), want):
+            first = z.copy()
+            time.sleep(0.01)
+            assert np.array_equal(z, first) and np.array_equal(z, w)
+            seen += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == len(want) == 8
+
+
+def test_coordinate_runs_leave_no_thread_behind():
+    g = Grid.uniform(0.0, 1.0, 16)
+    spec = ProcessSpec(KernelSpec.brownian())
+    before = threading.active_count()
+    blocks = kl_coordinate_runs(spec, g, [(3 * CHUNK, 1), (10, 2)])
+    next(blocks)
+    assert threading.active_count() == before + 1  # the worker, drawing block 1
+    blocks.close()
+    assert threading.active_count() == before
+
+    def consume():
+        for _ in kl_coordinate_runs(spec, g, [(3 * CHUNK, 1)]):
+            raise RuntimeError("the consumer failed")
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        consume()
+    assert threading.active_count() == before
+    blocks = kl_coordinate_runs(spec, g, [(CHUNK, 3)])
+    next(blocks)
+    assert threading.active_count() == before  # a single chunk starts no thread
+    assert list(blocks) == []
 
 
 def test_kl_curves_inverts_kl_coordinates_off_the_span():
