@@ -228,6 +228,9 @@ def _merge(args: argparse.Namespace, parser) -> dict:
     The merged values are checked once, so a bad config value is a usage
     error (exit 2) just like a bad flag, and so are a config key that names
     no option of the subcommand and a config file that holds no JSON object.
+    The subcommand parser's own actions drive the checks a flag gets from
+    argparse: a value outside an option's choices, and a repeatable option
+    whose value is not a list of strings, are usage errors.
     """
     cfg = dict(DEFAULTS.get(args.subcommand, {}))
     options = vars(args)
@@ -249,6 +252,17 @@ def _merge(args: argparse.Namespace, parser) -> dict:
             continue
         if value is not None:
             cfg[key] = value
+    sub = next(a for a in parser._actions if a.dest == "subcommand").choices[args.subcommand]
+    for action in sub._actions:
+        value, flag = cfg.get(action.dest), "/".join(action.option_strings)
+        if value is None:
+            continue
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"{flag} must be one of {', '.join(action.choices)}, got {value!r}")
+        if isinstance(action, argparse._AppendAction) and not (
+            isinstance(value, list) and all(isinstance(v, str) for v in value)
+        ):
+            parser.error(f"{flag} must be a list of strings, got {value!r}")
     for key in (*_POSITIVE_INTS, "seed"):
         value = cfg.get(key)
         low = {"seed": 0, "grid_size": 2}.get(key, 1)

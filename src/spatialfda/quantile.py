@@ -20,15 +20,15 @@ close to a datum moves onto it when that does not raise g, so a non-optimal
 datum is stepped off rather than approached forever. The usual workflow
 centers the sample at its mean curve, solves, and adds the mean back.
 
-Everything that depends on the sample alone (the basis, the projection, the
-centering, the rank-1 test, the start point and the row norms) is done once
-by working_sample; many directions u then share that one WorkingSample, as
-quantile_fan and the command line's quantile fan do. They also share the
-sample evaluated at the start point (differences, distances, coincident
-count, mean sign) and the Hessian there, formed by the first solve. Within a
-solve, the line search evaluates the sample at each trial point, and an
-accepted trial's differences and distances seed the next iterate, so each
-iterate forms them once.
+The solver reaches its data through one _MatrixSource: the (n, d) matrix,
+its row norms, the objective, and the sample evaluated at the median start
+(differences, distances, coincident count, mean sign) with the Hessian
+there, formed once. working_sample does everything else that depends on the
+sample alone (basis, projection, centering, rank-1 test) once; many
+directions u then share that WorkingSample and its source, as quantile_fan
+and the command line's quantile fan do. Within a solve, the line search
+evaluates the sample at each trial point, and an accepted trial's
+differences and distances seed the next iterate, so each forms them once.
 """
 
 from __future__ import annotations
@@ -111,36 +111,46 @@ class QuantileSolution:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-space kernels. C is the (n, d) data matrix, b the direction.
+# Coefficient-space kernels over a _MatrixSource; b is the direction.
 
 
-def _row_norms(a):
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+class _MatrixSource:
+    """The (n, d) matrix C whose rows the solver works on, and what it needs of them.
 
+    norms holds the row norms of C, computed once here for every coincidence
+    test and objective; start is the evaluation at the coordinatewise median
+    of C, the solver's first iterate, formed on first use and shared, with
+    its Hessian, by every solve on this source.
+    """
 
-def _objective_raw(q, C, b, c_norm_mean):
-    r = _row_norms(C - q)
-    return float(np.mean(r) - c_norm_mean - b @ q)
+    def __init__(self, C):
+        self.C = C
+        self.norms = np.linalg.norm(C, axis=1)
+
+    def objective(self, ev, b):
+        """g at the evaluated point q: mean ||q - C_i|| - mean ||C_i|| - <b, q>."""
+        return float(np.mean(ev.r) - float(self.norms.mean()) - b @ ev.q)
+
+    @cached_property
+    def start(self):
+        return _Evaluation(np.median(self.C, axis=0), self)
 
 
 class _Evaluation:
-    """The sample C evaluated at a point q; no array of it is ever written.
+    """The rows C_i of a _MatrixSource evaluated at a point q; no array of it is ever written.
 
     diff holds the differences q - C_i, r their norms and inv_r the inverses
     1/r_i, with m the number of C_i that coincide with q (coincident(r_i,
-    ||q||, ||C_i||), c_norms being the row norms of C, computed when not
-    given). A coincident C_i gets inverse 0, so it drops out of every sum
-    built on inv_r: the mean sign (1/n) sum_i inv_r_i diff_i and, where m is
-    0, the Hessian of the objective, both computed on first use.
+    ||q||, ||C_i||)). A coincident C_i gets inverse 0, so it drops out of
+    every sum built on inv_r: the mean sign (1/n) sum_i inv_r_i diff_i and,
+    where m is 0, the Hessian of the objective, both computed on first use.
     """
 
-    def __init__(self, q, C, c_norms=None):
-        if c_norms is None:
-            c_norms = _row_norms(C)
+    def __init__(self, q, sample):
         self.q = q
-        self.diff = q - C
-        self.r = _row_norms(self.diff)
-        coin = coincident(self.r, float(np.linalg.norm(q)), c_norms)
+        self.diff = q - sample.C
+        self.r = np.sqrt(np.einsum("ij,ij->i", self.diff, self.diff))
+        coin = coincident(self.r, float(np.linalg.norm(q)), sample.norms)
         self.inv_r = np.zeros_like(self.r)
         np.divide(1.0, self.r, out=self.inv_r, where=~coin)
         self.m = int(coin.sum())
@@ -202,13 +212,11 @@ def _decrease(at, trial, b, s):
     return float(np.mean(num / (trial.r + at.r)) - b @ s)
 
 
-def _solve_coeffs(
-    C, b, c_norms, start=None, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False
-):
-    """Minimize g over R^d from start (by default C's median), c_norms the row norms of C.
+def _solve_coeffs(sample, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER, track=False):
+    """Minimize g over R^d for the rows C_i of the _MatrixSource sample.
 
-    start may also be the _Evaluation of C at the start point, as a working
-    sample shares it among its solves; in 1-D with b != 0 the solver starts
+    The first iterate is sample.start, the evaluation at the median that
+    every solve on the sample shares; in 1-D with b != 0 the solver starts
     at an order statistic instead. Every exit is decided by one optimality
     test on the current iterate q at the top of the loop: ||grad|| <= tol off
     the data, and, when q coincides with m data, ||reduced grad|| <= m/n, the
@@ -222,48 +230,36 @@ def _solve_coeffs(
     decrease of g (_decrease) against the sample evaluated at the trial
     point itself, C[j] for the move; the accepted trial's evaluation is the
     next iterate's, so each iterate's differences and distances are formed
-    once, and a failed line search keeps the current one. The trace is
-    g(start) plus the running sum of accepted decreases. A failed line
-    search, a stalled step and the max_iter-th step only record why the loop
-    must stop; the iterate is tested once more and, failing, raises
-    ConvergenceError with the iteration that stopped.
+    once, and a failed line search keeps the current one. Every value of g
+    is sample.objective's: the trace is g at the start plus the running sum
+    of accepted decreases, and a solution's objective is g at its point. A
+    failed line search, a stalled step and the max_iter-th step only record
+    why the loop must stop; the iterate is tested once more and, failing,
+    raises ConvergenceError with the iteration that stopped.
     """
-    C = np.asarray(C, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = C.shape[0]
+    n = sample.C.shape[0]
     if b.size == 1 and b[0] != 0.0:
         # In 1-D the Hessian is zero, so Newton never applies, but the
         # minimizer is this order statistic: the first optimality test takes it.
         k = min(math.floor(n * (1.0 + float(b[0])) / 2.0), n - 1)
-        start = np.partition(C[:, 0], k)[k : k + 1]
-    elif start is None:
-        start = np.median(C, axis=0)
-    if not isinstance(start, _Evaluation):
-        start = _Evaluation(np.array(start, dtype=float), C, c_norms)
-    at = start
-    cmax = float(c_norms.max())
-    c_norm_mean = float(c_norms.mean())
-
-    def objective_at(ev):
-        # ||C_i - q|| = ||q - C_i|| bit for bit, as C - q = -(q - C) exactly
-        return float(np.mean(ev.r) - c_norm_mean - b @ ev.q)
-
-    trace = [objective_at(at)] if track else None
+        at = _Evaluation(np.partition(sample.C[:, 0], k)[k : k + 1], sample)
+    else:
+        at = sample.start
+    trace = [sample.objective(at, b)] if track else None
     stop = None  # (reason, iteration) once the loop must end after one more test
 
     def solution(ev, its, gn, converged, anchored=None):
         # off the data, from the last distances; on a datum, at that datum
-        if anchored is None:
-            q, fv = ev.q, objective_at(ev)
-        else:
-            q = C[anchored].copy()
-            fv = _objective_raw(q, C, b, c_norm_mean)
-        return _RawSolution(q, its, gn, fv, converged, anchored, tuple(trace) if track else None)
+        if anchored is not None:
+            ev = _Evaluation(sample.C[anchored].copy(), sample)
+        fv = sample.objective(ev, b)
+        return _RawSolution(ev.q, its, gn, fv, converged, anchored, tuple(trace) if track else None)
 
     for it in range(1, max_iter + 2):
         j = int(np.argmin(at.r))
         if at.m == 0 and at.r[j] <= 1e-3 * float(np.median(at.r)):
-            on_datum = _Evaluation(C[j].copy(), C, c_norms)
+            on_datum = _Evaluation(sample.C[j].copy(), sample)
             dg = _decrease(at, on_datum, b, -at.diff[j])
             if dg <= 0:
                 at = on_datum
@@ -297,7 +293,7 @@ def _solve_coeffs(
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
-            trial = _Evaluation(at.q + t * step, C, c_norms)
+            trial = _Evaluation(at.q + t * step, sample)
             dg = _decrease(at, trial, b, t * step)
             if dg <= 1e-4 * t * slope:
                 break
@@ -309,7 +305,8 @@ def _solve_coeffs(
         if track:
             trace.append(trace[-1] + dg)
         # relative to the data scale, like every test here: scale equivariant
-        if t * float(np.linalg.norm(step)) <= step_tol * (cmax + float(np.linalg.norm(at.q))):
+        scale = float(sample.norms.max()) + float(np.linalg.norm(at.q))
+        if t * float(np.linalg.norm(step)) <= step_tol * scale:
             stop = (f"step stalled below tolerance at iteration {it}", it)
         elif it >= max_iter:
             stop = (f"no convergence in {max_iter} iterations", it)
@@ -323,16 +320,15 @@ def objective(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> float
     """Value of the quantile objective at Q, with the sample projected to Q's basis."""
     if u.dimension != Q.basis.dimension:
         raise ValueError("direction and coefficients have different dimensions")
-    C = project_sample(sample, Q.basis)
-    c_norms = np.linalg.norm(C, axis=1)
-    return _objective_raw(Q.values, C, u.coefficients, float(c_norms.mean()))
+    data = _MatrixSource(project_sample(sample, Q.basis))
+    return data.objective(_Evaluation(Q.values, data), u.coefficients)
 
 
 def gradient(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> Coefficients:
     """Gradient of the objective at Q; Q must not coincide with a datum."""
     if u.dimension != Q.basis.dimension:
         raise ValueError("direction and coefficients have different dimensions")
-    at = _Evaluation(Q.values, project_sample(sample, Q.basis))
+    at = _Evaluation(Q.values, _MatrixSource(project_sample(sample, Q.basis)))
     if at.m > 0:
         raise ValueError(
             "gradient undefined at a data point; the solver handles this case "
@@ -343,7 +339,7 @@ def gradient(Q: Coefficients, sample: FunctionalSample, u: DirectionU) -> Coeffi
 
 def hessian(Q: Coefficients, sample: FunctionalSample) -> np.ndarray:
     """Hessian matrix of the objective at Q (independent of u)."""
-    at = _Evaluation(Q.values, project_sample(sample, Q.basis))
+    at = _Evaluation(Q.values, _MatrixSource(project_sample(sample, Q.basis)))
     if at.m > 0:
         raise ValueError("hessian undefined at a data point")
     return at.hessian
@@ -356,19 +352,17 @@ class WorkingSample:
     data is the (n, d) matrix the solver works on: the coefficients centered
     at their mean ``offset`` when ``center``, the raw coefficients otherwise,
     and the (n, 1) coordinates along the principal ``line`` when the sample
-    is collinear. start is its coordinatewise median (the solver's first
-    iterate) and norms its row norms; mean is the sample's mean curve. The
-    data evaluated at start, and the Hessian there when no datum coincides
-    with start, are computed by its first solve and shared by every later
-    one.
+    is collinear; mean is the sample's mean curve. The solver reaches data
+    through one data object, built by the first solve, that holds its row
+    norms and its evaluation at the coordinatewise median, the solver's
+    first iterate, with the Hessian there when no datum coincides with that
+    start; every later solve shares them.
     """
 
     basis: Basis
     center: bool
     offset: np.ndarray
     data: np.ndarray
-    start: np.ndarray
-    norms: np.ndarray
     line: np.ndarray | None
     mean: Curve
 
@@ -381,8 +375,8 @@ class WorkingSample:
         return self.line is not None
 
     @cached_property
-    def _at_start(self) -> _Evaluation:
-        return _Evaluation(self.start, self.data, self.norms)
+    def _source(self) -> _MatrixSource:
+        return _MatrixSource(self.data)
 
 
 def default_dimension(n: int) -> int:
@@ -424,11 +418,10 @@ def working_sample(
         data = (centered @ line)[:, None]
     else:
         data = centered if center else C
-    arrays = (offset, data, np.median(data, axis=0), np.linalg.norm(data, axis=1), line)
-    for a in arrays:
+    for a in (offset, data, line):
         if a is not None:
             a.flags.writeable = False
-    return WorkingSample(basis, center, *arrays, mean_curve(sample))
+    return WorkingSample(basis, center, offset, data, line, mean_curve(sample))
 
 
 def solve_quantile(
@@ -474,9 +467,7 @@ def solve_quantile(
         raise ValueError(f"direction has dimension {u.dimension}, expected {d}")
     b = u.coefficients if work.line is None else np.array([float(u.coefficients @ work.line)])
     try:
-        raw = _solve_coeffs(
-            work.data, b, work.norms, work._at_start, tol, step_tol, max_iter, track_objective
-        )
+        raw = _solve_coeffs(work._source, b, tol, step_tol, max_iter, track_objective)
     except ConvergenceError as err:
         err.last = _solution(work, err.last)  # the last iterate, in the caller's basis
         raise
@@ -485,15 +476,12 @@ def solve_quantile(
 
 def _solution(work: WorkingSample, raw: _RawSolution) -> QuantileSolution:
     """The solver's result in the basis of the working sample, its offset and mean added back."""
-    if work.line is not None:
-        q_centered = raw.q[0] * work.line
-    else:
-        q_centered = raw.q if work.center else raw.q - work.offset
-
-    coeffs = Coefficients(q_centered + work.offset, work.basis)
     if work.center or work.degenerate:
+        q_centered = raw.q if work.line is None else raw.q[0] * work.line
+        coeffs = Coefficients(q_centered + work.offset, work.basis)
         curve = work.mean + reconstruct(Coefficients(q_centered, work.basis))
-    else:
+    else:  # solved on the coefficients themselves: the solver's point, bit for bit
+        coeffs = Coefficients(raw.q, work.basis)
         curve = reconstruct(coeffs)
     return QuantileSolution(
         coefficients=coeffs,
@@ -565,9 +553,9 @@ def linearization(C_ref: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     floored_inverse; q_ref and J^{-1} are the fixed centre and slope of
     every bahadur_split against this reference.
     """
-    c_norms = np.linalg.norm(C_ref, axis=1)
-    q_ref = _solve_coeffs(C_ref, b, c_norms).q
-    return q_ref, floored_inverse(_Evaluation(q_ref, C_ref, c_norms).hessian, "reference Hessian")
+    ref = _MatrixSource(C_ref)
+    q_ref = _solve_coeffs(ref, b).q
+    return q_ref, floored_inverse(_Evaluation(q_ref, ref).hessian, "reference Hessian")
 
 
 def bahadur_split(
@@ -580,8 +568,8 @@ def bahadur_split(
     score is the gradient of the objective of C at q_ref. The remainder is
     (Qhat - q_ref) + linear term, Qhat the u-quantile of C.
     """
-    c_norms = np.linalg.norm(C, axis=1)
-    q_hat = _solve_coeffs(C, b, c_norms).q
-    linear = J_inv @ (_Evaluation(q_ref, C, c_norms).sign_mean - b)
+    data = _MatrixSource(C)
+    q_hat = _solve_coeffs(data, b).q
+    linear = J_inv @ (_Evaluation(q_ref, data).sign_mean - b)
     residual = (q_hat - q_ref) + linear
     return float(np.linalg.norm(residual)), float(np.linalg.norm(linear))

@@ -25,13 +25,12 @@ fewer than 100 points) its loading is Sigma V' / sqrt(w). V is computed
 only on the paths that need it: that sampling, and the whitened KL frame
 below. SAMPLER_NAME names this rule in every artifact it shapes.
 
-The whitened KL frame. kl_coordinate_blocks yields the z rows themselves,
-and kl_coordinates maps fixed curves into the same coordinates, with one
-extra column for the part of a curve off the span of V when r < D. Every
-distance between a curve and a path is then a Euclidean distance in r or
-r + 1 coordinates, and no (n, D) path array is formed; the rate studies
-run there, through kl_coordinate_runs, which yields the blocks of many
-(n, seed) runs in turn.
+The whitened KL frame. kl_coordinate_runs yields the z rows themselves, in
+blocks, for many (n, seed) runs in turn, and kl_coordinates maps fixed
+curves into the same coordinates, with one extra column for the part of a
+curve off the span of V when r < D. Every distance between a curve and a
+path is then a Euclidean distance in r or r + 1 coordinates, and no (n, D)
+path array is formed; the rate studies run there.
 
 Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
@@ -52,7 +51,7 @@ block j + 1 is drawn into the other, and block j is overwritten once the
 caller asks for block j + 1. sample_process writes the paths straight into
 the (n, D) array that its FunctionalSample adopts, so every path is held
 once; sample_blocks yields CHUNK-row blocks of paths, and
-kl_coordinate_blocks CHUNK-row blocks of coordinates, for callers that
+kl_coordinate_runs CHUNK-row blocks of coordinates, for callers that
 never hold all n paths.
 """
 
@@ -388,8 +387,8 @@ def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
     array; concatenated in order, the blocks are sample_process's values
     bit for bit, drawn from r = min(k, D) normals per path (module notes).
     A caller that needs only distances between paths and fixed curves can
-    skip the grid altogether: kl_coordinate_blocks draws the same law as
-    (m, r) coordinate blocks, and kl_coordinates maps the curves into them.
+    skip the grid altogether: kl_coordinate_runs draws the same law as
+    (m, c) coordinate blocks, and kl_coordinates maps the curves into them.
     """
     return _paths(spec, _system(spec, grid, n).sampling_loadings, n, seed)
 
@@ -409,35 +408,27 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
     return FunctionalSample(grid, values)
 
 
-def kl_coordinate_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
-    """n paths of the process as (m, c) blocks of whitened KL coordinates, m <= CHUNK.
-
-    A path's coordinates are z = y * sigma, y its r = min(k, D) coefficients
-    from coefficient_chunks; its values are z V' / sqrt(w) plus the mean.
-    That is the law of sample_process, and at k > D, where both draw the
-    same r normals, its paths up to rounding. c is r, or r + 1 when r < D:
-    the last column is then the frame's off-span column (kl_coordinates),
-    zero for every path. This is the one-run case of kl_coordinate_runs:
-    arguments are checked at once, and a block stays valid until the next
-    one is asked for, so a caller holds O(CHUNK * c) floats whatever n is.
-    """
-    return (z for _, z in kl_coordinate_runs(spec, grid, [(n, seed)]))
-
-
 def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs):
-    """kl_coordinate_blocks of each (n, seed) of runs in turn, drawn one chunk ahead.
+    """The paths of each (n, seed) of runs, in turn, as whitened KL coordinates.
 
-    Yields (i, z) for every block z of run i, runs in order. Each run's
-    blocks are kl_coordinate_blocks(spec, grid, n, seed)'s bit for bit: the
-    same substreams, rows and chi-square children as coefficient_chunks.
+    Yields (i, z) for every (m, c) block z of run i, m <= CHUNK, runs in
+    order. A path's coordinates are z = y * sigma, y its r = min(k, D)
+    coefficients from coefficient_chunks(spec, n, r, seed): the same
+    substreams, rows and chi-square children, bit for bit. Its values are
+    z V' / sqrt(w) plus the mean: the law of sample_process, and at k > D,
+    where both draw the same r normals, its paths up to rounding. c is r,
+    or r + 1 when r < D: the last column is then the frame's off-span
+    column (kl_coordinates), zero for every path.
+
     While the caller holds block j, one worker thread draws block j + 1
     into the other of two buffers; asking for block j + 1 hands block j's
     buffer back for block j + 2. So a block stays valid until the next one
-    is asked for, and is then overwritten. Every chunk has its own
-    substream and its own buffer while it is drawn, so no output depends on
-    the thread. The worker starts with the first block and is joined when
-    the generator is exhausted or closed; a single chunk starts no worker.
-    Arguments are checked at once.
+    is asked for, and is then overwritten, and a caller holds O(CHUNK * c)
+    floats whatever n is. Every chunk has its own substream and its own
+    buffer while it is drawn, so no output depends on the thread. The
+    worker starts with the first block and is joined when the generator is
+    exhausted or closed; a single chunk starts no worker. Arguments are
+    checked at once.
     """
     runs = [(int(n), int(seed)) for n, seed in runs]
     sigma = _system(spec, grid, min((n for n, _ in runs), default=1)).sigma
@@ -484,7 +475,7 @@ def _frame_split(spec: ProcessSpec, grid: Grid, values) -> tuple[_KLSystem, np.n
 
 
 def kl_coordinates(spec: ProcessSpec, grid: Grid, values) -> np.ndarray:
-    """Curve rows (P, D) in the whitened KL frame of kl_coordinate_blocks: (P, c).
+    """Curve rows (P, D) in the whitened KL frame of kl_coordinate_runs: (P, c).
 
     Row i starts with pi_i = (x_i - mean) sqrt(w) V. When r < D, a last
     column holds ||perp_i||, the norm of the part of (x_i - mean) sqrt(w)

@@ -72,7 +72,7 @@ def test_coordinate_score_of_an_off_span_probe_is_the_grid_kernels():
     # r = 5 < D = 16: the probes' off-span column carries their distance to
     # the 5-dimensional span of the paths, and the score is still exact
     from spatialfda.asymptotics import _TAG_DATA, _sign_errors
-    from spatialfda.simulate import _kl_system, kl_coordinate_blocks
+    from spatialfda.simulate import _kl_system, kl_coordinate_runs
 
     g = Grid.uniform(0.0, 1.0, 16)
     spec = ProcessSpec(KernelSpec.brownian(), truncation=5)
@@ -83,7 +83,8 @@ def test_coordinate_score_of_an_off_span_probe_is_the_grid_kernels():
     scores = _sign_errors(spec, probes, n_values, 1, seed, n_ref)
 
     def grid_sign_mean(n, stream):
-        blocks = [z[:, :5] @ kl.v.T / kl.root_w for z in kl_coordinate_blocks(spec, g, n, stream)]
+        runs = kl_coordinate_runs(spec, g, [(n, stream)])
+        blocks = [z[:, :5] @ kl.v.T / kl.root_w for _, z in runs]
         return _sign_mean(probes.values, np.concatenate(blocks), g.weights)
 
     s_ref = grid_sign_mean(n_ref, stream_seed(seed, _TAG_REF))

@@ -527,6 +527,35 @@ def test_bad_config_entry_is_usage_error(tmp_path, capsys, conf, message):
 
 
 @pytest.mark.parametrize(
+    "command,conf,flag",
+    [
+        ("simulate", {"process": "nonsense", "n": 5, "grid_size": 8, "seed": 1}, "--process"),
+        (
+            "converge",
+            {"study": "nonsense", "process": "bm", "grid_size": 8, "n_list": "50,100",
+             "reps": 1, "n_ref": 200, "seed": 1},
+            "--study",
+        ),
+        ("quantile", {"basis": "nonsense"}, "--basis"),
+        ("quantile", {"u_spec": "1:0.5"}, "--u-spec"),  # not a list
+        ("quantile", {"u_spec": ["1:0.5", 2]}, "--u-spec"),  # not a list of strings
+    ],
+)
+def test_config_values_get_the_checks_of_their_flags(tmp_path, capsys, command, conf, flag):
+    sample = simulate(tmp_path)  # the quantile input
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(conf))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "quantile":
+        args += ["--in", str(sample)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg, sample]
+
+
+@pytest.mark.parametrize(
     "flag,value",
     [
         ("--n-list", "100,100"),

@@ -166,14 +166,14 @@ def test_one_dimensional_bahadur_path_solve_starts_at_the_order_statistic():
     # u != 0 it takes the order statistic itself. n(1 + b)/2 = 140 is an
     # integer, so g is flat between order statistics 139 and 140; a median
     # start took 6 iterations to stop inside that segment.
-    from spatialfda.quantile import _objective_raw, _solve_coeffs
+    from spatialfda.quantile import _Evaluation, _MatrixSource, _solve_coeffs
 
     C = np.random.default_rng(0).standard_normal((200, 1))
-    b, norms = np.array([0.4]), np.abs(C[:, 0])
-    raw = _solve_coeffs(C, b, norms)
+    b, data = np.array([0.4]), _MatrixSource(C)
+    raw = _solve_coeffs(data, b)
     assert raw.converged and raw.iterations == 1 and raw.anchored_at_datum is not None
     assert raw.q[0] == np.sort(C[:, 0])[140]
-    best = min(_objective_raw(x, C, b, norms.mean()) for x in C)
+    best = min(data.objective(_Evaluation(x, data), b) for x in C)
     assert raw.objective <= best + 1e-15
 
 
@@ -237,6 +237,26 @@ def test_solution_is_local_minimum():
             Coefficients(sol.coefficients.values + dq, sol.coefficients.basis), s, u
         )
         assert f1 >= f0 - 1e-12
+
+
+def test_uncentered_solution_objective_is_the_public_objective():
+    # solved on the raw coefficients, a solution is the solver's point, and
+    # the solver and objective() share one objective: equal bit for bit
+    s = bm_sample(80, seed=17)
+    for u in (DirectionU.along(1, 0.5, 5), DirectionU.zero(5)):
+        sol = solve_quantile(s, u, d=5, center=False)
+        assert sol.converged and sol.anchored_at_datum is None
+        assert objective(sol.coefficients, s, u) == sol.objective
+    # anchored on a datum, duplicated values included
+    rng = np.random.default_rng([1, 7])
+    n = int(rng.integers(5, 60))
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    s, basis = scalar_sample(a[rng.integers(0, n, n)])
+    for c in (-0.6, 0.0, 0.35):
+        u = DirectionU(np.array([c]))
+        sol = solve_quantile(s, u, basis=basis, d=1, center=False)
+        assert sol.converged and sol.anchored_at_datum is not None
+        assert objective(sol.coefficients, s, u) == sol.objective
 
 
 def test_objective_trace_monotone():
@@ -332,8 +352,9 @@ def test_working_sample_starting_on_a_datum_solves_as_a_fresh_solve():
     coeffs = np.vstack([[0.2, -0.1, 0.05], sides + [0.2, -0.1, 0.05]])
     s = FunctionalSample(g, coeffs @ np.asarray(basis.functions))
     work = working_sample(s, basis, 3)
-    assert work.start.tobytes() == work.data[0].tobytes()
-    assert work._at_start.m > 0
+    start = work._source.start
+    assert start.q.tobytes() == work.data[0].tobytes()
+    assert start.m > 0
     directions = [DirectionU.zero(3), DirectionU.along(1, 0.5, 3), DirectionU.along(3, -0.2, 3)]
     for u in directions:
         got = solve_quantile(work, u, track_objective=True)
@@ -341,7 +362,7 @@ def test_working_sample_starting_on_a_datum_solves_as_a_fresh_solve():
         assert got.converged
         assert_same_solution(got, want)
         assert got.objective_trace == want.objective_trace
-    assert "hessian" not in vars(work._at_start)
+    assert "hessian" not in vars(start)
 
 
 def test_solve_depends_on_values_not_layout():
@@ -412,7 +433,7 @@ def test_convergence_error_carries_last_iterate():
 
     work = working_sample(s, d=3)
     with pytest.raises(ConvergenceError) as raw:
-        _solve_coeffs(work.data, np.zeros(3), work.norms, work.start, max_iter=1)
+        _solve_coeffs(work._source, np.zeros(3), max_iter=1)
     q = raw.value.last.q
     assert last.coefficients.basis == work.basis
     assert np.array_equal(last.coefficients.values, q + work.offset)

@@ -30,7 +30,6 @@ from spatialfda.simulate import (
     CHUNK,
     _kl_system,
     coefficient_chunks,
-    kl_coordinate_blocks,
     kl_coordinate_runs,
     kl_coordinates,
     kl_curves,
@@ -393,7 +392,7 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
     spec = ProcessSpec(KernelSpec.brownian(), mean=Curve(g, g.points), truncation=truncation)
     kl = _kl_system(spec, g)
     r = kl.sigma.size
-    blocks = [b.copy() for b in kl_coordinate_blocks(spec, g, CHUNK + 7, seed=4)]
+    blocks = [b.copy() for _, b in kl_coordinate_runs(spec, g, [(CHUNK + 7, 4)])]
     z = np.concatenate(blocks)
     assert z.shape == (CHUNK + 7, r + (r < 16))
     assert not z[:, r:].any()
@@ -403,7 +402,7 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
         ref = sample_process(spec, g, CHUNK + 7, seed=4).values
         np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        kl_coordinate_blocks(spec, g, 0, seed=1)
+        kl_coordinate_runs(spec, g, [(0, 1)])
 
 
 RUN_LISTS = {
