@@ -7,7 +7,7 @@ below are trace ratios trace(Sigma) / trace(V0) estimated by Monte Carlo,
 with J and Lambda diagonal in Karhunen-Loeve coordinates; the t-law rows
 follow from their Gaussian twins through the elliptical identity.
 
-A reduced Monte Carlo budget keeps this demo fast (a few seconds); pass
+A reduced Monte Carlo budget keeps this demo under a second; pass
 --full to reproduce the shipped table at its production budget.
 """
 
@@ -20,7 +20,7 @@ from spatialfda import efficiency_table
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true",
-                    help="production Monte Carlo budget (about 30 s)")
+                    help="production Monte Carlo budget (a few seconds)")
     args = ap.parse_args()
     mc = 200_000 if args.full else 20_000
 

@@ -466,6 +466,9 @@ def _cmd_ddplot(cfg, parser) -> int:
 def _cmd_efficiency(cfg, parser) -> int:
     doc = {"version": __version__, "generator": GENERATOR_NAME, "estimator": ESTIMATOR}
     if cfg.get("table"):
+        for key in ("process", "hurst", "df"):  # the table fixes its own cells
+            if cfg.get(key) is not None:
+                parser.error(f"--{key} does not apply to --table, which runs its fixed cells")
         seed = DEFAULT_TABLE_SEED if cfg.get("seed") is None else cfg["seed"]
         rows = efficiency_table(seed=seed, mc=cfg["mc"], grid_size=cfg["grid_size"])
         doc.update(kind="efficiency-table", seed=seed, mc_size=cfg["mc"], grid_size=cfg["grid_size"])

@@ -29,14 +29,18 @@ E[s] = sqrt(2/df) Gamma((df+1)/2) / Gamma(df/2) (Magyar & Tyler 2011).
 
 J and Lambda use two independent Monte Carlo streams derived from one study
 seed through fixed integer tags, so a report is reproducible bit for bit
-and does not change when other parts of a study re-seed.
+and does not change when other parts of a study re-seed. The draws are iid
+N(0, I_r) rows whatever the law, so every Gaussian twin with r singular
+values reads the same pair of streams at the same seed (common random
+numbers): the table draws each pair once per distinct r and runs all its
+twins of that r over it, and each of its rows equals are() of its cell at
+the table seed bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +61,7 @@ from .spatialdist import coincident
 
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
-ESTIMATOR = "kl-diagonal-1"  # names the v0 estimator below in every efficiency artifact
+ESTIMATOR = "kl-diagonal-2"  # names the v0 estimator below in every efficiency artifact
 
 # Stream tags. Every named substream of a study seed gets its own fixed tag,
 # so adding streams later cannot silently shift existing ones.
@@ -65,7 +69,6 @@ _TAG_SIGMA = 0
 _TAG_J = 1
 _TAG_LAMBDA = 2
 _TAG_GRID = 3
-_TAG_CELL_BASE = 16
 
 
 def domain_grid(domain: str, grid_size: int, seed: int) -> Grid:
@@ -158,39 +161,55 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     summed chunk by chunk in a fixed order over two independent substreams
     of the seed. The draws are the Gaussian twin's normals, the normal block
     a t law draws first; a t law then divides by E[s]^2, so a t law and its
-    twin at the same (grid, mc, seed) share one run. Raises ConditioningError
-    when J is singular, as for a one-dimensional process.
+    twin at the same (grid, mc, seed) share one run, and so does every
+    efficiency_table row of that twin at the table seed. Raises
+    ConditioningError when J is singular, as for a one-dimensional process.
     """
-    if mc < 1:
-        raise ValueError("mc must be >= 1")
     return _twin_v0(_gaussian_twin(spec), grid, mc, seed) / _mean_scale(spec) ** 2
 
 
 @functools.lru_cache(maxsize=1)
 def _twin_v0(twin: ProcessSpec, grid: Grid, mc: int, seed: int) -> float:
     """trace(V0) of a Gaussian law from mc draws per matrix; see v0_estimate."""
-    sigma = _kl_system(twin, grid).sigma
+    return _v0_runs(twin, [_kl_system(twin, grid).sigma], mc, seed)[0]
+
+
+def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) -> list[float]:
+    """trace(V0) of the Gaussian law twin at each whitened scale vector sigma.
+
+    Every sigma has the same size k, so all of them read the same k normals
+    per draw: the J stream, then the Lambda stream, each drawn once. With
+    y^2 squared in place in the normals buffer, a sigma's r^2 = y^2 @ sigma^2
+    and its weighted sums sigma^2 * (1/r^p @ y^2) are two GEMVs per chunk.
+    A sigma's value does not depend on the others in the list.
+    """
+    if mc < 1:
+        raise ValueError("mc must be >= 1")
+    s2 = [np.square(s) for s in sigmas]
 
     def sums(tag: int, power: int):
-        # sum of 1/r and of z_i^2 / r^power over the stream; r = 0 adds nothing
-        inv_r_sum, weighted = 0.0, np.zeros(sigma.size)
-        for y in coefficient_chunks(twin, mc, sigma.size, stream_seed(seed, tag)):
-            # z^2 in place in the normals buffer, which the next chunk overwrites
-            z2 = np.multiply(y, sigma, out=y)
-            np.square(z2, out=z2)
-            r = np.sqrt(np.sum(z2, axis=1))
-            # z coincides with the mean 0 by the package's one rule (only at r = 0)
-            inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=~coincident(r, r, 0.0))
-            inv_r_sum += float(np.sum(inv_r))
-            weighted += inv_r**power @ z2
-        return inv_r_sum, weighted
+        # per sigma: the sum of 1/r and of y^2 / r^power over the stream; r = 0 adds nothing
+        inv_r_sum, weighted = np.zeros(len(s2)), [np.zeros(s.size) for s in s2]
+        for y in coefficient_chunks(twin, mc, s2[0].size, stream_seed(seed, tag)):
+            y2 = np.square(y, out=y)  # the next chunk overwrites the buffer
+            for i, s in enumerate(s2):
+                r = np.sqrt(y2 @ s)
+                # z coincides with the mean 0 by the package's one rule (only at r = 0)
+                inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=~coincident(r, r, 0.0))
+                inv_r_sum[i] += float(np.sum(inv_r))
+                weighted[i] += inv_r**power @ y2
+        return inv_r_sum, [w * s for w, s in zip(weighted, s2)]
 
+    # one stream at a time, so one normals buffer is alive at a time
     inv_r_sum, j_outer = sums(_TAG_J, 3)
     lam_sum = sums(_TAG_LAMBDA, 2)[1]
-    J = (inv_r_sum - j_outer) / mc
-    if np.min(J) <= inv_r_sum / mc / CONDITION_LIMIT:  # (nearly) one-dimensional process
-        raise ConditioningError(f"estimated J condition number exceeds {CONDITION_LIMIT:.0e}")
-    return float(np.sum(lam_sum / mc / J**2))
+    out = []
+    for r_sum, outer, lam in zip(inv_r_sum, j_outer, lam_sum):
+        J = (r_sum - outer) / mc
+        if np.min(J) <= r_sum / mc / CONDITION_LIMIT:  # (nearly) one-dimensional process
+            raise ConditioningError(f"estimated J condition number exceeds {CONDITION_LIMIT:.0e}")
+        out.append(float(np.sum(lam / mc / J**2)))
+    return out
 
 
 def are(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> EfficiencyReport:
@@ -200,8 +219,11 @@ def are(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> E
     Carlo budget goes into the sandwich estimate, which a t law shares with
     its Gaussian twin at the same grid, mc and seed (see v0_estimate).
     """
+    return _report(spec, grid, v0_estimate(spec, grid, mc, seed), mc, seed)
+
+
+def _report(spec: ProcessSpec, grid: Grid, tv: float, mc: int, seed: int) -> EfficiencyReport:
     ts = sigma_trace(spec, grid)
-    tv = v0_estimate(spec, grid, mc, seed)
     return EfficiencyReport(
         trace_sigma=ts,
         trace_v0=tv,
@@ -280,24 +302,31 @@ def efficiency_table(
 ) -> list[TableRow]:
     """Run the efficiency sweep; one row per cell, in the order of cells.
 
-    Each cell runs on the domain_grid of its domain at the study seed. A cell
-    whose (domain, Gaussian twin) is a default cell's runs under that cell's
-    tagged substream, any other under a tag from the crc32 of its label
-    (stable across processes, unlike hash()). Cells with one twin and
-    substream share one run (see v0_estimate), each over its own E[s]^2:
-    t3-min and t9-min share a Gaussian min-kernel run, the gauss-kernel t
-    cells the gauss-kernel run. Tags do not depend on the cell list.
+    Each cell runs on the domain_grid of its domain at the study seed, and
+    its row is are(cell.spec, grid, mc, seed) bit for bit. The sweep builds
+    each distinct (domain, Gaussian twin) KL system once and groups the
+    twins by their number r of singular values; each group reads one J and
+    one Lambda stream of the seed (see _v0_runs). Every row is then its
+    twin's V0 over its own E[s]^2: t3-min and t9-min share the Gaussian
+    min-kernel value, the gauss-kernel t cells the gauss-kernel one.
     """
     if cells is None:
         cells = default_table_cells()
-    twins = [(c.domain, _gaussian_twin(c.spec)) for c in default_table_cells()]
-    first_index = {key: i for i, key in reversed(list(enumerate(twins)))}  # the first index wins
-
-    def run(cell: TableCell) -> TableRow:
-        grid = domain_grid(cell.domain, grid_size, seed)
-        key = (cell.domain, _gaussian_twin(cell.spec))
-        tag = first_index.get(key, len(twins) + zlib.crc32(cell.label.encode()))
-        rep = are(cell.spec, grid, mc, stream_seed(seed, _TAG_CELL_BASE + tag))
-        return TableRow(cell.label, rep, cell.reference)
-
-    return [run(cell) for cell in cells]
+    grids = {d: domain_grid(d, grid_size, seed) for d in dict.fromkeys(c.domain for c in cells)}
+    keys = [(c.domain, _gaussian_twin(c.spec)) for c in cells]
+    sigmas = {key: _kl_system(key[1], grids[key[0]]).sigma for key in dict.fromkeys(keys)}
+    groups: dict[int, list] = {}
+    for key, sigma in sigmas.items():
+        groups.setdefault(sigma.size, []).append(key)
+    v0 = {}
+    for group in groups.values():
+        runs = _v0_runs(group[0][1], [sigmas[key] for key in group], mc, seed)
+        v0.update(zip(group, runs))
+    return [
+        TableRow(
+            cell.label,
+            _report(cell.spec, grids[cell.domain], v0[key] / _mean_scale(cell.spec) ** 2, mc, seed),
+            cell.reference,
+        )
+        for cell, key in zip(cells, keys)
+    ]

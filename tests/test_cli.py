@@ -253,6 +253,27 @@ def test_efficiency_table_sweep(tmp_path, capsys):
     assert "reference=0.830" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "option", [("process", "t"), ("hurst", 0.7), ("df", 3)], ids=lambda o: o[0]
+)
+def test_table_with_process_options_is_usage_error(tmp_path, capsys, option, source):
+    key, value = option
+    args = ["efficiency", "--table", "--mc", "100", "--grid-size", "10", "--seed", "1"]
+    if source == "flag":
+        args += [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--{key} does not apply to --table" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--bogus"])

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from spatialfda import (
     KernelSpec,
     ProcessSpec,
     TableCell,
+    TableRow,
     are,
     default_table_cells,
     domain_grid,
@@ -19,7 +19,7 @@ from spatialfda import (
     v0_estimate,
 )
 from spatialfda import efficiency
-from spatialfda.efficiency import _TAG_CELL_BASE, _TAG_GRID, _TAG_J, _TAG_LAMBDA
+from spatialfda.efficiency import _TAG_GRID, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
 
@@ -144,6 +144,19 @@ def test_v0_estimate_works_in_one_chunk_of_normals():
     assert peak < 1.5 * CHUNK * g.size * 8
 
 
+def test_efficiency_table_works_in_one_chunk_of_normals():
+    # 12 twins over one J and one Lambda stream per rank r (100 and 200): a
+    # second live normals buffer or an (m, r) scratch per cell would double
+    # the peak
+    tracemalloc.start()
+    try:
+        efficiency_table(seed=11, mc=2 * CHUNK + 1, grid_size=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * CHUNK * 200 * 8
+
+
 def test_sandwich_independent_of_overall_scale():
     # J scales like 1/s, Lambda is scale free, so trace(V0) scales like s^2
     # and the ratio is scale invariant; realize the scaling through a
@@ -177,8 +190,10 @@ def test_efficiency_table_small_run():
     cells = [c for c in default_table_cells() if c.label in ("brownian", "fbm-h0.5")]
     rows = efficiency_table(seed=11, mc=4000, grid_size=40, cells=cells)
     assert [r.label for r in rows] == ["brownian", "fbm-h0.5"]
-    # H = 1/2 fractional kernel equals the Brownian kernel, but the cells
-    # use different substreams, so values agree loosely rather than exactly
+    # H = 1/2 fractional kernel equals the Brownian kernel, and both cells
+    # have r = 40 and read the same draws; but brownian's sigma comes from
+    # its 100-term closed-form KL and fbm-h0.5's from the grid eigenpairs,
+    # so values agree loosely rather than exactly
     assert rows[0].report.are == pytest.approx(rows[1].report.are, rel=0.1)
     again = efficiency_table(seed=11, mc=4000, grid_size=40, cells=cells)
     assert [r.report.are for r in rows] == [r.report.are for r in again]
@@ -248,12 +263,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_table_calls_are_once_per_row_and_runs_each_twin_once(monkeypatch):
-    efficiency._twin_v0.cache_clear()
-    ares, builds = _count_calls(monkeypatch, "are"), _count_calls(monkeypatch, "_kl_system")
-    efficiency_table(seed=11, mc=500, grid_size=20)
-    assert len(ares) == 15
-    assert len(builds) == 12  # 15 rows, three of them t laws after their twin
+def test_table_builds_each_twin_once_and_draws_two_streams_per_rank(monkeypatch):
+    builds = _count_calls(monkeypatch, "_kl_system")
+    draws = _count_calls(monkeypatch, "coefficient_chunks")
+    efficiency_table(seed=11, mc=500, grid_size=200)
+    assert len(builds) == 12  # 15 rows, three of them t laws of a twin already built
+    assert len(draws) == 4  # J and Lambda at r = 100 (brownian) and r = 200 (the rest)
+
+
+def test_cells_of_one_kernel_and_rank_share_their_draws():
+    # fbm-h0.5 is the min kernel of t3-min's twin on the same grid, so the two
+    # rows differ by t_factor(3) and round-off only
+    rows = {r.label: r.report.are for r in efficiency_table(seed=11, mc=2000, grid_size=30)}
+    assert rows["fbm-h0.5"] == pytest.approx(rows["t3-min"] / t_factor(3), rel=1e-12)
 
 
 def test_a_t_law_and_its_twin_share_one_monte_carlo_run(monkeypatch):
@@ -275,11 +297,10 @@ def test_sigma_trace_rejects_negative_mc():
     assert sigma_trace(bm, g, mc=0) == sigma_trace(bm, g)
 
 
-def test_cells_off_the_default_list_run_under_their_label_tag():
-    # a twin no default cell has: the tag follows the 15 default tags, offset
-    # by the crc32 of the label, and the row is are() of the cell there
-    assert len(default_table_cells()) == 15
-    cells = [
+def test_every_table_row_is_are_of_its_cell_at_the_table_seed():
+    # the 15 default cells and two twins no default cell has, one of them of
+    # its own rank r = 10
+    cells = default_table_cells() + [
         TableCell(
             "fbm-h0.25-t5",
             ProcessSpec(KernelSpec.fractional_brownian(0.25), "student-t", df=5),
@@ -293,8 +314,8 @@ def test_cells_off_the_default_list_run_under_their_label_tag():
             None,
         ),
     ]
-    rows = efficiency_table(seed=11, mc=2000, grid_size=30, cells=cells)
+    mc = CHUNK + 100
+    rows = efficiency_table(seed=11, mc=mc, grid_size=30, cells=cells)
     for cell, row in zip(cells, rows, strict=True):
-        tag = _TAG_CELL_BASE + 15 + zlib.crc32(cell.label.encode())
         grid = domain_grid(cell.domain, 30, 11)
-        assert row.report == are(cell.spec, grid, 2000, stream_seed(11, tag))
+        assert row == TableRow(cell.label, are(cell.spec, grid, mc, 11), cell.reference)
