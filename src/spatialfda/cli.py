@@ -284,12 +284,16 @@ def _process_inputs(cfg: dict, parser) -> tuple[ProcessSpec, Grid, int, str]:
     hurst, df = cfg.get("hurst"), cfg.get("df")
     if df is not None and (type(df) is not int or df < 3):
         parser.error(f"--df must be an integer >= 3, got {df!r}")
+    if df is not None and name in ("bm", "fbm"):
+        parser.error(f"--df does not apply to --process {name}: its law is Gaussian")
+    if hurst is not None and name != "fbm":
+        parser.error(f"--hurst does not apply to --process {name}: only fbm takes it")
     if name == "bm":
-        kernel, label, df = KernelSpec.brownian(), "bm", None  # Gaussian, as is fbm, whatever --df
+        kernel, label = KernelSpec.brownian(), "bm"
     elif name == "fbm":
         if not (isinstance(hurst, (int, float)) and 0 < hurst < 1):
             parser.error(f"--hurst in (0, 1) is required for fbm, got {hurst!r}")
-        kernel, label, df = KernelSpec.fractional_brownian(hurst), f"fbm(h={hurst:g})", None
+        kernel, label = KernelSpec.fractional_brownian(hurst), f"fbm(h={hurst:g})"
     elif name == "t":
         if df is None:
             parser.error("--df is required for the t process")

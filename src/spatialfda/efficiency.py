@@ -15,11 +15,17 @@ Everything is evaluated in the whitened coordinates sqrt(w) * x of a
 D-point grid, where the weighted inner product is Euclidean; the ratio is
 invariant under orthonormal changes of that representation. A whitened path
 is y @ tilde, tilde the k x D whitened KL loading; with sigma its min(k, D)
-singular values, a field of simulate's KL system (built once per (spec,
-grid), so once per table cell), it is z = y * sigma in orthonormal
-coordinates, in distribution. Every shipped law keeps each coordinate of z
-sign-symmetric given the others, so J and Lambda are diagonal there and
+singular values, it is z = y * sigma in orthonormal coordinates, in
+distribution. Every shipped law keeps each coordinate of z sign-symmetric
+given the others, so J and Lambda are diagonal there and
 trace(V0) = sum_i Lambda_ii / J_ii^2 (directions off the KL span add 0).
+
+sigma is the one field of simulate's KL system that this module reads
+(built once per (spec, grid)). For a discretized kernel, whose whitened KL
+functions are orthonormal, it is the square roots of the top eigenvalues of
+W^{1/2} K W^{1/2}, from an eigenvalue-only solve; for the Brownian closed
+form, whose whitened functions need not be, the singular values of its
+whitened loading. No eigenvector is computed for the study.
 
 The student-t law is elliptical: its path is the Gaussian path divided by
 one shared s = sqrt(W/df), W ~ chi-square(df). Signs do not see s and 1/r
@@ -304,9 +310,10 @@ def efficiency_table(
 
     Each cell runs on the domain_grid of its domain at the study seed, and
     its row is are(cell.spec, grid, mc, seed) bit for bit. The sweep builds
-    each distinct (domain, Gaussian twin) KL system once and groups the
-    twins by their number r of singular values; each group reads one J and
-    one Lambda stream of the seed (see _v0_runs). Every row is then its
+    each distinct (domain, Gaussian twin) KL system once, which solves for
+    its whitened scales sigma alone (see the module docstring), and groups
+    the twins by their number r = min(k, D) of scales; each group reads one
+    J and one Lambda stream of the seed (see _v0_runs). Every row is then its
     twin's V0 over its own E[s]^2: t3-min and t9-min share the Gaussian
     min-kernel value, the gauss-kernel t cells the gauss-kernel one.
     """

@@ -11,9 +11,14 @@ kernel they come from the weighted kernel matrix on the grid. Gaussian
 coefficients are iid N(0, 1); the student-t law divides all coefficients of
 a path by one shared sqrt(W/r) with W ~ chi-square(r), which keeps the
 process elliptical rather than making coordinates independently heavy-tailed.
-_kl_system alone builds the KL system, whitened singular values included,
-and its memo holds one (spec, grid), sized by the traffic: a rate study
-draws from one key about 150 times, and each efficiency cell from its own.
+_kl_system alone builds the KL system, and its memo holds one (spec, grid),
+sized by the traffic: a rate study draws from one key about 150 times, and
+each efficiency cell from its own. A build computes only the whitened
+singular values sigma (below): for a discretized kernel the square roots of
+the top eigenvalues of W^{1/2} K W^{1/2}, from an eigenvalue-only solve;
+for the Brownian closed form the singular values of its whitened loading.
+The eigenvectors, the loading and V follow on first use, so the efficiency
+study, which reads sigma alone, solves for no eigenvector.
 
 Sampling draws r = min(k, D) normals per path. With the whitened loading
 L diag(sqrt(w)) = U Sigma V' (sigma its singular values), k iid normals y
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -229,6 +235,19 @@ def bm_eigenpair(k: int, grid: Grid) -> tuple[float, Curve]:
     return float(scales[0]), Curve(grid, functions[0])
 
 
+def _whitened_kernel(kernel: KernelSpec, grid: Grid, root_w: np.ndarray) -> np.ndarray:
+    """B = W^{1/2} K W^{1/2} on the grid, symmetrized; root_w is sqrt(w)."""
+    B = root_w[:, None] * kernel.evaluate(grid.points) * root_w[None, :]
+    return 0.5 * (B + B.T)
+
+
+def _clipped(evals: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of B with [-1e-10, 0) clipped to zero; NotPSDError below -1e-10."""
+    if evals[0] < -1e-10:
+        raise NotPSDError(f"discretized kernel has eigenvalue {evals[0]:.3e} below -1e-10")
+    return np.where((evals < 0.0) & (evals >= -1e-10), 0.0, evals)
+
+
 def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
     """Top d eigenpairs of the covariance operator discretized on the grid.
 
@@ -240,70 +259,101 @@ def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
     """
     if d < 1 or d > grid.size:
         raise ValueError(f"d must be in [1, {grid.size}]")
-    K = kernel.evaluate(grid.points)
     sw = np.sqrt(grid.weights)
-    B = sw[:, None] * K * sw[None, :]
-    B = 0.5 * (B + B.T)
-    evals, evecs = np.linalg.eigh(B)
-    if evals[0] < -1e-10:
-        raise NotPSDError(
-            f"discretized kernel has eigenvalue {evals[0]:.3e} below -1e-10"
-        )
-    evals = np.where((evals < 0.0) & (evals >= -1e-10), 0.0, evals)
+    evals, evecs = np.linalg.eigh(_whitened_kernel(kernel, grid, sw))
+    evals = _clipped(evals)
     order = np.argsort(evals)[::-1][:d]
     functions = (evecs[:, order] / sw[:, None]).T
     return Basis(grid, functions, evals[order])
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class _KLSystem:
-    """Read-only KL scales (k,), functions and loading (k, D), whitened singular values sigma.
+    """A KL system on a grid: sigma and root_w at once, every other field on first use.
 
-    root_w is sqrt(w) of the grid. v, V of L diag(sqrt(w)) = U Sigma V', and
-    sampling_loadings are computed on first use: sampling at k <= D and the
-    efficiency study need neither.
+    sigma (r,), r = min(k, D), holds the decreasing singular values of the
+    whitened loading L diag(sqrt(w)). For a discretized kernel they are the
+    square roots of the top k eigenvalues of B = W^{1/2} K W^{1/2}, from an
+    eigenvalue-only solve under kernel_eigen's clip rule, since the whitened
+    KL functions are orthonormal; for the Brownian closed form they are the
+    singular values themselves, since its whitened functions need not be
+    (k > D, a grid inside [0, 1]). root_w is sqrt(w) of the grid.
+
+    eigenpairs returns the KL scales (k,) and functions (k, D). It runs
+    when a sampler or the KL frame first reads scales, functions,
+    loadings L = scales * functions, v or sampling_loadings, all read-only;
+    the efficiency study reads sigma alone and solves for no eigenvector.
     """
 
-    scales: np.ndarray
-    functions: np.ndarray
-    loadings: np.ndarray
     sigma: np.ndarray
     root_w: np.ndarray
+    eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        scales, functions = self.eigenpairs()
+        _read_only(scales, functions)
+        return scales, functions
+
+    @property
+    def scales(self) -> np.ndarray:
+        return self._pairs[0]
+
+    @property
+    def functions(self) -> np.ndarray:
+        return self._pairs[1]
+
+    @functools.cached_property
+    def loadings(self) -> np.ndarray:
+        out = self.scales[:, None] * self.functions
+        _read_only(out)
+        return out
 
     @functools.cached_property
     def v(self) -> np.ndarray:
         """(D, r), r = min(k, D): the right singular vectors of the whitened loading."""
         vt = np.linalg.svd(self.loadings * self.root_w, full_matrices=False)[2]
-        vt.flags.writeable = False
+        _read_only(vt)
         return vt.T
 
     @functools.cached_property
     def sampling_loadings(self) -> np.ndarray:
         """(r, D) loading of r normals per path: L itself at k <= D, Sigma V' / sqrt(w) at k > D."""
-        if self.sigma.size == self.scales.size:
+        if self.scales.size <= self.root_w.size:
             return self.loadings
         out = self.sigma[:, None] * self.v.T / self.root_w
-        out.flags.writeable = False
+        _read_only(out)
         return out
 
 
 @functools.lru_cache(maxsize=1)
 def _kl_system(spec: ProcessSpec, grid: Grid) -> _KLSystem:
     k = spec.truncation or (100 if spec.kernel.kind == BROWNIAN else grid.size)
+    root_w = np.sqrt(grid.weights)
     if spec.kernel.kind == BROWNIAN:
         scales, functions = _bm_system(np.arange(1, k + 1), grid.points)
+        sigma = np.linalg.svd((scales[:, None] * functions) * root_w[None, :], compute_uv=False)
+
+        def eigenpairs():
+            return scales, functions
+
     elif k > grid.size:
         raise ValueError(f"truncation {k} exceeds the {grid.size} eigenpairs on this grid")
     else:
-        basis = kernel_eigen(spec.kernel, grid, k)
-        scales, functions = np.sqrt(basis.eigenvalues), basis.functions
-    loadings = scales[:, None] * functions
-    root_w = np.sqrt(grid.weights)
-    # not the scales: the whitened functions need not be orthonormal (k > D, a grid inside [0, 1])
-    sigma = np.linalg.svd(loadings * root_w[None, :], compute_uv=False)
-    for a in (scales, functions, loadings, sigma, root_w):
-        a.flags.writeable = False
-    return _KLSystem(scales, functions, loadings, sigma, root_w)
+        evals = _clipped(np.linalg.eigvalsh(_whitened_kernel(spec.kernel, grid, root_w)))
+        sigma = np.sqrt(evals[::-1][:k])
+
+        def eigenpairs():
+            basis = kernel_eigen(spec.kernel, grid, k)
+            return np.sqrt(basis.eigenvalues), basis.functions
+
+    _read_only(sigma, root_w)
+    return _KLSystem(sigma, root_w, eigenpairs)
 
 
 def stream_seed(seed: int, *tags: int) -> int:

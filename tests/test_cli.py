@@ -274,6 +274,49 @@ def test_table_with_process_options_is_usage_error(tmp_path, capsys, option, sou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "process, option",
+    [
+        ("bm", ("df", 3)),
+        ("fbm", ("df", 5)),
+        ("bm", ("hurst", 0.3)),
+        ("t", ("hurst", 0.3)),
+        ("gauss-kernel", ("hurst", 0.7)),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x[0],
+)
+@pytest.mark.parametrize("subcommand", ["simulate", "efficiency", "converge"])
+def test_process_option_the_process_does_not_take_is_usage_error(
+    tmp_path, capsys, monkeypatch, subcommand, process, option, source
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("domain_grid", "sample_process", "are", "probe_sample", "gc_rate_study"):
+        monkeypatch.setattr(cli, name, no_work)
+    key, value = option
+    args = [subcommand, "--process", process, "--seed", "1"]
+    if process == "fbm":
+        args += ["--hurst", "0.7"]
+    if process == "t":
+        args += ["--df", "3"]
+    if subcommand == "converge":
+        args += ["--study", "gc"]
+    if source == "flag":
+        args += [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "o.out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: --{key} does not apply to --process {process}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--bogus"])

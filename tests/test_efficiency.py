@@ -18,7 +18,7 @@ from spatialfda import (
     sigma_trace,
     v0_estimate,
 )
-from spatialfda import efficiency
+from spatialfda import efficiency, simulate
 from spatialfda.efficiency import _TAG_GRID, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
@@ -266,9 +266,12 @@ def _count_calls(monkeypatch, name):
 def test_table_builds_each_twin_once_and_draws_two_streams_per_rank(monkeypatch):
     builds = _count_calls(monkeypatch, "_kl_system")
     draws = _count_calls(monkeypatch, "coefficient_chunks")
+    eigen, real = [], simulate.kernel_eigen
+    monkeypatch.setattr(simulate, "kernel_eigen", lambda *a: eigen.append(a) or real(*a))
     efficiency_table(seed=11, mc=500, grid_size=200)
     assert len(builds) == 12  # 15 rows, three of them t laws of a twin already built
     assert len(draws) == 4  # J and Lambda at r = 100 (brownian) and r = 200 (the rest)
+    assert len(eigen) == 0  # each build solves for sigma alone, no eigenvector
 
 
 def test_cells_of_one_kernel_and_rank_share_their_draws():

@@ -25,7 +25,7 @@ from spatialfda import (
 )
 from spatialfda import simulate
 from spatialfda.asymptotics import probe_sample
-from spatialfda.efficiency import _gaussian_twin
+from spatialfda.efficiency import _gaussian_twin, domain_grid
 from spatialfda.simulate import (
     CHUNK,
     _kl_system,
@@ -187,6 +187,39 @@ def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
     for _ in range(3):
         sample_process(other, Grid.uniform(0.0, 1.0, 17), 4, seed=2)
     assert len(builds) == 3
+
+
+def _sigma_systems(D):
+    # every table kernel on both domains, but the min kernel (and so the
+    # Brownian closed form) is no covariance off [0, inf); and an fbm with k < D
+    kernels = dict.fromkeys(_gaussian_twin(c.spec).kernel for c in default_table_cells())
+    for kernel in kernels:
+        for domain in ("unit-interval", "real-line"):
+            if domain == "unit-interval" or kernel.kind not in ("brownian", "min"):
+                yield ProcessSpec(kernel), domain_grid(domain, D, 3)
+    yield ProcessSpec(KernelSpec.fractional_brownian(0.3), truncation=D // 3), domain_grid(
+        "unit-interval", D, 3
+    )
+
+
+@pytest.mark.parametrize("D", [24, 200])
+def test_sigma_is_the_singular_values_of_the_whitened_loading(D):
+    # a discretized kernel's sigma comes from an eigenvalue-only solve, the
+    # Brownian closed form's from this very SVD
+    for spec, g in _sigma_systems(D):
+        kl = _kl_system(spec, g)
+        want = np.linalg.svd(kl.loadings * kl.root_w, compute_uv=False)
+        assert kl.sigma.shape == want.shape == (min(kl.scales.size, D),)
+        np.testing.assert_allclose(kl.sigma**2, want**2, rtol=0.0, atol=1e-13 * want[0] ** 2)
+
+
+def test_a_kernel_not_psd_on_the_grid_fails_its_kl_build():
+    # min(s, t) has negative eigenvalues on a grid reaching below 0
+    spec, g = ProcessSpec(KernelSpec.min_kernel()), domain_grid("real-line", 24, 3)
+    with pytest.raises(NotPSDError, match="below -1e-10"):
+        _kl_system(spec, g)
+    with pytest.raises(NotPSDError, match="below -1e-10"):
+        kernel_eigen(spec.kernel, g, 3)
 
 
 def test_bm_eigenpair_rejects_grid_outside_unit_interval():
