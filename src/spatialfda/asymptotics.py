@@ -28,25 +28,30 @@ sign kernel runs there with unit weights. Distances, sign means and
 ||S_n - S|| are the grid's exactly, and no path is ever formed on the grid.
 
 Threads. Those three hand their runs (the reference first, then every
-replicate in order) to simulate.kl_coordinate_runs, which draws the next
-chunk of coordinates on one worker thread while the sign mean of the
-current chunk is taken here; the first replicate's draw overlaps the
-reference's last sign mean. Each chunk's draw depends only on its
-substream, so no output depends on that thread. Everything else, the
-bahadur study included, runs on the calling thread.
+replicate in order) to simulate.kl_coordinate_runs, whose two worker
+threads each draw a chunk of coordinates and take the sign mean of each of
+its sub-blocks where it is drawn; the calling thread only sums those means
+in order, so the first replicate's chunks are drawn while the reference's
+last ones are reduced. Each chunk's draw depends only on its substream,
+and each sub-block's sign mean only on its rows, so no output depends on
+those threads. Everything else, the bahadur study included, runs on the
+calling thread.
 
 Memory. Those three never hold a sample: the reference and each replicate
-arrive one simulate.CHUNK block of coordinates at a time, each block's sign
-mean is added in as soon as it arrives, and each run is scored as soon as
-its last block is in. Their working set is two blocks, O(CHUNK * min(k,
-D)) in n_ref and n, plus the probes and the reference sign mean. The
-bahadur study still holds all n_ref reference paths on the grid, since its
-PCA and reference quantile need the whole sample at once.
+arrive as the sign means of sub-blocks of about 1 MiB of coordinates, each
+is added in as soon as it arrives, and each run is scored as soon as its
+last one is in. Their working set is one sub-block and one sign-mean
+workspace per worker, O(min(k, D)) in n_ref and n, plus the probes, the
+reference sign mean and at most four chunks' sign means. The bahadur study
+still holds all n_ref reference paths on the grid, since its PCA and
+reference quantile need the whole sample at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +97,18 @@ def _frame_sign_means(spec: ProcessSpec, grid: Grid, coords: np.ndarray, runs):
     """Sign mean of each kl_coordinates row over the paths of each (n, seed) run.
 
     Yields one mean per run, in order, as soon as the run's last block is
-    in. The paths arrive as kl_coordinate_runs blocks and are never held
-    together: run i's mean is sum_b m_b * _sign_mean(coords, block_b, 1) / n_i.
+    in. The paths are reduced where kl_coordinate_runs draws them and are
+    never held together: run i's mean is sum_b m_b * _sign_mean(coords,
+    block_b, 1) / n_i.
     """
     ones = np.ones(coords.shape[1])
-    total, rows = np.zeros_like(coords), 0
-    for i, z in kl_coordinate_runs(spec, grid, runs):
-        total += z.shape[0] * _sign_mean(coords, z, ones)
-        rows += z.shape[0]
-        if rows == runs[i][0]:
-            yield total / rows
-            total, rows = np.zeros_like(coords), 0
+
+    def weighted_sign_mean(z):  # looks _sign_mean up at each call: perfbench wraps it
+        return z.shape[0] * _sign_mean(coords, z, ones)
+
+    blocks = kl_coordinate_runs(spec, grid, runs, weighted_sign_mean)
+    for i, sums in itertools.groupby(blocks, key=operator.itemgetter(0)):
+        yield sum(s for _, s in sums) / runs[i][0]
 
 
 def probe_sample(spec: ProcessSpec, grid: Grid, n_probes: int, seed: int) -> FunctionalSample:

@@ -328,6 +328,11 @@ def pca(sample: FunctionalSample, d: int, cap_at_rank: bool = False) -> Basis:
     centered curves (n x n) when n < D, or the weighted covariance (D x D)
     otherwise. Returns a Basis whose rows are the top d eigenfunctions and
     whose ``eigenvalues`` are the corresponding variances (divisor n).
+    Each eigenfunction is oriented so that <phi_k, rho>_w >= 0 for the ramp
+    rho(t) = 1 + (t - t_1) / (t_D - t_1), in either branch, so the signs,
+    and the quantile a direction along phi_k names, do not depend on the
+    order of the curves. Negation is exact, so a flipped phi_k is the
+    unoriented one times -1 bit for bit.
 
     The centered sample's numerical rank is the number of eigenvalues above
     max(n, D) * eps times the largest (and above 0), and at most
@@ -369,6 +374,9 @@ def pca(sample: FunctionalSample, d: int, cap_at_rank: bool = False) -> Basis:
     else:
         vt, variances = evecs, evals
     functions = (vt / sw[:, None]).T  # un-whiten, rows are eigenfunctions
+    t = sample.grid.points
+    ramp = sample.grid.weights * (1.0 + (t - t[0]) / (t[-1] - t[0]))
+    functions *= np.where(functions @ ramp < 0.0, -1.0, 1.0)[:, None]
     return Basis(sample.grid, functions, variances)
 
 

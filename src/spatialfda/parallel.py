@@ -2,12 +2,14 @@
 
 Every Monte Carlo loop and batch of solves runs as a plain ordered loop on
 the calling thread, so outputs are identical for any cap by construction.
-The one other thread is simulate.kl_coordinate_runs' draw-ahead worker: in
-the gc and integrated studies it draws the next chunk of normals while the
-calling thread takes the sign mean of the current one. Each chunk has its
-own Philox substream and its own buffer, so no output depends on it. No
-code path reads the cap; it stays for the public API, and ``--threads`` is
-checked and then has no effect on any artifact.
+The only other threads are simulate.kl_coordinate_runs' two workers: in the
+gc and integrated studies each draws a chunk of normals and takes the sign
+means of its sub-blocks, and the calling thread sums those means in chunk
+order. Each chunk has its own Philox substream, and each sub-block's sign
+mean depends on its rows alone, so no output depends on which worker ran
+it; the two are joined before the study returns. No code path reads the
+cap; it stays for the public API, and ``--threads`` is checked and then
+has no effect on any artifact.
 
 BLAS is the one place where a thread count changes numbers: OpenBLAS splits
 a product differently at 1 and at 2 threads, and its idle workers spin

@@ -258,7 +258,9 @@ def _solve_coeffs(sample, b, tol=GRAD_TOL, step_tol=STEP_TOL, max_iter=MAX_ITER,
 
     for it in range(1, max_iter + 2):
         j = int(np.argmin(at.r))
-        if at.m == 0 and at.r[j] <= 1e-3 * float(np.median(at.r)):
+        # the median is at most the max, so it is taken only when it can decide
+        near = at.m == 0 and at.r[j] <= 1e-3 * float(at.r.max())
+        if near and at.r[j] <= 1e-3 * float(np.median(at.r)):
             on_datum = _Evaluation(sample.C[j].copy(), sample)
             dg = _decrease(at, on_datum, b, -at.diff[j])
             if dg <= 0:

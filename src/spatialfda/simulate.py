@@ -30,10 +30,11 @@ fewer than 100 points) its loading is Sigma V' / sqrt(w). V is computed
 only on the paths that need it: that sampling, and the whitened KL frame
 below. SAMPLER_NAME names this rule in every artifact it shapes.
 
-The whitened KL frame. kl_coordinate_runs yields the z rows themselves, in
-blocks, for many (n, seed) runs in turn, and kl_coordinates maps fixed
-curves into the same coordinates, with one extra column for the part of a
-curve off the span of V when r < D. Every distance between a curve and a
+The whitened KL frame. kl_coordinate_runs draws the z rows themselves, in
+blocks, for many (n, seed) runs in turn, and hands each block to a
+caller's reduction, such as a sign mean; kl_coordinates maps fixed curves
+into the same coordinates, with one extra column for the part of a curve
+off the span of V when r < D. Every distance between a curve and a
 path is then a Euclidean distance in r or r + 1 coordinates, and no (n, D)
 path array is formed; the rate studies run there.
 
@@ -42,28 +43,31 @@ substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed, and the first paths do not change when more
 are requested. Since a chunk's draw depends on nothing but its substream,
 any thread may draw it: coefficient_chunks draws each chunk on the calling
-thread, and kl_coordinate_runs draws the next chunk on one worker thread
-while the caller works on the current one. That is the package's one
-thread besides BLAS's, and no output depends on it.
+thread, and kl_coordinate_runs hands each chunk to one of two worker
+threads, which draws it and applies the caller's reduction to it, while the
+caller takes the reductions in chunk order. Those workers are the package's
+only threads besides BLAS's, and no output depends on them.
 
 Memory. coefficient_chunks allocates one (min(CHUNK, n), r) normals
 buffer and draws every chunk into it in place, so a stream's working set
 is one chunk however many paths it draws, and the heap is not shrunk and
 regrown from chunk to chunk; a block is overwritten by the next one.
-kl_coordinate_runs holds two such coordinate buffers (plus one normals
-buffer for the worker when r < D): the caller holds block j in one while
-block j + 1 is drawn into the other, and block j is overwritten once the
-caller asks for block j + 1. sample_process writes the paths straight into
-the (n, D) array that its FunctionalSample adopts, so every path is held
-once; sample_blocks yields CHUNK-row blocks of paths, and
-kl_coordinate_runs CHUNK-row blocks of coordinates, for callers that
-never hold all n paths.
+kl_coordinate_runs draws a chunk in sub-blocks of about _BLOCK_BYTES of
+coordinates (2048 rows at c = 64), each reduced as soon as it is drawn,
+into one coordinate buffer per worker (plus one normals buffer when
+r < D), allocated once per call; so two sub-blocks and their reductions'
+workspaces are alive at a time, and what the caller receives is only the
+reductions. sample_process writes the paths straight into the (n, D) array
+that its FunctionalSample adopts, so every path is held once; sample_blocks
+yields CHUNK-row blocks of paths for callers that never hold all n paths.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import queue
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,6 +84,11 @@ SAMPLER_NAME = "kl-whitened-1"
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
 CHUNK = 4096
+# kl_coordinate_runs: coordinates per sub-block it draws and reduces, the
+# worker threads it runs on, and the chunks submitted ahead of the caller.
+_BLOCK_BYTES = 1 << 20
+_WORKERS = 2
+_AHEAD = 4
 
 BROWNIAN = "brownian"
 FRACTIONAL_BROWNIAN = "fractional-brownian"
@@ -372,19 +381,25 @@ def _chunks(n: int, seed: int) -> list:
     return [(child, min(CHUNK, n - j * CHUNK)) for j, child in enumerate(children)]
 
 
-def _fill(spec: ProcessSpec, child: np.random.SeedSequence, out: np.ndarray) -> np.ndarray:
-    """Draw one chunk's (m, k) coefficients into out, and return it.
+def _fill(spec: ProcessSpec, child: np.random.SeedSequence, m: int, out: np.ndarray):
+    """Draw one chunk's (m, k) coefficients into out, len(out) rows at a time, yielding each block.
 
-    The chunk's Philox substream fills the normals in row order; a student-t
+    The chunk's Philox substream fills the normals in row order, so the
+    blocks concatenate to the same draws whatever len(out) is. A student-t
     law then divides each row by sqrt(W / df), W the path's chi-square
-    variate from a child of the chunk's seed.
+    variate from a child of the chunk's seed; the chunk's m variates are
+    drawn at once and sliced per block.
     """
-    y = np.random.Generator(np.random.Philox(child)).standard_normal(out=out)
+    normals = np.random.Generator(np.random.Philox(child))
+    scale = None
     if spec.coefficient_law == STUDENT_T_LAW:
-        scales = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
-        w = scales.chisquare(spec.df, size=out.shape[0])
-        y /= np.sqrt(w / spec.df)[:, None]
-    return y
+        w = np.random.Generator(np.random.Philox(child.spawn(1)[0])).chisquare(spec.df, size=m)
+        scale = np.sqrt(w / spec.df)
+    for lo in range(0, m, out.shape[0]):
+        y = normals.standard_normal(out=out[: min(out.shape[0], m - lo)])
+        if scale is not None:
+            y /= scale[lo : lo + y.shape[0], None]
+        yield y
 
 
 def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
@@ -392,13 +407,14 @@ def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
 
     Each chunk gets its own Philox substream spawned from the seed (_fill),
     so a chunk's first rows do not depend on its length. The chunks are
-    drawn in turn on the calling thread. Every block is a view of one
-    (min(CHUNK, n), k) buffer and is overwritten by the next block: a caller
-    that keeps a block copies it, and may use it as scratch space.
+    drawn in turn on the calling thread, each as one block. Every block is
+    a view of one (min(CHUNK, n), k) buffer and is overwritten by the next
+    block: a caller that keeps a block copies it, and may use it as scratch
+    space.
     """
     buf = np.empty((min(CHUNK, n), k))
     for child, m in _chunks(n, seed):
-        yield _fill(spec, child, buf[:m])
+        yield from _fill(spec, child, m, buf)
 
 
 def _system(spec: ProcessSpec, grid: Grid, n: int) -> _KLSystem:
@@ -438,7 +454,8 @@ def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
     bit for bit, drawn from r = min(k, D) normals per path (module notes).
     A caller that needs only distances between paths and fixed curves can
     skip the grid altogether: kl_coordinate_runs draws the same law as
-    (m, c) coordinate blocks, and kl_coordinates maps the curves into them.
+    (m, c) coordinate blocks and reduces each one where it is drawn, and
+    kl_coordinates maps the curves into them.
     """
     return _paths(spec, _system(spec, grid, n).sampling_loadings, n, seed)
 
@@ -458,59 +475,83 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
     return FunctionalSample(grid, values)
 
 
-def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs):
-    """The paths of each (n, seed) of runs, in turn, as whitened KL coordinates.
+def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs, reduce: Callable):
+    """The paths of each (n, seed) of runs, in turn, as whitened KL coordinates, reduced.
 
-    Yields (i, z) for every (m, c) block z of run i, m <= CHUNK, runs in
-    order. A path's coordinates are z = y * sigma, y its r = min(k, D)
-    coefficients from coefficient_chunks(spec, n, r, seed): the same
-    substreams, rows and chi-square children, bit for bit. Its values are
-    z V' / sqrt(w) plus the mean: the law of sample_process, and at k > D,
-    where both draw the same r normals, its paths up to rounding. c is r,
-    or r + 1 when r < D: the last column is then the frame's off-span
-    column (kl_coordinates), zero for every path.
+    Yields (i, reduce(z)) for every (m, c) block z of run i, runs and blocks
+    in order, the blocks of a chunk being its sub-blocks of about
+    _BLOCK_BYTES of coordinates. A path's coordinates are z = y * sigma, y
+    its r = min(k, D) coefficients from coefficient_chunks(spec, n, r,
+    seed): the same substreams, rows and chi-square children, bit for bit.
+    Its values are z V' / sqrt(w) plus the mean: the law of sample_process,
+    and at k > D, where both draw the same r normals, its paths up to
+    rounding. c is r, or r + 1 when r < D: the last column is then the
+    frame's off-span column (kl_coordinates), zero for every path.
 
-    While the caller holds block j, one worker thread draws block j + 1
-    into the other of two buffers; asking for block j + 1 hands block j's
-    buffer back for block j + 2. So a block stays valid until the next one
-    is asked for, and is then overwritten, and a caller holds O(CHUNK * c)
-    floats whatever n is. Every chunk has its own substream and its own
-    buffer while it is drawn, so no output depends on the thread. The
-    worker starts with the first block and is joined when the generator is
-    exhausted or closed; a single chunk starts no worker. Arguments are
-    checked at once.
+    Each chunk is one task on one of _WORKERS worker threads: it draws the
+    chunk sub-block by sub-block into its worker's buffer and applies reduce
+    to each sub-block there, so reduce must be safe to call from two threads
+    at once, and must copy what it keeps of z, which the next sub-block
+    overwrites. At most _AHEAD tasks are submitted ahead of the caller, so
+    the caller holds the reductions of at most _AHEAD chunks, and each
+    worker O(_BLOCK_BYTES) bytes of blocks, whatever n is. Every chunk has its own substream, so no
+    output depends on the thread. The workers are joined when the generator
+    is exhausted or closed, and tasks not yet started are cancelled; a
+    single chunk is reduced on the calling thread. Arguments are checked at
+    once.
     """
     runs = [(int(n), int(seed)) for n, seed in runs]
     sigma = _system(spec, grid, min((n for n, _ in runs), default=1)).sigma
-    return _coordinate_runs(spec, sigma, grid.size, runs)
+    return _coordinate_runs(spec, sigma, grid.size, runs, reduce)
 
 
-def _coordinate_runs(spec: ProcessSpec, sigma: np.ndarray, size: int, runs: list):
+def _coordinate_runs(spec: ProcessSpec, sigma: np.ndarray, size: int, runs: list, reduce):
     """kl_coordinate_runs after its checks, on a D = size grid."""
     r = sigma.size
+    c = r + (r < size)
     plan = [(i, child, m) for i, (n, seed) in enumerate(runs) for child, m in _chunks(n, seed)]
-    rows = max((m for _, _, m in plan), default=0)
-    slots = [np.zeros((rows, r + (r < size))) for _ in plan[:2]]
-    normals = np.empty((rows, r)) if r < size else None  # the drawing thread's scratch
+    rows = min(max((m for _, _, m in plan), default=1), max(1, _BLOCK_BYTES // (8 * c)))
+    free = queue.SimpleQueue()  # (coordinates, normals) buffers of finished tasks
 
-    def draw(j):
-        _, child, m = plan[j]
-        z = slots[j % 2][:m]
-        y = _fill(spec, child, z if normals is None else normals[:m])
-        np.multiply(y, sigma, out=z[:, :r])  # in place when c = r
-        return z
+    def task(j):
+        i, child, m = plan[j]
+        try:
+            z, normals = free.get_nowait()
+        except queue.Empty:  # a worker's first task
+            z = np.zeros((rows, c))
+            normals = z if c == r else np.empty((rows, r))
+        out = []
+        for y in _fill(spec, child, m, normals):
+            np.multiply(y, sigma, out=z[: y.shape[0], :r])  # in place when c = r
+            out.append((i, reduce(z[: y.shape[0]])))
+        free.put((z, normals))
+        return out
 
-    if len(plan) < 2:  # nothing to overlap
-        for j, (i, _, _) in enumerate(plan):
-            yield i, draw(j)
+    if len(plan) < 2:  # nothing to share out
+        for reductions in map(task, range(len(plan))):
+            yield from reductions
         return
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(draw, 0)
-        for j, (i, _, _) in enumerate(plan):
-            z = ahead.result()
-            if j + 1 < len(plan):  # into the buffer of block j - 1, which the caller is done with
-                ahead = pool.submit(draw, j + 1)
-            yield i, z
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for reductions in _in_order(pool, task, len(plan)):
+            yield from reductions
+
+
+def _in_order(pool: ThreadPoolExecutor, fn: Callable, count: int):
+    """fn(0), ..., fn(count - 1) run on the pool and yielded in order.
+
+    At most _AHEAD calls are submitted at a time; closing the generator
+    cancels those not yet started.
+    """
+    ahead = collections.deque(pool.submit(fn, j) for j in range(min(_AHEAD, count)))
+    try:
+        for j in range(_AHEAD, count + _AHEAD):
+            result = ahead.popleft().result()
+            if j < count:
+                ahead.append(pool.submit(fn, j))
+            yield result
+    finally:
+        for future in ahead:
+            future.cancel()
 
 
 def _frame_split(spec: ProcessSpec, grid: Grid, values) -> tuple[_KLSystem, np.ndarray, np.ndarray]:

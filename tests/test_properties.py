@@ -23,6 +23,7 @@ from spatialfda import (
     sample_process,
     solve_quantile,
 )
+from spatialfda.efficiency import domain_grid
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 GRID = Grid.uniform(0.0, 1.0, 16)
@@ -52,6 +53,58 @@ def test_depth_invariant_under_permutation_of_the_sample(seed, n, perm_seed):
     np.testing.assert_allclose(
         depths(data[perm], queries), depths(data, queries), rtol=0.0, atol=1e-12
     )
+
+
+# laws of the quantile permutation property: BM and fBm on [0, 1], and the
+# Gaussian kernel on the real-line grid of the efficiency table
+LAWS = {
+    "bm": (BM, GRID),
+    "fbm": (ProcessSpec(KernelSpec.fractional_brownian(0.7)), GRID),
+    "gauss-kernel": (ProcessSpec(KernelSpec.gaussian_kernel()), domain_grid("real-line", 16, 0)),
+}
+
+
+@PROPERTY
+@given(
+    law=st.sampled_from(sorted(LAWS)),
+    seed=seeds,
+    n=st.integers(10, 80),
+    perm_seed=seeds,
+    k=st.integers(1, 3),
+    c=st.sampled_from([-0.5, 0.5]),
+)
+def test_quantile_invariant_under_permutation_of_the_sample(law, seed, n, perm_seed, k, c):
+    # pca orients each phi_k by <phi_k, rho>_w > 0, so along(k, c) names the
+    # same quantile whatever the order of the curves
+    spec, grid = LAWS[law]
+    data = sample_process(spec, grid, n, seed=seed).values
+    perm = np.random.default_rng(perm_seed).permutation(n)
+
+    def quantile(values):
+        u = DirectionU.along(k, c, 3)
+        return solve_quantile(FunctionalSample(grid, values), u, d=3).curve.values
+
+    # both solves stop at gradient norm 1e-8, so they agree to ~1e-8, not bitwise
+    np.testing.assert_allclose(
+        quantile(data[perm]), quantile(data), rtol=0.0, atol=1e-6 * np.max(np.abs(data))
+    )
+
+
+def test_permuted_bm_sample_keeps_its_quantiles():
+    # 20 BM samples of 400 curves on 50 points, each against a row
+    # permutation of itself, flipped 11 of 100 unoriented eigenfunctions;
+    # in this one phi_1 flipped and the along(1, 0.5) quantile moved by 0.879
+    grid = Grid.uniform(0.0, 1.0, 50)
+    sample = sample_process(BM, grid, 400, seed=11)
+    permuted = FunctionalSample(grid, sample.values[np.random.default_rng(11).permutation(400)])
+    np.testing.assert_allclose(
+        pca(permuted, 5).functions, pca(sample, 5).functions, rtol=0.0, atol=1e-10
+    )
+    for k in range(1, 6):
+        u = DirectionU.along(k, 0.5, 5)
+        a = solve_quantile(sample, u, d=5).curve.values
+        b = solve_quantile(permuted, u, d=5).curve.values
+        assert np.sqrt(np.sum(grid.weights * (a - b) ** 2)) < 1e-10
 
 
 @PROPERTY

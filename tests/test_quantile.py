@@ -471,6 +471,23 @@ def test_fan_layout_and_ordering():
         assert by[(k, -0.5)] < by[(k, -0.25)] < 0.0
 
 
+def test_a_fan_takes_one_median_for_its_start(monkeypatch):
+    # the near-datum test takes the median of the distances only when the
+    # max already allows the move, which no fan iterate needs; the one
+    # median left is the coordinatewise median of the shared start
+    s = bm_sample(400, D=25, seed=31)
+    shapes, median = [], np.median
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return median(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "median", counted)
+    fan = quantile_fan(s, ks=[1, 2, 3], cs=[0.25, 0.5, 0.75], d=4)
+    assert all(e.solution.converged for e in fan.entries)
+    assert shapes == [(400, 4)]
+
+
 def test_bahadur_report_smaller_residual():
     ref = bm_sample(4000, D=20, seed=41)
     s = bm_sample(150, D=20, seed=42)

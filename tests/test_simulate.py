@@ -2,7 +2,6 @@ import hashlib
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -425,7 +424,7 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
     spec = ProcessSpec(KernelSpec.brownian(), mean=Curve(g, g.points), truncation=truncation)
     kl = _kl_system(spec, g)
     r = kl.sigma.size
-    blocks = [b.copy() for _, b in kl_coordinate_runs(spec, g, [(CHUNK + 7, 4)])]
+    blocks = [b for _, b in kl_coordinate_runs(spec, g, [(CHUNK + 7, 4)], np.copy)]
     z = np.concatenate(blocks)
     assert z.shape == (CHUNK + 7, r + (r < 16))
     assert not z[:, r:].any()
@@ -435,7 +434,7 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
         ref = sample_process(spec, g, CHUNK + 7, seed=4).values
         np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        kl_coordinate_runs(spec, g, [(0, 1)])
+        kl_coordinate_runs(spec, g, [(0, 1)], np.copy)
 
 
 RUN_LISTS = {
@@ -450,69 +449,67 @@ RUN_LISTS = {
 @pytest.mark.parametrize("runs", RUN_LISTS.values(), ids=RUN_LISTS.keys())
 @pytest.mark.parametrize("truncation", [None, 5])
 @pytest.mark.parametrize("law", ["gaussian", "student-t"])
-def test_coordinate_runs_are_the_serial_chunks(law, truncation, runs):
-    # drawn one chunk ahead on a worker, every block is coefficient_chunks'
-    # (the serial reference path) times sigma, bit for bit; at truncation 5
-    # r = 5 < D = 16 and the off-span column is 0
+def test_coordinate_runs_are_the_serial_chunks(monkeypatch, law, truncation, runs):
+    # drawn and reduced on the workers, with thread switches forced often,
+    # the sub-blocks of each run concatenate to coefficient_chunks' blocks
+    # (the serial reference path) times sigma, bit for bit, so no buffer is
+    # shared by two tasks at once; at truncation 5 r = 5 < D = 16 and the
+    # off-span column is 0. Sub-blocks hold _BLOCK_BYTES of coordinates: a
+    # whole chunk at c <= 32 by default, and then 1000 rows, which divide
+    # no chunk, on more workers than a 2-CPU machine has
     g = Grid.uniform(0.0, 1.0, 16)
     t_law = law == "student-t"
     mean = Curve(g, np.sin(3.0 * g.points)) if t_law else None
     spec = ProcessSpec(KernelSpec.brownian(), law, 5 if t_law else None, mean, truncation)
     sigma = _kl_system(spec, g).sigma
     r = sigma.size
-    got = [(i, z.copy()) for i, z in kl_coordinate_runs(spec, g, runs)]
-    want = [
-        (i, y * sigma)
-        for i, (n, seed) in enumerate(runs)
-        for y in coefficient_chunks(spec, n, r, seed)
-    ]
-    assert [i for i, _ in got] == [i for i, _ in want]
-    for (_, z), (_, y) in zip(got, want):
-        assert z.shape == (y.shape[0], r + (r < 16))
-        assert np.array_equal(z[:, :r], y)
-        assert not z[:, r:].any()
-
-
-def test_a_held_block_is_not_overwritten_while_the_next_is_drawn():
-    # the caller holds each block while the worker draws the next one, with
-    # thread switches forced often; a buffer handed back too early shows here
-    g = Grid.uniform(0.0, 1.0, 16)
-    spec = ProcessSpec(KernelSpec.brownian(), "student-t", df=5)
-    runs = [(5 * CHUNK + 1, 2), (CHUNK, 3), (7, 4)]
-    sigma = _kl_system(spec, g).sigma
-    want = [y * sigma for n, seed in runs for y in coefficient_chunks(spec, n, sigma.size, seed)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        seen = 0
-        for (_, z), w in zip(kl_coordinate_runs(spec, g, runs), want):
-            first = z.copy()
-            time.sleep(0.01)
-            assert np.array_equal(z, first) and np.array_equal(z, w)
-            seen += 1
-    finally:
-        sys.setswitchinterval(interval)
-    assert seen == len(want) == 8
+    c = r + (r < 16)
+    for block_bytes, workers in [(simulate._BLOCK_BYTES, simulate._WORKERS), (8 * c * 1000, 3)]:
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        rows = min(CHUNK, block_bytes // (8 * c))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(kl_coordinate_runs(spec, g, runs, np.copy))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [i for i, _ in got] == sorted(i for i, _ in got)
+        for i, (n, seed) in enumerate(runs):
+            blocks = [z for j, z in got if j == i]
+            chunks = [y * sigma for y in coefficient_chunks(spec, n, r, seed)]
+            sizes = [min(rows, len(y) - lo) for y in chunks for lo in range(0, len(y), rows)]
+            assert [z.shape for z in blocks] == [(m, c) for m in sizes]
+            z = np.concatenate(blocks)
+            assert np.array_equal(z[:, :r], np.concatenate(chunks))
+            assert not z[:, r:].any()
 
 
 def test_coordinate_runs_leave_no_thread_behind():
     g = Grid.uniform(0.0, 1.0, 16)
     spec = ProcessSpec(KernelSpec.brownian())
     before = threading.active_count()
-    blocks = kl_coordinate_runs(spec, g, [(3 * CHUNK, 1), (10, 2)])
+    blocks = kl_coordinate_runs(spec, g, [(3 * CHUNK, 1), (10, 2)], np.copy)
     next(blocks)
-    assert threading.active_count() == before + 1  # the worker, drawing block 1
+    assert threading.active_count() == before + 2  # the two workers
     blocks.close()
     assert threading.active_count() == before
 
+    def fail(z):
+        raise RuntimeError("the reduction failed")
+
+    with pytest.raises(RuntimeError, match="reduction failed"):
+        list(kl_coordinate_runs(spec, g, [(3 * CHUNK, 1)], fail))
+    assert threading.active_count() == before
+
     def consume():
-        for _ in kl_coordinate_runs(spec, g, [(3 * CHUNK, 1)]):
+        for _ in kl_coordinate_runs(spec, g, [(3 * CHUNK, 1)], np.copy):
             raise RuntimeError("the consumer failed")
 
     with pytest.raises(RuntimeError, match="consumer failed"):
         consume()
     assert threading.active_count() == before
-    blocks = kl_coordinate_runs(spec, g, [(CHUNK, 3)])
+    blocks = kl_coordinate_runs(spec, g, [(CHUNK, 3)], np.copy)
     next(blocks)
     assert threading.active_count() == before  # a single chunk starts no thread
     assert list(blocks) == []
