@@ -376,6 +376,8 @@ def _resolve_cli_basis(cfg, sample, parser) -> tuple[Basis, str]:
 
 
 def _cmd_quantile(cfg, parser) -> int:
+    if cfg.get("basis_file") is not None and cfg["basis"] != "file":
+        parser.error(f"--basis-file does not apply to --basis {cfg['basis']}, only to file")
     sample = ingest(_require(cfg, "in_path", parser, "--in"))
     n = len(sample)
     basis, basis_name = _resolve_cli_basis(cfg, sample, parser)
@@ -504,6 +506,8 @@ def _n_list(text: str, parser) -> list[int]:
 
 def _cmd_converge(cfg, parser) -> int:
     study = _require(cfg, "study", parser, "--study")
+    if study == "bahadur" and cfg.get("probes") is not None:
+        parser.error("--probes does not apply to --study bahadur, which scores no probe curves")
     spec, grid, seed, _ = _process_inputs(cfg, parser)
     n_values = _n_list(str(cfg["n_list"]), parser)
     reps, n_ref = cfg["reps"], cfg["n_ref"]

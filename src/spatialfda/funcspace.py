@@ -374,10 +374,19 @@ def pca(sample: FunctionalSample, d: int, cap_at_rank: bool = False) -> Basis:
     else:
         vt, variances = evecs, evals
     functions = (vt / sw[:, None]).T  # un-whiten, rows are eigenfunctions
-    t = sample.grid.points
-    ramp = sample.grid.weights * (1.0 + (t - t[0]) / (t[-1] - t[0]))
-    functions *= np.where(functions @ ramp < 0.0, -1.0, 1.0)[:, None]
+    functions *= ramp_signs(functions, sample.grid)[:, None]
     return Basis(sample.grid, functions, variances)
+
+
+def ramp_signs(functions: np.ndarray, grid: Grid) -> np.ndarray:
+    """-1.0 for each row phi_k of functions (d, D) with <phi_k, rho>_w < 0, else 1.0.
+
+    pca and kernel_eigen multiply each eigenfunction by its sign, so that
+    <phi_k, rho>_w >= 0 for the ramp rho(t) = 1 + (t - t_1) / (t_D - t_1).
+    """
+    t = grid.points
+    ramp = grid.weights * (1.0 + (t - t[0]) / (t[-1] - t[0]))
+    return np.where(functions @ ramp < 0.0, -1.0, 1.0)
 
 
 def orthonormalize(functions: np.ndarray, grid: Grid, eigenvalues=None) -> Basis:

@@ -11,24 +11,28 @@ kernel they come from the weighted kernel matrix on the grid. Gaussian
 coefficients are iid N(0, 1); the student-t law divides all coefficients of
 a path by one shared sqrt(W/r) with W ~ chi-square(r), which keeps the
 process elliptical rather than making coordinates independently heavy-tailed.
+
+The sampling rule. Let L be the (k, D) loading whose rows are the terms
+lambda_k phi_k on the grid, and L diag(sqrt(w)) = U Sigma V' its whitened
+SVD, with r = min(k, D) singular values sigma. k iid coefficients y give
+the path y L; r iid normals xi give z = xi * sigma and z V' / sqrt(w),
+which has the same law, since at most r directions of the k coefficients
+reach the grid. Every path of this module is z V' / sqrt(w) plus the mean,
+at every (k, D): sample_process draws it as xi times the (r, D) loading
+Sigma V' / sqrt(w), and kl_coordinate_runs hands out z itself.
+SAMPLER_NAME names this rule in every artifact it shapes.
+
 _kl_system alone builds the KL system, and its memo holds one (spec, grid),
 sized by the traffic: a rate study draws from one key about 150 times, and
-each efficiency cell from its own. A build computes only the whitened
-singular values sigma (below): for a discretized kernel the square roots of
-the top eigenvalues of W^{1/2} K W^{1/2}, from an eigenvalue-only solve;
-for the Brownian closed form the singular values of its whitened loading.
-The eigenvectors, the loading and V follow on first use, so the efficiency
-study, which reads sigma alone, solves for no eigenvector.
-
-Sampling draws r = min(k, D) normals per path. With the whitened loading
-L diag(sqrt(w)) = U Sigma V' (sigma its singular values), k iid normals y
-give y L, and r normals xi give z = xi * sigma and z V' / sqrt(w): the same law,
-since at most r directions of the k coefficients reach the grid. At k <= D
-the sampler keeps the loading L and its k normals, so those paths are as
-they always were; at k > D (the 100-term Brownian system on a grid of
-fewer than 100 points) its loading is Sigma V' / sqrt(w). V is computed
-only on the paths that need it: that sampling, and the whitened KL frame
-below. SAMPLER_NAME names this rule in every artifact it shapes.
+each efficiency cell from its own. sigma and V come from one factorization
+per kind. A discretized kernel's whitened KL functions are orthonormal, so
+sigma^2 are the top k eigenvalues of B = W^{1/2} K W^{1/2} and V their
+eigenvectors, from the solve kernel_eigen shares, oriented by pca's ramp
+rule. The Brownian closed form's whitened functions need not be orthonormal
+(k > D, or a grid inside [0, 1]), so sigma and V are the SVD of its
+whitened loading. A build computes sigma alone, from an eigenvalue-only
+solve or a values-only SVD; V follows on first use, so the efficiency
+study, which reads sigma alone, solves for no vector.
 
 The whitened KL frame. kl_coordinate_runs draws the z rows themselves, in
 blocks, for many (n, seed) runs in turn, and hands each block to a
@@ -75,11 +79,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSDError
-from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same_grid
+from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same_grid, ramp_signs
 
 GENERATOR_NAME = "numpy.random.Philox"
 # Names the sampling rule of the module notes in CSV metadata and rate reports.
-SAMPLER_NAME = "kl-whitened-1"
+SAMPLER_NAME = "kl-whitened-2"
 
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
@@ -233,7 +237,8 @@ def bm_eigenpair(k: int, grid: Grid) -> tuple[float, Curve]:
     Returns (lambda_k, phi_k) with lambda_k = 1 / ((k - 1/2) pi) and
     phi_k(t) = sqrt(2) sin((k - 1/2) pi t); the covariance operator
     eigenvalue is lambda_k squared. The grid must lie inside [0, 1]. The
-    pair is row k of sample_process's Brownian KL system, bit for bit.
+    pair is row k of the loading whose whitened SVD is sample_process's
+    Brownian KL system, bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -242,6 +247,12 @@ def bm_eigenpair(k: int, grid: Grid) -> tuple[float, Curve]:
         raise ValueError("Brownian eigenpairs need a grid inside [0, 1]")
     scales, functions = _bm_system(np.array([k]), pts)
     return float(scales[0]), Curve(grid, functions[0])
+
+
+def _bm_whitened(k: int, grid: Grid, root_w: np.ndarray) -> np.ndarray:
+    """The whitened (k, D) loading L diag(sqrt(w)) of the first k Brownian terms."""
+    scales, functions = _bm_system(np.arange(1, k + 1), grid.points)
+    return (scales[:, None] * functions) * root_w[None, :]
 
 
 def _whitened_kernel(kernel: KernelSpec, grid: Grid, root_w: np.ndarray) -> np.ndarray:
@@ -257,23 +268,32 @@ def _clipped(evals: np.ndarray) -> np.ndarray:
     return np.where((evals < 0.0) & (evals >= -1e-10), 0.0, evals)
 
 
+def _top_eigh(kernel: KernelSpec, grid: Grid, root_w: np.ndarray, d: int):
+    """The top d clipped eigenvalues of B and their eigenvectors (D, d), oriented by ramp_signs."""
+    evals, evecs = np.linalg.eigh(_whitened_kernel(kernel, grid, root_w))
+    evals = _clipped(evals)
+    order = np.argsort(evals)[::-1][:d]
+    v = evecs[:, order]
+    v *= ramp_signs((v / root_w[:, None]).T, grid)
+    return evals[order], v
+
+
 def kernel_eigen(kernel: KernelSpec, grid: Grid, d: int) -> Basis:
     """Top d eigenpairs of the covariance operator discretized on the grid.
 
     Eigendecomposes B = W^{1/2} K W^{1/2} (symmetric), maps eigenvectors v
     back to functions W^{-1/2} v, and stores the eigenvalues of B, which
-    approximate the operator eigenvalues lambda_k^2. Tiny negative
-    eigenvalues in [-1e-10, 0) are clipped to zero; anything below that
-    raises NotPSDError.
+    approximate the operator eigenvalues lambda_k^2. Each function is
+    oriented by pca's ramp rule (funcspace.ramp_signs); the eigenvectors
+    are the frame V of the kernel's KL system. Tiny negative eigenvalues
+    in [-1e-10, 0) are clipped to zero; anything below that raises
+    NotPSDError.
     """
     if d < 1 or d > grid.size:
         raise ValueError(f"d must be in [1, {grid.size}]")
     sw = np.sqrt(grid.weights)
-    evals, evecs = np.linalg.eigh(_whitened_kernel(kernel, grid, sw))
-    evals = _clipped(evals)
-    order = np.argsort(evals)[::-1][:d]
-    functions = (evecs[:, order] / sw[:, None]).T
-    return Basis(grid, functions, evals[order])
+    evals, v = _top_eigh(kernel, grid, sw, d)
+    return Basis(grid, (v / sw[:, None]).T, evals)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -281,60 +301,40 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
 class _KLSystem:
-    """A KL system on a grid: sigma and root_w at once, every other field on first use.
+    """The KL system of k terms of a kernel on a grid (module notes); every array read-only.
 
-    sigma (r,), r = min(k, D), holds the decreasing singular values of the
-    whitened loading L diag(sqrt(w)). For a discretized kernel they are the
-    square roots of the top k eigenvalues of B = W^{1/2} K W^{1/2}, from an
-    eigenvalue-only solve under kernel_eigen's clip rule, since the whitened
-    KL functions are orthonormal; for the Brownian closed form they are the
-    singular values themselves, since its whitened functions need not be
-    (k > D, a grid inside [0, 1]). root_w is sqrt(w) of the grid.
-
-    eigenpairs returns the KL scales (k,) and functions (k, D). It runs
-    when a sampler or the KL frame first reads scales, functions,
-    loadings L = scales * functions, v or sampling_loadings, all read-only;
-    the efficiency study reads sigma alone and solves for no eigenvector.
+    sigma (r,), r = min(k, D), and root_w, sqrt(w) of the grid, are built at
+    once, so a build that cannot succeed fails at once; v (D, r), V of the
+    whitened SVD, and sampling_loadings, the (r, D) Sigma V' / sqrt(w), on
+    first use.
     """
 
-    sigma: np.ndarray
-    root_w: np.ndarray
-    eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]
+    def __init__(self, kernel: KernelSpec, grid: Grid, k: int):
+        root_w = np.sqrt(grid.weights)
+        if kernel.kind == BROWNIAN:
+            sigma = np.linalg.svd(_bm_whitened(k, grid, root_w), compute_uv=False)
+        elif k > grid.size:
+            raise ValueError(f"truncation {k} exceeds the {grid.size} eigenpairs on this grid")
+        else:
+            evals = _clipped(np.linalg.eigvalsh(_whitened_kernel(kernel, grid, root_w)))
+            sigma = np.sqrt(evals[::-1][:k])
+        _read_only(sigma, root_w)
+        self.sigma, self.root_w = sigma, root_w
+        self._kernel, self._grid, self._k = kernel, grid, k
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        scales, functions = self.eigenpairs()
-        _read_only(scales, functions)
-        return scales, functions
-
-    @property
-    def scales(self) -> np.ndarray:
-        return self._pairs[0]
-
-    @property
-    def functions(self) -> np.ndarray:
-        return self._pairs[1]
-
-    @functools.cached_property
-    def loadings(self) -> np.ndarray:
-        out = self.scales[:, None] * self.functions
+    def v(self) -> np.ndarray:
+        if self._kernel.kind == BROWNIAN:
+            whitened = _bm_whitened(self._k, self._grid, self.root_w)
+            out = np.linalg.svd(whitened, full_matrices=False)[2].T
+        else:
+            out = _top_eigh(self._kernel, self._grid, self.root_w, self._k)[1]
         _read_only(out)
         return out
 
     @functools.cached_property
-    def v(self) -> np.ndarray:
-        """(D, r), r = min(k, D): the right singular vectors of the whitened loading."""
-        vt = np.linalg.svd(self.loadings * self.root_w, full_matrices=False)[2]
-        _read_only(vt)
-        return vt.T
-
-    @functools.cached_property
     def sampling_loadings(self) -> np.ndarray:
-        """(r, D) loading of r normals per path: L itself at k <= D, Sigma V' / sqrt(w) at k > D."""
-        if self.scales.size <= self.root_w.size:
-            return self.loadings
         out = self.sigma[:, None] * self.v.T / self.root_w
         _read_only(out)
         return out
@@ -343,26 +343,7 @@ class _KLSystem:
 @functools.lru_cache(maxsize=1)
 def _kl_system(spec: ProcessSpec, grid: Grid) -> _KLSystem:
     k = spec.truncation or (100 if spec.kernel.kind == BROWNIAN else grid.size)
-    root_w = np.sqrt(grid.weights)
-    if spec.kernel.kind == BROWNIAN:
-        scales, functions = _bm_system(np.arange(1, k + 1), grid.points)
-        sigma = np.linalg.svd((scales[:, None] * functions) * root_w[None, :], compute_uv=False)
-
-        def eigenpairs():
-            return scales, functions
-
-    elif k > grid.size:
-        raise ValueError(f"truncation {k} exceeds the {grid.size} eigenpairs on this grid")
-    else:
-        evals = _clipped(np.linalg.eigvalsh(_whitened_kernel(spec.kernel, grid, root_w)))
-        sigma = np.sqrt(evals[::-1][:k])
-
-        def eigenpairs():
-            basis = kernel_eigen(spec.kernel, grid, k)
-            return np.sqrt(basis.eigenvalues), basis.functions
-
-    _read_only(sigma, root_w)
-    return _KLSystem(sigma, root_w, eigenpairs)
+    return _KLSystem(spec.kernel, grid, k)
 
 
 def stream_seed(seed: int, *tags: int) -> int:
@@ -483,10 +464,10 @@ def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs, reduce: Callable):
     _BLOCK_BYTES of coordinates. A path's coordinates are z = y * sigma, y
     its r = min(k, D) coefficients from coefficient_chunks(spec, n, r,
     seed): the same substreams, rows and chi-square children, bit for bit.
-    Its values are z V' / sqrt(w) plus the mean: the law of sample_process,
-    and at k > D, where both draw the same r normals, its paths up to
-    rounding. c is r, or r + 1 when r < D: the last column is then the
-    frame's off-span column (kl_coordinates), zero for every path.
+    Its values z V' / sqrt(w) plus the mean are sample_process's paths up
+    to rounding, since both draw the same r normals. c is r, or r + 1 when
+    r < D: the last column is then the frame's off-span column
+    (kl_coordinates), zero for every path.
 
     Each chunk is one task on one of _WORKERS worker threads: it draws the
     chunk sub-block by sub-block into its worker's buffer and applies reduce

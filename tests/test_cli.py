@@ -51,7 +51,7 @@ def test_simulate_writes_readable_csv(tmp_path):
     assert meta["process"] == "bm"
     assert meta["seed"] == "5"
     assert meta["version"] == __version__
-    assert meta["sampler"] == "kl-whitened-1"
+    assert meta["sampler"] == "kl-whitened-2"
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -200,7 +200,7 @@ def test_converge_gc_with_csv(tmp_path):
     assert rc == 0
     doc = json.loads(js.read_text())
     assert doc["kind"] == "rate-report"
-    assert doc["sampler"] == "kl-whitened-1"
+    assert doc["sampler"] == "kl-whitened-2"
     assert doc["report"]["study"] == "gc"
     assert doc["report"]["n_values"] == [50, 200]
     lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
@@ -314,6 +314,40 @@ def test_process_option_the_process_does_not_take_is_usage_error(
         run_cli([*args, "--out", str(out)])
     assert exc.value.code == 2
     assert f"error: --{key} does not apply to --process {process}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, mode, option",
+    [
+        (["quantile", "--in", "never-read.csv"], "--basis pca", ("basis-file", "b.csv")),
+        (["quantile", "--in", "never-read.csv"], "--basis bm", ("basis-file", "b.csv")),
+        (["converge", "--process", "bm", "--seed", "1"], "--study bahadur", ("probes", 7)),
+    ],
+    ids=["pca-basis-file", "bm-basis-file", "bahadur-probes"],
+)
+def test_option_the_mode_never_reads_is_usage_error(
+    tmp_path, capsys, monkeypatch, command, mode, option, source
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("ingest", "domain_grid", "bahadur_rate_study"):
+        monkeypatch.setattr(cli, name, no_work)
+    key, value = option
+    args = [*command, *mode.split()]
+    if source == "flag":
+        args += [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    out = tmp_path / "o.out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: --{key} does not apply to {mode}," in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -718,7 +752,8 @@ def test_converge_study_matches_the_library(tmp_path, study):
     rc = run_cli(
         ["converge", "--study", study, "--process", "bm", "--grid-size", "16",
          "--n-list", "16,64", "--reps", str(reps), "--n-ref", str(n_ref),
-         "--probes", "10", "--seed", str(seed), "--out", str(js), "--csv", str(csv)]
+         *(["--probes", "10"] if study == "integrated" else []),
+         "--seed", str(seed), "--out", str(js), "--csv", str(csv)]
     )
     assert rc == 0
     doc = validated(js)

@@ -18,7 +18,7 @@ from spatialfda import (
     sigma_trace,
     v0_estimate,
 )
-from spatialfda import efficiency, simulate
+from spatialfda import efficiency
 from spatialfda.efficiency import _TAG_GRID, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
@@ -31,11 +31,11 @@ def t_factor(df):
 
 def full_sandwich(spec, grid, mc, seed):
     """trace(J^-1 Lambda J^-1) from full D x D Monte Carlo matrices of whitened
-    paths y @ tilde, on the same two tagged streams as v0_estimate."""
+    paths y @ tilde, tilde = Sigma V' of the KL system, on the same two tagged
+    streams as v0_estimate."""
     kl = _kl_system(spec, grid)
-    scales, functions = kl.scales, kl.functions
-    tilde = scales[:, None] * functions * np.sqrt(grid.weights)
-    D, k = grid.size, scales.size
+    tilde = kl.sigma[:, None] * kl.v.T
+    k, D = tilde.shape
     J, Lam = np.zeros((D, D)), np.zeros((D, D))
     for y in coefficient_chunks(spec, mc, k, stream_seed(seed, _TAG_J)):
         x = y @ tilde
@@ -208,9 +208,10 @@ def test_efficiency_table_small_run():
     ],
 )
 def test_diagonal_estimator_matches_the_full_sandwich(spec, grid):
-    # k = D here, so the whitened KL rows are orthonormal and both estimators
-    # read the same draws; they differ only by the Monte Carlo off-diagonals of
-    # J and Lambda, measured at 1.3e-4 to 3.3e-4 relative over seeds 0-5
+    # both estimators read the same draws z = y * sigma, the full sandwich
+    # rotated onto the grid by V'; they differ only by the Monte Carlo
+    # off-diagonals of J and Lambda, measured at 1.3e-4 to 3.3e-4 relative
+    # over seeds 0-5
     for seed in (0, 1):
         full = full_sandwich(spec, grid, 5000, seed)
         assert v0_estimate(spec, grid, mc=5000, seed=seed) == pytest.approx(full, rel=1e-3)
@@ -266,12 +267,19 @@ def _count_calls(monkeypatch, name):
 def test_table_builds_each_twin_once_and_draws_two_streams_per_rank(monkeypatch):
     builds = _count_calls(monkeypatch, "_kl_system")
     draws = _count_calls(monkeypatch, "coefficient_chunks")
-    eigen, real = [], simulate.kernel_eigen
-    monkeypatch.setattr(simulate, "kernel_eigen", lambda *a: eigen.append(a) or real(*a))
+    vectors, real_eigh, real_svd = [], np.linalg.eigh, np.linalg.svd
+
+    def svd(a, **kwargs):
+        if kwargs.get("compute_uv", True):
+            vectors.append("svd")
+        return real_svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: vectors.append("eigh") or real_eigh(*a))
+    monkeypatch.setattr(np.linalg, "svd", svd)
     efficiency_table(seed=11, mc=500, grid_size=200)
     assert len(builds) == 12  # 15 rows, three of them t laws of a twin already built
     assert len(draws) == 4  # J and Lambda at r = 100 (brownian) and r = 200 (the rest)
-    assert len(eigen) == 0  # each build solves for sigma alone, no eigenvector
+    assert vectors == []  # each build solves for sigma alone, no eigenvector
 
 
 def test_cells_of_one_kernel_and_rank_share_their_draws():

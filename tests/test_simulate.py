@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import math
 import sys
@@ -147,25 +149,31 @@ def test_bm_eigenpair_closed_form():
     )
 
 
+def _whitened_loading(spec, g):
+    """The (k, D) whitened KL loading L diag(sqrt(w)), rows from the public eigenpairs."""
+    if spec.kernel.kind == "brownian":
+        pairs = [bm_eigenpair(j, g) for j in range(1, (spec.truncation or 100) + 1)]
+        loading = np.array([lam * phi.values for lam, phi in pairs])
+    else:
+        basis = kernel_eigen(spec.kernel, g, spec.truncation or g.size)
+        loading = np.sqrt(basis.eigenvalues)[:, None] * basis.functions
+    return loading * np.sqrt(g.weights)[None, :]
+
+
 @pytest.mark.parametrize("D", [16, 201])
 def test_bm_eigenpair_is_a_row_of_the_sampling_system_bitwise(D):
+    # sigma and V are the SVD of the loading whose row k is eigenpair k
     g = Grid.uniform(0.0, 1.0, D)
     kl = _kl_system(ProcessSpec(KernelSpec.brownian()), g)
-    scales, functions = kl.scales, kl.functions
-    for k in (1, 2, 37, 100):
-        lam, phi = bm_eigenpair(k, g)
-        assert lam == scales[k - 1]
-        assert phi.values.tobytes() == functions[k - 1].tobytes()
+    whitened = _whitened_loading(ProcessSpec(KernelSpec.brownian()), g)
+    assert kl.sigma.tobytes() == np.linalg.svd(whitened, compute_uv=False).tobytes()
+    assert kl.v.tobytes() == np.linalg.svd(whitened, full_matrices=False)[2].T.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec.brownian(), KernelSpec.fractional_brownian(0.7)])
 def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
-    builds = []
-    for name in ("_bm_system", "kernel_eigen"):
-        real = getattr(simulate, name)
-        monkeypatch.setattr(
-            simulate, name, lambda *a, _real=real, _name=name: builds.append(_name) or _real(*a)
-        )
+    builds, real = [], simulate._KLSystem
+    monkeypatch.setattr(simulate, "_KLSystem", lambda *a: builds.append(a) or real(*a))
     simulate._kl_system.cache_clear()
     spec, g = ProcessSpec(kernel), Grid.uniform(0.0, 1.0, 16)
     # probes, reference blocks and n_values * reps replicates share one build
@@ -173,7 +181,7 @@ def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
     assert len(builds) == 1
     kl = _kl_system(spec, g)
     assert len(builds) == 1
-    for a in (kl.scales, kl.functions, kl.loadings, kl.sigma, kl.root_w, kl.v):
+    for a in (kl.sigma, kl.root_w, kl.v, kl.sampling_loadings):
         with pytest.raises(ValueError):
             a[0] = 0.0
     # a key equal by value reuses the build; another spec or grid builds once
@@ -186,6 +194,31 @@ def test_a_rate_study_builds_its_kl_system_once(monkeypatch, kernel):
     for _ in range(3):
         sample_process(other, Grid.uniform(0.0, 1.0, 17), 4, seed=2)
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize(
+    "kernel, build, frame",
+    [
+        (KernelSpec.brownian(), {"svd": 1}, {"svd": 1}),
+        (KernelSpec.fractional_brownian(0.7), {"eigvalsh": 1}, {"eigh": 1}),
+    ],
+    ids=["bm", "fbm"],
+)
+def test_a_gc_study_factors_its_kernel_once_and_fbm_runs_no_svd(monkeypatch, kernel, build, frame):
+    # the build solves for sigma alone, and V takes one solve on first use:
+    # the SVD of the Brownian loading, or an fbm kernel's one eigh
+    calls = collections.Counter()
+    for name in ("svd", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _r=real, _n=name, **k: calls.update([_n]) or _r(*a, **k)
+        )
+    simulate._kl_system.cache_clear()
+    spec, g = ProcessSpec(kernel), Grid.uniform(0.0, 1.0, 16)
+    _kl_system(spec, g)
+    assert calls == build
+    gc_rate_study(spec, probe_sample(spec, g, 5, 1), [20, 40], reps=3, seed=1, n_ref=500)
+    assert calls == collections.Counter(build) + collections.Counter(frame)
 
 
 def _sigma_systems(D):
@@ -203,13 +236,21 @@ def _sigma_systems(D):
 
 @pytest.mark.parametrize("D", [24, 200])
 def test_sigma_is_the_singular_values_of_the_whitened_loading(D):
-    # a discretized kernel's sigma comes from an eigenvalue-only solve, the
-    # Brownian closed form's from this very SVD
+    # a discretized kernel's sigma comes from an eigenvalue-only solve and V
+    # from kernel_eigen's, the Brownian closed form's both from its SVD; V
+    # is orthonormal and Sigma V' carries the loading's whitened covariance
     for spec, g in _sigma_systems(D):
         kl = _kl_system(spec, g)
-        want = np.linalg.svd(kl.loadings * kl.root_w, compute_uv=False)
-        assert kl.sigma.shape == want.shape == (min(kl.scales.size, D),)
+        whitened = _whitened_loading(spec, g)
+        want = np.linalg.svd(whitened, compute_uv=False)
+        assert kl.sigma.shape == want.shape == (min(whitened.shape[0], D),)
         np.testing.assert_allclose(kl.sigma**2, want**2, rtol=0.0, atol=1e-13 * want[0] ** 2)
+        assert kl.v.shape == (D, kl.sigma.size)
+        np.testing.assert_allclose(kl.v.T @ kl.v, np.eye(kl.sigma.size), rtol=0.0, atol=1e-12)
+        frame = kl.sigma[:, None] * kl.v.T
+        np.testing.assert_allclose(
+            frame.T @ frame, whitened.T @ whitened, rtol=0.0, atol=1e-13 * want[0] ** 2
+        )
 
 
 def test_a_kernel_not_psd_on_the_grid_fails_its_kl_build():
@@ -251,6 +292,19 @@ def test_kernel_eigen_functions_orthonormal():
     f = np.asarray(basis.functions)
     gram = (f * g.weights) @ f.T
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
+
+
+@pytest.mark.parametrize("kernel", SHIPPED_KERNELS[1:], ids=lambda k: f"{k.kind}-{k.hurst}")
+def test_kernel_eigen_is_oriented_by_the_ramp_and_is_the_kl_frame(kernel):
+    # pca's rule <phi_k, rho>_w >= 0 for the increasing ramp rho, and the
+    # same oriented eigenvectors are the whitened frame V of the KL system
+    g = Grid.uniform(0.0, 1.0, 40)
+    basis = kernel_eigen(kernel, g, 40)
+    f = np.asarray(basis.functions)
+    rho = 1.0 + g.points
+    assert np.all((f * g.weights) @ rho >= 0.0)
+    v = _kl_system(ProcessSpec(kernel), g).v
+    np.testing.assert_allclose(v, (f * np.sqrt(g.weights)).T, rtol=0.0, atol=1e-14)
 
 
 def test_sample_process_pointwise_variance():
@@ -381,12 +435,11 @@ def test_truncation_limits():
     assert sample_process(bm, g, 5, seed=1).values.shape == (5, 12)
 
 
-# sha256 of sample_process(...).values.tobytes(), taken from the sampler as
-# it was before it drew r = min(k, D) normals: at D >= k nothing may move
+# sha256 of sample_process(...).values.tobytes() under the kl-whitened-2 rule
 PINNED_PATHS = {
-    "bm-128": "9edc0afade0b513a267675b30e18dc2f4e4c424d3bb21fa1bfce89b11ad97087",
-    "fbm-32": "20957c889b31b96331c49f7fbd750c91a7439131bf7b4604a19c93f9484e8b15",
-    "t-min-24": "db8b4fd5ff7e9df6d1eccca464a6c6f086723dee0f8d9e3f0aee671a7862f786",
+    "bm-128": "c2cef1fa0ddecc4f63e35e57761f92d91397bed2f9d35f15546e48da956eb67d",
+    "fbm-32": "8caa28feb6571c7f9e703478b9bec746dd24b4819ab1fa772fe5d2f9c859a63a",
+    "t-min-24": "e65fb2e39563157729b6424f3740f514824d6793879ce1ab01ff14c9cd993ee5",
 }
 
 
@@ -400,17 +453,16 @@ def test_sample_process_at_d_at_least_k_is_pinned(case):
     g = Grid.uniform(0.0, 1.0, D)
     values = sample_process(spec, g, 300, seed).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_PATHS[case]
-    assert _kl_system(spec, g).sampling_loadings is _kl_system(spec, g).loadings
 
 
 def test_reduced_draws_have_the_kl_covariance():
     # k = 100 > D = 16: 16 normals per path, loading Sigma V' / sqrt(w)
     g = Grid.uniform(0.0, 1.0, 16)
     spec, n = ProcessSpec(KernelSpec.brownian()), 100_000
-    kl = _kl_system(spec, g)
-    assert kl.sampling_loadings.shape == (16, 16)
+    assert _kl_system(spec, g).sampling_loadings.shape == (16, 16)
     x = sample_process(spec, g, n, seed=3).values
-    cov = kl.loadings.T @ kl.loadings
+    loading = _whitened_loading(spec, g) / np.sqrt(g.weights)  # the 100 terms
+    cov = loading.T @ loading
     # standard error of a Gaussian sample second moment (mean known, 0)
     se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
     err = np.abs(x.T @ x / n - cov)
@@ -430,11 +482,32 @@ def test_coordinate_blocks_are_the_paths_in_the_kl_frame(truncation):
     assert not z[:, r:].any()
     paths = z[:, :r] @ kl.v.T / kl.root_w + g.points
     np.testing.assert_allclose(kl_coordinates(spec, g, paths), z, rtol=0.0, atol=1e-12)
-    if truncation is None:  # the same normals as sample_process
-        ref = sample_process(spec, g, CHUNK + 7, seed=4).values
-        np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
         kl_coordinate_runs(spec, g, [(0, 1)], np.copy)
+
+
+@pytest.mark.parametrize(
+    "spec, D",
+    [
+        (ProcessSpec(KernelSpec.brownian()), 16),  # k = 100 > D
+        (ProcessSpec(KernelSpec.brownian(), truncation=5), 16),  # k < D
+        (ProcessSpec(KernelSpec.brownian()), 128),  # k = 100 < D
+        (ProcessSpec(KernelSpec.fractional_brownian(0.7)), 32),  # k = D
+        (ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5), 24),  # k = D
+    ],
+    ids=["bm-16", "bm-16-k5", "bm-128", "fbm-32", "t-min-24"],
+)
+def test_sample_process_paths_are_the_kl_frames_at_every_k(spec, D):
+    # both draw the same r normals per path, and a path is z V' / sqrt(w)
+    # plus the mean, whatever k and D are
+    g = Grid.uniform(0.0, 1.0, D)
+    spec = dataclasses.replace(spec, mean=Curve(g, g.points))
+    kl = _kl_system(spec, g)
+    r = kl.sigma.size
+    z = np.concatenate([b for _, b in kl_coordinate_runs(spec, g, [(CHUNK + 7, 4)], np.copy)])
+    paths = z[:, :r] @ kl.v.T / kl.root_w + g.points
+    ref = sample_process(spec, g, CHUNK + 7, seed=4).values
+    np.testing.assert_allclose(paths, ref, rtol=0.0, atol=1e-12)
 
 
 RUN_LISTS = {
