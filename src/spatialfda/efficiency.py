@@ -19,18 +19,20 @@ singular values, it is z = y * sigma in orthonormal coordinates, in
 distribution. Every shipped law keeps each coordinate of z sign-symmetric
 given the others, so J and Lambda are diagonal there and
 trace(V0) = sum_i Lambda_ii / J_ii^2 (directions off the KL span add 0).
+Both traces are of that one law, the truncated KL law that simulate
+samples: trace(Sigma) = Var(Y) * sum_i sigma_i^2.
 
 sigma is the one field of simulate's KL system that this module reads
-(built once per (spec, grid)). For a discretized kernel, whose whitened KL
-functions are orthonormal, it is the square roots of the top eigenvalues of
-W^{1/2} K W^{1/2}, from an eigenvalue-only solve; for the Brownian closed
-form, whose whitened functions need not be, the singular values of its
-whitened loading. No eigenvector is computed for the study.
+(built once per (Gaussian twin, grid)). For a discretized kernel, whose
+whitened KL functions are orthonormal, it is the square roots of the top
+eigenvalues of W^{1/2} K W^{1/2}, from an eigenvalue-only solve; for the
+Brownian closed form, whose whitened functions need not be, the singular
+values of its whitened loading. No eigenvector is computed for the study.
 
 The student-t law is elliptical: its path is the Gaussian path divided by
 one shared s = sqrt(W/df), W ~ chi-square(df). Signs do not see s and 1/r
 scales by it, so J_t = E[s] J_G and Lambda_t = Lambda_G: a t law's V0 is
-its Gaussian twin's (one memoized run per grid, mc and seed) over E[s]^2,
+its Gaussian twin's over E[s]^2,
 E[s] = sqrt(2/df) Gamma((df+1)/2) / Gamma(df/2) (Magyar & Tyler 2011).
 
 J and Lambda use two independent Monte Carlo streams derived from one study
@@ -38,14 +40,15 @@ seed through fixed integer tags, so a report is reproducible bit for bit
 and does not change when other parts of a study re-seed. The draws are iid
 N(0, I_r) rows whatever the law, so every Gaussian twin with r singular
 values reads the same pair of streams at the same seed (common random
-numbers): the table draws each pair once per distinct r and runs all its
-twins of that r over it, and each of its rows equals are() of its cell at
-the table seed bit for bit.
+numbers). One planner, _cells, takes any list of (spec, grid) cases: it
+builds each distinct twin once, draws each pair of streams once per
+distinct r and runs all twins of that r over it. are and v0_estimate are
+one case of it, and efficiency_table all of its cells, so each table row
+equals are() of its cell at the table seed bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -67,7 +70,7 @@ from .spatialdist import coincident
 
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
-ESTIMATOR = "kl-diagonal-2"  # names the v0 estimator below in every efficiency artifact
+ESTIMATOR = "kl-diagonal-3"  # names the v0 estimator below in every efficiency artifact
 
 # Stream tags. Every named substream of a study seed gets its own fixed tag,
 # so adding streams later cannot silently shift existing ones.
@@ -135,23 +138,29 @@ def _spec_summary(spec: ProcessSpec) -> dict:
     }
 
 
+def _trace(spec: ProcessSpec, sigma: np.ndarray) -> float:
+    """trace(Sigma) = Var(Y) * sum sigma^2 of the KL law with whitened scales sigma."""
+    return float(spec.coefficient_variance() * np.sum(np.square(sigma)))
+
+
 def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> float:
     """Trace of the covariance of X over the grid discretization.
 
-    With mc = 0 (the default) uses the closed form Var(Y) * sum_i w_i K(t_i, t_i),
-    which is exact for every kernel this package ships, since the pointwise
-    variance of the process is Var(Y) K(t, t). With mc > 0 the trace is
-    instead the Monte Carlo average of ||X - m||^2 over mc simulated paths;
-    that route exists to cross-check the closed form and to study MC error,
-    and it converges slowly for student-t laws with df <= 4 (infinite
-    fourth moment).
+    The law is the truncated KL law that simulate samples and that V0 is
+    estimated under: its whitened scales sigma are those of the Gaussian
+    twin's KL system. With mc = 0 (the default) the trace is its closed form
+    Var(Y) * sum_i sigma_i^2, exact for that law; with all D grid terms of a
+    discretized kernel, it is Var(Y) * sum_i w_i K(t_i, t_i) up to rounding.
+    With mc > 0 it is instead the Monte Carlo average of ||X - m||^2 over mc
+    simulated paths; that route exists to cross-check the closed form and
+    to study MC error, and it converges slowly for student-t laws with
+    df <= 4 (infinite fourth moment).
     """
     if mc < 0:
         raise ValueError("mc must be >= 0")
+    sigma = _kl_system(_gaussian_twin(spec), grid).sigma
     if mc == 0:
-        diag = spec.kernel.diagonal(grid.points)
-        return float(spec.coefficient_variance() * np.sum(grid.weights * diag))
-    sigma = _kl_system(spec, grid).sigma
+        return _trace(spec, sigma)
     total = 0.0
     for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
         z = np.multiply(y, sigma, out=y)
@@ -166,18 +175,35 @@ def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int =
     J_ii = mean(1/r - z_i^2/r^3) and Lambda_ii = mean(z_i^2/r^2), r = ||z||,
     summed chunk by chunk in a fixed order over two independent substreams
     of the seed. The draws are the Gaussian twin's normals, the normal block
-    a t law draws first; a t law then divides by E[s]^2, so a t law and its
-    twin at the same (grid, mc, seed) share one run, and so does every
-    efficiency_table row of that twin at the table seed. Raises
+    a t law draws first; a t law then divides by E[s]^2, so a t law's value
+    is its twin's at the same (grid, mc, seed) over E[s]^2, bit for bit, as
+    is every efficiency_table row of that twin at the table seed. Raises
     ConditioningError when J is singular, as for a one-dimensional process.
     """
-    return _twin_v0(_gaussian_twin(spec), grid, mc, seed) / _mean_scale(spec) ** 2
+    return _cells([(spec, grid)], mc, seed)[0][1]
 
 
-@functools.lru_cache(maxsize=1)
-def _twin_v0(twin: ProcessSpec, grid: Grid, mc: int, seed: int) -> float:
-    """trace(V0) of a Gaussian law from mc draws per matrix; see v0_estimate."""
-    return _v0_runs(twin, [_kl_system(twin, grid).sigma], mc, seed)[0]
+def _cells(cases: list, mc: int, seed: int) -> list[tuple[np.ndarray, float]]:
+    """(sigma, trace(V0)) of each (spec, grid) case, in order; the one per-cell path.
+
+    Each distinct (Gaussian twin, grid) gets one KL build, which solves for
+    its whitened scales sigma alone, and the twins are grouped by their
+    number r = min(k, D) of scales: each group reads one J and one Lambda
+    stream of the seed (_v0_runs). A case's trace(V0) is its twin's over
+    its own E[s]^2, and does not depend on the other cases. mc is checked
+    before any build.
+    """
+    if mc < 1:
+        raise ValueError("mc must be >= 1")
+    keys = [(_gaussian_twin(spec), grid) for spec, grid in cases]
+    sigmas = {key: _kl_system(*key).sigma for key in dict.fromkeys(keys)}
+    groups: dict[int, list] = {}
+    for key, sigma in sigmas.items():
+        groups.setdefault(sigma.size, []).append(key)
+    v0 = {}
+    for group in groups.values():
+        v0.update(zip(group, _v0_runs(group[0][0], [sigmas[key] for key in group], mc, seed)))
+    return [(sigmas[key], v0[key] / _mean_scale(spec) ** 2) for (spec, _), key in zip(cases, keys)]
 
 
 def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) -> list[float]:
@@ -189,8 +215,6 @@ def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) ->
     and its weighted sums sigma^2 * (1/r^p @ y^2) are two GEMVs per chunk.
     A sigma's value does not depend on the others in the list.
     """
-    if mc < 1:
-        raise ValueError("mc must be >= 1")
     s2 = [np.square(s) for s in sigmas]
 
     def sums(tag: int, power: int):
@@ -221,15 +245,16 @@ def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) ->
 def are(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> EfficiencyReport:
     """Efficiency report trace(Sigma) / trace(V0) for one process.
 
-    trace(Sigma) comes from its closed form (exact), so the whole Monte
-    Carlo budget goes into the sandwich estimate, which a t law shares with
-    its Gaussian twin at the same grid, mc and seed (see v0_estimate).
+    Both traces are of the one KL law that simulate samples: trace(Sigma)
+    comes from its closed form (exact, see sigma_trace), so the whole Monte
+    Carlo budget goes into the sandwich estimate (see v0_estimate).
     """
-    return _report(spec, grid, v0_estimate(spec, grid, mc, seed), mc, seed)
+    return _report(spec, grid, *_cells([(spec, grid)], mc, seed)[0], mc, seed)
 
 
-def _report(spec: ProcessSpec, grid: Grid, tv: float, mc: int, seed: int) -> EfficiencyReport:
-    ts = sigma_trace(spec, grid)
+def _report(spec: ProcessSpec, grid: Grid, sigma, tv: float, mc: int, seed: int):
+    """The EfficiencyReport of a case from its _cells output (sigma, tv)."""
+    ts = _trace(spec, sigma)
     return EfficiencyReport(
         trace_sigma=ts,
         trace_v0=tv,
@@ -309,31 +334,18 @@ def efficiency_table(
     """Run the efficiency sweep; one row per cell, in the order of cells.
 
     Each cell runs on the domain_grid of its domain at the study seed, and
-    its row is are(cell.spec, grid, mc, seed) bit for bit. The sweep builds
-    each distinct (domain, Gaussian twin) KL system once, which solves for
-    its whitened scales sigma alone (see the module docstring), and groups
-    the twins by their number r = min(k, D) of scales; each group reads one
-    J and one Lambda stream of the seed (see _v0_runs). Every row is then its
-    twin's V0 over its own E[s]^2: t3-min and t9-min share the Gaussian
-    min-kernel value, the gauss-kernel t cells the gauss-kernel one.
+    its row is are(cell.spec, grid, mc, seed) bit for bit: the cells go
+    through the one per-cell path together (_cells), which builds each
+    distinct Gaussian twin's KL system once and reads one J and one Lambda
+    stream per rank r = min(k, D). Every row is its twin's V0 over its own
+    E[s]^2: t3-min and t9-min share the Gaussian min-kernel value, the
+    gauss-kernel t cells the gauss-kernel one.
     """
     if cells is None:
         cells = default_table_cells()
     grids = {d: domain_grid(d, grid_size, seed) for d in dict.fromkeys(c.domain for c in cells)}
-    keys = [(c.domain, _gaussian_twin(c.spec)) for c in cells]
-    sigmas = {key: _kl_system(key[1], grids[key[0]]).sigma for key in dict.fromkeys(keys)}
-    groups: dict[int, list] = {}
-    for key, sigma in sigmas.items():
-        groups.setdefault(sigma.size, []).append(key)
-    v0 = {}
-    for group in groups.values():
-        runs = _v0_runs(group[0][1], [sigmas[key] for key in group], mc, seed)
-        v0.update(zip(group, runs))
+    cases = [(c.spec, grids[c.domain]) for c in cells]
     return [
-        TableRow(
-            cell.label,
-            _report(cell.spec, grids[cell.domain], v0[key] / _mean_scale(cell.spec) ** 2, mc, seed),
-            cell.reference,
-        )
-        for cell, key in zip(cells, keys)
+        TableRow(cell.label, _report(*case, *out, mc, seed), cell.reference)
+        for cell, case, out in zip(cells, cases, _cells(cases, mc, seed))
     ]

@@ -19,12 +19,17 @@ the path y L; r iid normals xi give z = xi * sigma and z V' / sqrt(w),
 which has the same law, since at most r directions of the k coefficients
 reach the grid. Every path of this module is z V' / sqrt(w) plus the mean,
 at every (k, D): sample_process draws it as xi times the (r, D) loading
-Sigma V' / sqrt(w), and kl_coordinate_runs hands out z itself.
+Sigma V' / sqrt(w), and kl_coordinate_runs hands out z itself. Where
+K(t, t) = 0, as at t = 0 for the Brownian, fbm and min kernels, the
+loading's column is zero, so a path equals its mean there exactly rather
+than up to the rounding of V.
 SAMPLER_NAME names this rule in every artifact it shapes.
 
 _kl_system alone builds the KL system, and its memo holds one (spec, grid),
-sized by the traffic: a rate study draws from one key about 150 times, and
-each efficiency cell from its own. sigma and V come from one factorization
+sized by the traffic: a bahadur study draws from one key once per sample,
+about 150 times, a gc or integrated study a few times (its probes, their
+coordinates and its runs), and each efficiency cell its own Gaussian twin's.
+sigma and V come from one factorization
 per kind. A discretized kernel's whitened KL functions are orthonormal, so
 sigma^2 are the top k eigenvalues of B = W^{1/2} K W^{1/2} and V their
 eigenvectors, from the solve kernel_eigen shares, oriented by pca's ramp
@@ -83,7 +88,7 @@ from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same
 
 GENERATOR_NAME = "numpy.random.Philox"
 # Names the sampling rule of the module notes in CSV metadata and rate reports.
-SAMPLER_NAME = "kl-whitened-2"
+SAMPLER_NAME = "kl-whitened-3"
 
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
@@ -306,8 +311,8 @@ class _KLSystem:
 
     sigma (r,), r = min(k, D), and root_w, sqrt(w) of the grid, are built at
     once, so a build that cannot succeed fails at once; v (D, r), V of the
-    whitened SVD, and sampling_loadings, the (r, D) Sigma V' / sqrt(w), on
-    first use.
+    whitened SVD, and sampling_loadings, the (r, D) Sigma V' / sqrt(w) with
+    its columns zeroed where K(t, t) = 0, on first use.
     """
 
     def __init__(self, kernel: KernelSpec, grid: Grid, k: int):
@@ -336,6 +341,9 @@ class _KLSystem:
     @functools.cached_property
     def sampling_loadings(self) -> np.ndarray:
         out = self.sigma[:, None] * self.v.T / self.root_w
+        # X(t) is its mean where K(t, t) = 0; V keeps its rounding there, so that
+        # kl_coordinates of a curve with x(t) != 0 stays exact
+        out[:, self._kernel.diagonal(self._grid.points) == 0.0] = 0.0
         _read_only(out)
         return out
 

@@ -6,7 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from spatialfda import FunctionalSample, __version__, cli, parallel, read_sample
+from spatialfda import (
+    FunctionalSample,
+    KernelSpec,
+    ProcessSpec,
+    __version__,
+    cli,
+    domain_grid,
+    parallel,
+    read_sample,
+    sample_process,
+)
 from spatialfda.cli import main
 from spatialfda.efficiency import ESTIMATOR
 
@@ -51,7 +61,7 @@ def test_simulate_writes_readable_csv(tmp_path):
     assert meta["process"] == "bm"
     assert meta["seed"] == "5"
     assert meta["version"] == __version__
-    assert meta["sampler"] == "kl-whitened-2"
+    assert meta["sampler"] == "kl-whitened-3"
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -169,6 +179,35 @@ def test_efficiency_single_cell(tmp_path):
     assert doc["report"]["process"]["df"] == 3
 
 
+def test_efficiency_of_a_one_dimensional_process_is_a_conditioning_error(tmp_path, capsys):
+    # the min kernel on {0, 1} has one nonzero eigenvalue
+    args = ["efficiency", "--process", "t", "--df", "3", "--grid-size", "2", "--mc", "500"]
+    assert run_cli([*args, "--seed", "1", "--out", str(tmp_path / "eff.json")]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["kind"] == "error"
+    assert doc["error"]["type"] == "ConditioningError"
+    assert not (tmp_path / "eff.json").exists()
+
+
+def test_t_process_without_df_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["efficiency", "--process", "t", "--mc", "500", "--out", str(tmp_path / "e.json")])
+    assert exc.value.code == 2
+    assert "--df is required for the t process" in capsys.readouterr().err
+
+
+def test_simulate_gauss_kernel_is_the_library_sample(tmp_path):
+    out = tmp_path / "gk.csv"
+    args = ["simulate", "--process", "gauss-kernel", "--n", "20", "--grid-size", "16"]
+    assert run_cli([*args, "--seed", "1", "--out", str(out)]) == 0
+    sample, meta = read_sample(out)
+    assert meta["process"] == "gauss-kernel"
+    grid = domain_grid("real-line", 16, 1)
+    assert np.array_equal(sample.grid.points, grid.points)
+    expected = sample_process(ProcessSpec(KernelSpec.gaussian_kernel()), grid, 20, 1)
+    assert np.array_equal(sample.values, expected.values)
+
+
 def test_converge_gc_with_csv(tmp_path):
     js = tmp_path / "rate.json"
     csv = tmp_path / "rate.csv"
@@ -200,7 +239,7 @@ def test_converge_gc_with_csv(tmp_path):
     assert rc == 0
     doc = json.loads(js.read_text())
     assert doc["kind"] == "rate-report"
-    assert doc["sampler"] == "kl-whitened-2"
+    assert doc["sampler"] == "kl-whitened-3"
     assert doc["report"]["study"] == "gc"
     assert doc["report"]["n_values"] == [50, 200]
     lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
@@ -573,6 +612,40 @@ def test_u_spec_repeating_an_index_is_usage_error(tmp_path, capsys):
         run_cli(["quantile", "--in", str(src), "--u-spec", "1:0.5,1:-0.2"])
     assert exc.value.code == 2
     assert "index 1 twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("1=0.5", 'is not "k:c"'), ("a:0.5", 'is not "k:c"'), ("9:0.5", "index 9 outside 1..5")],
+)
+def test_malformed_u_spec_is_usage_error(tmp_path, capsys, spec, message):
+    src = simulate(tmp_path, n=30, grid=12)  # d = floor(sqrt(30)) = 5
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["quantile", "--in", str(src), "--u-spec", spec])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_basis_file_with_fewer_rows_than_d_is_an_error(tmp_path, capsys):
+    src = simulate(tmp_path, n=30, grid=12)
+    bfile = simulate(tmp_path, name="basis.csv", n=2, grid=12)
+    args = ["quantile", "--in", str(src), "--basis", "file", "--basis-file", str(bfile)]
+    assert run_cli([*args, "--d", "4"]) == 1
+    err = capsys.readouterr().err
+    doc = json.loads(err[err.index("{"):])["error"]
+    assert doc["type"] == "SpatialFDAError"
+    assert doc["message"] == "basis file has 2 rows, need 4"
+
+
+def test_u_file_of_the_wrong_width_is_an_error(tmp_path, capsys):
+    src = simulate(tmp_path, n=30, grid=12)
+    u_file = tmp_path / "u.csv"
+    u_file.write_text("0.1,0\n")
+    assert run_cli(["quantile", "--in", str(src), "--u-file", str(u_file)]) == 1
+    err = capsys.readouterr().err
+    doc = json.loads(err[err.index("{"):])["error"]
+    assert doc["type"] == "SpatialFDAError"
+    assert doc["message"] == "direction file has 2 columns, expected 5"
 
 
 @pytest.mark.parametrize("bad", ["nan,0,0,0,0", "0,0.6,0.8,0,0"])

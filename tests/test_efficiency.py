@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spatialfda import (
+    ConditioningError,
     EfficiencyReport,
     Grid,
     KernelSpec,
@@ -52,9 +53,12 @@ def full_sandwich(spec, grid, mc, seed):
 
 def test_sigma_trace_closed_forms():
     g = Grid.uniform(0.0, 1.0, 200)
-    # integral of t over [0, 1]; the trapezoid rule is exact on linear diagonals
+    # the trace of the 100-term KL law that is sampled, sum_k ((k - 1/2) pi)^-2,
+    # not the untruncated kernel's 1/2
     bm = ProcessSpec(KernelSpec.brownian())
-    assert sigma_trace(bm, g) == pytest.approx(0.5, abs=1e-15)
+    series = sum(((k - 0.5) * math.pi) ** -2 for k in range(1, 101))
+    assert series == pytest.approx(0.498987, abs=1e-6)
+    assert sigma_trace(bm, g) == pytest.approx(series, rel=1e-6)
     # integral of t^(2H) is 1/(2H + 1), up to quadrature error
     for H in (0.2, 0.7):
         fbm = ProcessSpec(KernelSpec.fractional_brownian(H))
@@ -70,6 +74,27 @@ def test_sigma_trace_mc_agrees_with_closed_form():
     exact = sigma_trace(spec, g)
     mc = sigma_trace(spec, g, mc=40_000, seed=3)
     assert mc == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProcessSpec(KernelSpec.brownian(), truncation=3),
+        ProcessSpec(KernelSpec.fractional_brownian(0.5), truncation=2),
+    ],
+    ids=["bm-k3", "fbm-h0.5-k2"],
+)
+def test_sigma_trace_of_a_truncated_law_is_the_trace_it_samples(spec):
+    # ||z||^2 = sum sigma_i^2 xi_i^2 has variance 2 sum sigma_i^4 under the
+    # Gaussian law; the untruncated kernel's trace 1/2 is many errors away
+    g = Grid.uniform(0.0, 1.0, 20)
+    mc = 200_000
+    sigma = _kl_system(spec, g).sigma
+    se = math.sqrt(2.0 * np.sum(sigma**4) / mc)
+    assert abs(sigma_trace(spec, g) - sigma_trace(spec, g, mc=mc, seed=1)) < 3.0 * se
+    assert sigma_trace(spec, g) == float(np.sum(sigma**2))
+    # the report's numerator is the same expression of the same sigma
+    assert are(spec, g, mc=2000, seed=1).trace_sigma == sigma_trace(spec, g)
 
 
 def test_real_line_domain_grid_properties():
@@ -289,16 +314,26 @@ def test_cells_of_one_kernel_and_rank_share_their_draws():
     assert rows["fbm-h0.5"] == pytest.approx(rows["t3-min"] / t_factor(3), rel=1e-12)
 
 
-def test_a_t_law_and_its_twin_share_one_monte_carlo_run(monkeypatch):
-    efficiency._twin_v0.cache_clear()
+def test_are_of_one_cell_builds_one_kl_system_and_draws_two_streams(monkeypatch):
     builds = _count_calls(monkeypatch, "_kl_system")
     draws = _count_calls(monkeypatch, "coefficient_chunks")
     g = Grid.uniform(0.0, 1.0, 20)
-    are(ProcessSpec(KernelSpec.min_kernel(), "student-t", df=3), g, mc=500, seed=4)
-    are(ProcessSpec(KernelSpec.min_kernel()), g, mc=500, seed=4)
-    assert len(builds) == 1 and len(draws) == 2  # one run: the J and the Lambda stream
-    are(ProcessSpec(KernelSpec.min_kernel()), g, mc=500, seed=5)
-    assert len(builds) == 2
+    t3 = ProcessSpec(KernelSpec.min_kernel(), "student-t", df=3)
+    with pytest.raises(ValueError, match="mc must be >= 1"):
+        are(t3, g, mc=0, seed=4)
+    assert builds == []  # rejected before any build
+    rep = are(t3, g, mc=500, seed=4)
+    assert len(builds) == 1 and len(draws) == 2  # the twin's KL system; the J and Lambda streams
+    # the t law's V0 is its twin's over E[s]^2, bit for bit
+    twin = v0_estimate(ProcessSpec(KernelSpec.min_kernel()), g, mc=500, seed=4)
+    assert rep.trace_v0 == twin / efficiency._mean_scale(t3) ** 2
+
+
+def test_a_one_dimensional_process_is_a_conditioning_error():
+    # one KL term: z_1^2 / r^2 = 1 on every draw, so J = 0
+    bm1 = ProcessSpec(KernelSpec.brownian(), truncation=1)
+    with pytest.raises(ConditioningError, match="condition number"):
+        are(bm1, Grid.uniform(0.0, 1.0, 20), mc=2000, seed=1)
 
 
 def test_sigma_trace_rejects_negative_mc():

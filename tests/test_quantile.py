@@ -471,6 +471,15 @@ def test_fan_layout_and_ordering():
         assert by[(k, -0.5)] < by[(k, -0.25)] < 0.0
 
 
+def test_a_fan_at_c_zero_has_one_entry_per_k():
+    # u = 0 has no sign to split, so each k gets one entry, and it is the median
+    s = bm_sample(400, D=25, seed=31)
+    fan = quantile_fan(s, ks=[1, 2, 3], cs=[0.0], d=4)
+    assert [(e.k, e.c) for e in fan.entries] == [(1, 0.0), (2, 0.0), (3, 0.0)]
+    for e in fan.entries:
+        assert np.array_equal(e.solution.curve.values, fan.median.curve.values)
+
+
 def test_a_fan_takes_one_median_for_its_start(monkeypatch):
     # the near-datum test takes the median of the distances only when the
     # max already allows the move, which no fan iterate needs; the one

@@ -435,9 +435,9 @@ def test_truncation_limits():
     assert sample_process(bm, g, 5, seed=1).values.shape == (5, 12)
 
 
-# sha256 of sample_process(...).values.tobytes() under the kl-whitened-2 rule
+# sha256 of sample_process(...).values.tobytes() under the kl-whitened-3 rule
 PINNED_PATHS = {
-    "bm-128": "c2cef1fa0ddecc4f63e35e57761f92d91397bed2f9d35f15546e48da956eb67d",
+    "bm-128": "2afc2a612b287af8dd3da21a4755e014fba2c2b0d94a34279c7f4324c466c64b",
     "fbm-32": "8caa28feb6571c7f9e703478b9bec746dd24b4819ab1fa772fe5d2f9c859a63a",
     "t-min-24": "e65fb2e39563157729b6424f3740f514824d6793879ce1ab01ff14c9cd993ee5",
 }
@@ -599,3 +599,23 @@ def test_kl_curves_inverts_kl_coordinates_off_the_span():
     np.testing.assert_allclose(
         np.sum(coords**2, axis=1), np.sum(g.weights * x * x, axis=1), rtol=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "spec, D",
+    [
+        *[(ProcessSpec(KernelSpec.brownian()), D) for D in (16, 64, 128, 200)],
+        (ProcessSpec(KernelSpec.fractional_brownian(0.7)), 32),
+        (ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5), 24),
+    ],
+    ids=["bm-16", "bm-64", "bm-128", "bm-200", "fbm-32", "t-min-24"],
+)
+def test_paths_equal_the_mean_exactly_where_the_kernel_vanishes(spec, D):
+    # K(0, 0) = 0 for all three kernels, so X(0) = 0 almost surely
+    g = Grid.uniform(0.0, 1.0, D)
+    assert spec.kernel.diagonal(g.points)[0] == 0.0
+    assert not sample_process(spec, g, 3000, seed=1).values[:, 0].any()
+    # V keeps its t = 0 row: a curve with x(0) != 0 still maps in and out of the frame
+    probe = np.vstack([np.ones(D), 1.0 + g.points**2])
+    back = kl_curves(spec, g, kl_coordinates(spec, g, probe), probe)
+    np.testing.assert_allclose(back, probe, rtol=0.0, atol=1e-12)
