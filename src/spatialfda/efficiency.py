@@ -45,6 +45,14 @@ builds each distinct twin once, draws each pair of streams once per
 distinct r and runs all twins of that r over it. are and v0_estimate are
 one case of it, and efficiency_table all of its cells, so each table row
 equals are() of its cell at the table seed bit for bit.
+
+Threads and memory. Every stream, the J and Lambda pair of a rank as one
+plan and sigma_trace's, runs on simulate's draw-and-reduce pipeline
+(coefficient_runs): each of its two workers draws a chunk in sub-blocks of
+about 1 MiB into its own buffer and reduces each sub-block to per-sigma
+sums where it is drawn, and the calling thread adds the sums in order. So
+one sub-block buffer per worker is alive whatever mc is, no output depends
+on the workers, and this module starts no thread itself.
 """
 
 from __future__ import annotations
@@ -62,15 +70,15 @@ from .simulate import (
     STUDENT_T_LAW,
     KernelSpec,
     ProcessSpec,
-    _kl_system,  # called as module globals, as is coefficient_chunks: perfbench wraps both
-    coefficient_chunks,
+    _kl_system,  # called as a module global: perfbench wraps it
+    coefficient_runs,
     stream_seed,
 )
 from .spatialdist import coincident
 
 DEFAULT_MC = 200_000
 DEFAULT_GRID_SIZE = 200
-ESTIMATOR = "kl-diagonal-3"  # names the v0 estimator below in every efficiency artifact
+ESTIMATOR = "kl-diagonal-4"  # names the v0 estimator below in every efficiency artifact
 
 # Stream tags. Every named substream of a study seed gets its own fixed tag,
 # so adding streams later cannot silently shift existing ones.
@@ -161,11 +169,13 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     sigma = _kl_system(_gaussian_twin(spec), grid).sigma
     if mc == 0:
         return _trace(spec, sigma)
-    total = 0.0
-    for y in coefficient_chunks(spec, mc, sigma.size, stream_seed(seed, _TAG_SIGMA)):
+
+    def square_sum(_, y):
         z = np.multiply(y, sigma, out=y)
-        total += float(np.sum(np.square(z, out=z)))
-    return total / mc
+        return float(np.sum(np.square(z, out=z)))
+
+    runs = [(mc, stream_seed(seed, _TAG_SIGMA))]
+    return sum(s for _, s in coefficient_runs(spec, sigma.size, runs, square_sum)) / mc
 
 
 def v0_estimate(spec: ProcessSpec, grid: Grid, mc: int = DEFAULT_MC, seed: int = 0) -> float:
@@ -210,35 +220,39 @@ def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) ->
     """trace(V0) of the Gaussian law twin at each whitened scale vector sigma.
 
     Every sigma has the same size k, so all of them read the same k normals
-    per draw: the J stream, then the Lambda stream, each drawn once. With
-    y^2 squared in place in the normals buffer, a sigma's r^2 = y^2 @ sigma^2
-    and its weighted sums sigma^2 * (1/r^p @ y^2) are two GEMVs per chunk.
-    A sigma's value does not depend on the others in the list.
+    per draw: one plan of two runs of mc rows, the J stream and then the
+    Lambda stream, each drawn once, in sub-blocks of about 1 MiB on
+    simulate's workers (coefficient_runs). With y^2 squared in place in the
+    sub-block, a sigma's r^2 = y^2 @ sigma^2 and its weighted sums sigma^2 *
+    (1/r^p @ y^2), p = 3 for J and 2 for Lambda, are two GEMVs per sigma and
+    sub-block, and the sums are added in order. A sigma's value does not
+    depend on the others in the list, nor on the workers.
     """
-    s2 = [np.square(s) for s in sigmas]
+    s2 = [np.square(s) for s in sigmas]  # the reduce below reads these alone
 
-    def sums(tag: int, power: int):
-        # per sigma: the sum of 1/r and of y^2 / r^power over the stream; r = 0 adds nothing
-        inv_r_sum, weighted = np.zeros(len(s2)), [np.zeros(s.size) for s in s2]
-        for y in coefficient_chunks(twin, mc, s2[0].size, stream_seed(seed, tag)):
-            y2 = np.square(y, out=y)  # the next chunk overwrites the buffer
-            for i, s in enumerate(s2):
-                r = np.sqrt(y2 @ s)
-                # z coincides with the mean 0 by the package's one rule (only at r = 0)
-                inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=~coincident(r, r, 0.0))
-                inv_r_sum[i] += float(np.sum(inv_r))
-                weighted[i] += inv_r**power @ y2
-        return inv_r_sum, [w * s for w, s in zip(weighted, s2)]
+    def sums(run: int, y: np.ndarray):
+        # per sigma: the sum of 1/r and of y^2 / r^p over the sub-block; r = 0 adds nothing
+        y2 = np.square(y, out=y)
+        out = []
+        for s in s2:
+            r = np.sqrt(y2 @ s)
+            # z coincides with the mean 0 by the package's one rule (only at r = 0)
+            inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=~coincident(r, r, 0.0))
+            out.append((float(np.sum(inv_r)), inv_r ** (3 - run) @ y2))
+        return out
 
-    # one stream at a time, so one normals buffer is alive at a time
-    inv_r_sum, j_outer = sums(_TAG_J, 3)
-    lam_sum = sums(_TAG_LAMBDA, 2)[1]
+    runs = [(mc, stream_seed(seed, _TAG_J)), (mc, stream_seed(seed, _TAG_LAMBDA))]
+    inv_r_sum, weighted = np.zeros((2, len(s2))), np.zeros((2, len(s2), s2[0].size))
+    for run, block in coefficient_runs(twin, s2[0].size, runs, sums):
+        for i, (r_sum, w) in enumerate(block):
+            inv_r_sum[run, i] += r_sum
+            weighted[run, i] += w
     out = []
-    for r_sum, outer, lam in zip(inv_r_sum, j_outer, lam_sum):
-        J = (r_sum - outer) / mc
+    for r_sum, j_sum, lam_sum, s in zip(inv_r_sum[0], weighted[0], weighted[1], s2):
+        J = (r_sum - j_sum * s) / mc
         if np.min(J) <= r_sum / mc / CONDITION_LIMIT:  # (nearly) one-dimensional process
             raise ConditioningError(f"estimated J condition number exceeds {CONDITION_LIMIT:.0e}")
-        out.append(float(np.sum(lam / mc / J**2)))
+        out.append(float(np.sum(lam_sum * s / mc / J**2)))
     return out
 
 

@@ -1,15 +1,17 @@
 """Thread policy: the package's thread cap and the CLI's BLAS pin.
 
-Every Monte Carlo loop and batch of solves runs as a plain ordered loop on
-the calling thread, so outputs are identical for any cap by construction.
-The only other threads are simulate.kl_coordinate_runs' two workers: in the
-gc and integrated studies each draws a chunk of normals and takes the sign
-means of its sub-blocks, and the calling thread sums those means in chunk
-order. Each chunk has its own Philox substream, and each sub-block's sign
-mean depends on its rows alone, so no output depends on which worker ran
-it; the two are joined before the study returns. No code path reads the
-cap; it stays for the public API, and ``--threads`` is checked and then
-has no effect on any artifact.
+Every batch of solves runs as a plain ordered loop on the calling thread,
+so outputs are identical for any cap by construction. The only other
+threads are the two workers of simulate.coefficient_runs, the one
+pipeline that draws and reduces Monte Carlo chunks: in the gc and
+integrated studies each draws a chunk of normals and takes the sign means
+of its sub-blocks, in the efficiency study it reduces them to J, Lambda
+and trace sums, and the calling thread adds those reductions in chunk
+order. Each chunk has its own Philox substream, and each sub-block's
+reduction depends on its rows alone, so no output depends on which worker
+ran it; the two are joined before the study returns. No code path reads
+the cap; it stays for the public API, and ``--threads`` is checked and
+then has no effect on any artifact.
 
 BLAS is the one place where a thread count changes numbers: OpenBLAS splits
 a product differently at 1 and at 2 threads, and its idle workers spin

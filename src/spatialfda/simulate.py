@@ -52,18 +52,21 @@ substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed, and the first paths do not change when more
 are requested. Since a chunk's draw depends on nothing but its substream,
 any thread may draw it: coefficient_chunks draws each chunk on the calling
-thread, and kl_coordinate_runs hands each chunk to one of two worker
-threads, which draws it and applies the caller's reduction to it, while the
-caller takes the reductions in chunk order. Those workers are the package's
-only threads besides BLAS's, and no output depends on them.
+thread, and coefficient_runs, the one draw-and-reduce pipeline, hands each
+chunk to one of two worker threads, which draws it and applies the
+caller's reduction to it, while the caller takes the reductions in chunk
+order. The rate studies reach it through kl_coordinate_runs, the
+efficiency study's J, Lambda and trace streams directly. Those workers are
+the package's only threads besides BLAS's, and no output depends on them.
 
 Memory. coefficient_chunks allocates one (min(CHUNK, n), r) normals
 buffer and draws every chunk into it in place, so a stream's working set
 is one chunk however many paths it draws, and the heap is not shrunk and
 regrown from chunk to chunk; a block is overwritten by the next one.
-kl_coordinate_runs draws a chunk in sub-blocks of about _BLOCK_BYTES of
-coordinates (2048 rows at c = 64), each reduced as soon as it is drawn,
-into one coordinate buffer per worker (plus one normals buffer when
+coefficient_runs draws a chunk in sub-blocks of about _BLOCK_BYTES (2048
+rows of c = 64 coordinates, 655 rows of 200 normals), each reduced as
+soon as it is drawn, into one buffer per worker (plus one normals buffer
+when the blocks are wider than the draws, as kl_coordinate_runs' are when
 r < D), allocated once per call; so two sub-blocks and their reductions'
 workspaces are alive at a time, and what the caller receives is only the
 reductions. sample_process writes the paths straight into the (n, D) array
@@ -93,8 +96,8 @@ SAMPLER_NAME = "kl-whitened-3"
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
 CHUNK = 4096
-# kl_coordinate_runs: coordinates per sub-block it draws and reduces, the
-# worker threads it runs on, and the chunks submitted ahead of the caller.
+# coefficient_runs: bytes per sub-block it draws and reduces, the worker
+# threads it runs on, and the chunks submitted ahead of the caller.
 _BLOCK_BYTES = 1 << 20
 _WORKERS = 2
 _AHEAD = 4
@@ -464,55 +467,56 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
     return FunctionalSample(grid, values)
 
 
-def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs, reduce: Callable):
-    """The paths of each (n, seed) of runs, in turn, as whitened KL coordinates, reduced.
+def coefficient_runs(spec: ProcessSpec, k: int, runs, reduce: Callable, width: int | None = None):
+    """The coefficients of each (n, seed) of runs, in turn, drawn and reduced on the workers.
 
-    Yields (i, reduce(z)) for every (m, c) block z of run i, runs and blocks
-    in order, the blocks of a chunk being its sub-blocks of about
-    _BLOCK_BYTES of coordinates. A path's coordinates are z = y * sigma, y
-    its r = min(k, D) coefficients from coefficient_chunks(spec, n, r,
-    seed): the same substreams, rows and chi-square children, bit for bit.
-    Its values z V' / sqrt(w) plus the mean are sample_process's paths up
-    to rounding, since both draw the same r normals. c is r, or r + 1 when
-    r < D: the last column is then the frame's off-span column
-    (kl_coordinates), zero for every path.
+    The package's one draw-and-reduce pipeline: kl_coordinate_runs and the
+    efficiency study's J, Lambda and trace streams run on it. Yields (i,
+    reduce(i, y)) for every (m, width) sub-block y of run i, runs and
+    sub-blocks in order. The first k columns of run i's sub-blocks
+    concatenate to coefficient_chunks(spec, n, k, seed), bit for bit, and
+    the other width - k columns (width defaults to k) are zero; a chunk's
+    sub-blocks hold about _BLOCK_BYTES of y each.
 
     Each chunk is one task on one of _WORKERS worker threads: it draws the
     chunk sub-block by sub-block into its worker's buffer and applies reduce
     to each sub-block there, so reduce must be safe to call from two threads
-    at once, and must copy what it keeps of z, which the next sub-block
-    overwrites. At most _AHEAD tasks are submitted ahead of the caller, so
-    the caller holds the reductions of at most _AHEAD chunks, and each
-    worker O(_BLOCK_BYTES) bytes of blocks, whatever n is. Every chunk has its own substream, so no
-    output depends on the thread. The workers are joined when the generator
-    is exhausted or closed, and tasks not yet started are cancelled; a
-    single chunk is reduced on the calling thread. Arguments are checked at
-    once.
+    at once. It may use y as scratch space, and must copy what it keeps of
+    y, which the next sub-block overwrites. At most _AHEAD tasks are
+    submitted ahead of the caller, so the caller holds the reductions of at
+    most _AHEAD chunks, and each worker O(_BLOCK_BYTES) bytes of blocks,
+    whatever n is. Every chunk has its own substream, and the caller takes
+    the reductions in order, so no output depends on the thread. The
+    workers are joined when the generator is exhausted or closed, and tasks
+    not yet started are cancelled; a single chunk is reduced on the calling
+    thread. Arguments are checked at once.
     """
     runs = [(int(n), int(seed)) for n, seed in runs]
-    sigma = _system(spec, grid, min((n for n, _ in runs), default=1)).sigma
-    return _coordinate_runs(spec, sigma, grid.size, runs, reduce)
+    if any(n < 1 for n, _ in runs):
+        raise ValueError("n must be >= 1")
+    return _draw_runs(spec, k, width or k, runs, reduce)
 
 
-def _coordinate_runs(spec: ProcessSpec, sigma: np.ndarray, size: int, runs: list, reduce):
-    """kl_coordinate_runs after its checks, on a D = size grid."""
-    r = sigma.size
-    c = r + (r < size)
+def _draw_runs(spec: ProcessSpec, k: int, width: int, runs: list, reduce: Callable):
+    """coefficient_runs after its checks."""
     plan = [(i, child, m) for i, (n, seed) in enumerate(runs) for child, m in _chunks(n, seed)]
-    rows = min(max((m for _, _, m in plan), default=1), max(1, _BLOCK_BYTES // (8 * c)))
-    free = queue.SimpleQueue()  # (coordinates, normals) buffers of finished tasks
+    rows = min(max((m for _, _, m in plan), default=1), max(1, _BLOCK_BYTES // (8 * width)))
+    free = queue.SimpleQueue()  # (blocks, normals) buffers of finished tasks
 
     def task(j):
         i, child, m = plan[j]
         try:
             z, normals = free.get_nowait()
         except queue.Empty:  # a worker's first task
-            z = np.zeros((rows, c))
-            normals = z if c == r else np.empty((rows, r))
+            z = np.zeros((rows, width))
+            normals = z if width == k else np.empty((rows, k))
         out = []
         for y in _fill(spec, child, m, normals):
-            np.multiply(y, sigma, out=z[: y.shape[0], :r])  # in place when c = r
-            out.append((i, reduce(z[: y.shape[0]])))
+            block = z[: y.shape[0]]
+            if width > k:  # reduce may have written into the zero columns
+                block[:, :k] = y
+                block[:, k:] = 0.0
+            out.append((i, reduce(i, block)))
         free.put((z, normals))
         return out
 
@@ -523,6 +527,31 @@ def _coordinate_runs(spec: ProcessSpec, sigma: np.ndarray, size: int, runs: list
     with ThreadPoolExecutor(_WORKERS) as pool:
         for reductions in _in_order(pool, task, len(plan)):
             yield from reductions
+
+
+def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs, reduce: Callable):
+    """The paths of each (n, seed) of runs, in turn, as whitened KL coordinates, reduced.
+
+    Yields (i, reduce(z)) for every (m, c) block z of run i, runs and blocks
+    in order: coefficient_runs(spec, r, runs, ..., c) with its blocks scaled
+    in place, so the blocks of a chunk are its sub-blocks of about
+    _BLOCK_BYTES of coordinates, each drawn and reduced on a worker thread,
+    and reduce has coefficient_runs' duties. A path's coordinates are z =
+    y * sigma, y its r = min(k, D) coefficients from coefficient_chunks(spec,
+    n, r, seed): the same substreams, rows and chi-square children, bit for
+    bit. Its values z V' / sqrt(w) plus the mean are sample_process's paths
+    up to rounding, since both draw the same r normals. c is r, or r + 1
+    when r < D: the last column is then the frame's off-span column
+    (kl_coordinates), zero for every path. Arguments are checked at once.
+    """
+    sigma = _system(spec, grid, 1).sigma
+    r = sigma.size
+
+    def scaled(_, z):
+        np.multiply(z[:, :r], sigma, out=z[:, :r])
+        return reduce(z)
+
+    return coefficient_runs(spec, r, runs, scaled, r + (r < grid.size))
 
 
 def _in_order(pool: ThreadPoolExecutor, fn: Callable, count: int):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from spatialfda import (
     sigma_trace,
     v0_estimate,
 )
-from spatialfda import efficiency
+from spatialfda import efficiency, simulate
 from spatialfda.efficiency import _TAG_GRID, _TAG_J, _TAG_LAMBDA
 from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
 
@@ -158,6 +160,7 @@ def test_v0_estimate_deterministic_and_seed_sensitive():
 
 
 def test_v0_estimate_works_in_one_chunk_of_normals():
+    # one sub-block buffer of about _BLOCK_BYTES per worker, whatever mc is
     g = Grid.uniform(0.0, 1.0, 200)
     spec = ProcessSpec(KernelSpec.fractional_brownian(0.7))  # k = D = 200 coefficients
     tracemalloc.start()
@@ -167,12 +170,13 @@ def test_v0_estimate_works_in_one_chunk_of_normals():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * CHUNK * g.size * 8
+    assert peak < (simulate._WORKERS + 1) * simulate._BLOCK_BYTES
 
 
 def test_efficiency_table_works_in_one_chunk_of_normals():
-    # 12 twins over one J and one Lambda stream per rank r (100 and 200): a
-    # second live normals buffer or an (m, r) scratch per cell would double
-    # the peak
+    # 12 twins over one J and one Lambda stream per rank r (100 and 200), in
+    # one sub-block buffer per worker: a chunk-sized buffer or an (m, r)
+    # scratch per cell would break the bound
     tracemalloc.start()
     try:
         efficiency_table(seed=11, mc=2 * CHUNK + 1, grid_size=200)
@@ -180,6 +184,7 @@ def test_efficiency_table_works_in_one_chunk_of_normals():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * CHUNK * 200 * 8
+    assert peak < (simulate._WORKERS + 1) * simulate._BLOCK_BYTES
 
 
 def test_sandwich_independent_of_overall_scale():
@@ -289,9 +294,21 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_streams(monkeypatch):
+    # the (n, seed) runs efficiency hands to simulate's draw-and-reduce pipeline
+    streams, real = [], efficiency.coefficient_runs
+
+    def counted(spec, k, runs, *args):
+        streams.extend(runs)
+        return real(spec, k, runs, *args)
+
+    monkeypatch.setattr(efficiency, "coefficient_runs", counted)
+    return streams
+
+
 def test_table_builds_each_twin_once_and_draws_two_streams_per_rank(monkeypatch):
     builds = _count_calls(monkeypatch, "_kl_system")
-    draws = _count_calls(monkeypatch, "coefficient_chunks")
+    draws = _count_streams(monkeypatch)
     vectors, real_eigh, real_svd = [], np.linalg.eigh, np.linalg.svd
 
     def svd(a, **kwargs):
@@ -316,7 +333,7 @@ def test_cells_of_one_kernel_and_rank_share_their_draws():
 
 def test_are_of_one_cell_builds_one_kl_system_and_draws_two_streams(monkeypatch):
     builds = _count_calls(monkeypatch, "_kl_system")
-    draws = _count_calls(monkeypatch, "coefficient_chunks")
+    draws = _count_streams(monkeypatch)
     g = Grid.uniform(0.0, 1.0, 20)
     t3 = ProcessSpec(KernelSpec.min_kernel(), "student-t", df=3)
     with pytest.raises(ValueError, match="mc must be >= 1"):
@@ -365,3 +382,51 @@ def test_every_table_row_is_are_of_its_cell_at_the_table_seed():
     for cell, row in zip(cells, rows, strict=True):
         grid = domain_grid(cell.domain, 30, 11)
         assert row == TableRow(cell.label, are(cell.spec, grid, mc, 11), cell.reference)
+
+
+def _outputs_at_twice_a_chunk():
+    # every stream spans three chunks, so the pipeline hands them to its workers
+    mc, g = 2 * CHUNK + 100, Grid.uniform(0.0, 1.0, 30)
+    t3 = ProcessSpec(KernelSpec.min_kernel(), "student-t", df=3)
+    return (
+        [row.report for row in efficiency_table(seed=11, mc=mc, grid_size=30)],
+        v0_estimate(t3, g, mc=mc, seed=4),
+        sigma_trace(t3, g, mc=mc, seed=4),
+    )
+
+
+def test_efficiency_outputs_do_not_depend_on_the_workers(monkeypatch):
+    # the sub-blocks' sums are added in order on the calling thread, with
+    # thread switches forced often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_WORKERS", workers)
+            outputs.append(_outputs_at_twice_a_chunk())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_efficiency_outputs_move_at_rounding_level_with_the_sub_block_size(monkeypatch):
+    # 1000 rows of r = 30 per sub-block, which divide no chunk, against a whole chunk
+    reports, v0, trace = _outputs_at_twice_a_chunk()
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * 30 * 1000)
+    small_reports, small_v0, small_trace = _outputs_at_twice_a_chunk()
+    assert small_v0 == pytest.approx(v0, rel=1e-13)
+    assert small_trace == pytest.approx(trace, rel=1e-13)
+    for a, b in zip(small_reports, reports, strict=True):
+        assert a.trace_v0 == pytest.approx(b.trace_v0, rel=1e-13)
+        assert a.are == pytest.approx(b.are, rel=1e-13)
+        assert a.trace_sigma == b.trace_sigma  # the closed form draws nothing
+
+
+def test_a_conditioning_error_leaves_no_thread_behind():
+    # the J and Lambda streams span three chunks each, drawn on the workers
+    bm1 = ProcessSpec(KernelSpec.brownian(), truncation=1)
+    before = threading.active_count()
+    with pytest.raises(ConditioningError, match="condition number"):
+        are(bm1, Grid.uniform(0.0, 1.0, 20), mc=2 * CHUNK + 100, seed=1)
+    assert threading.active_count() == before

@@ -31,6 +31,7 @@ from spatialfda.simulate import (
     CHUNK,
     _kl_system,
     coefficient_chunks,
+    coefficient_runs,
     kl_coordinate_runs,
     kl_coordinates,
     kl_curves,
@@ -556,6 +557,31 @@ def test_coordinate_runs_are_the_serial_chunks(monkeypatch, law, truncation, run
             z = np.concatenate(blocks)
             assert np.array_equal(z[:, :r], np.concatenate(chunks))
             assert not z[:, r:].any()
+
+
+def test_coefficient_runs_hand_each_run_its_index_and_zero_columns(monkeypatch):
+    # 700-row sub-blocks of 3 coefficients and 2 zero columns on one worker,
+    # which reuses its buffer: a reduce that scribbles over its block, zero
+    # columns included, changes no later block
+    spec = ProcessSpec(KernelSpec.brownian(), "student-t", df=5)
+    runs = [(CHUNK + 1, 7), (5, 8), (2 * CHUNK + 3, 9)]
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * 5 * 700)
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
+
+    def scribble(i, y):
+        kept = (i, y.copy())
+        y[...] = np.nan
+        return kept
+
+    got = list(coefficient_runs(spec, 3, runs, scribble, 5))
+    assert all(i == j for i, (j, _) in got)
+    for i, (n, seed) in enumerate(runs):
+        y = np.concatenate([b for j, (_, b) in got if j == i])
+        chunks = [c.copy() for c in coefficient_chunks(spec, n, 3, seed)]
+        assert np.array_equal(y[:, :3], np.concatenate(chunks))
+        assert not y[:, 3:].any()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        coefficient_runs(spec, 3, [(5, 1), (0, 2)], scribble)
 
 
 def test_coordinate_runs_leave_no_thread_behind():
