@@ -170,7 +170,7 @@ def sigma_trace(spec: ProcessSpec, grid: Grid, mc: int = 0, seed: int = 0) -> fl
     if mc == 0:
         return _trace(spec, sigma)
 
-    def square_sum(_, y):
+    def square_sum(_run, _lo, y):
         z = np.multiply(y, sigma, out=y)
         return float(np.sum(np.square(z, out=z)))
 
@@ -230,7 +230,7 @@ def _v0_runs(twin: ProcessSpec, sigmas: list[np.ndarray], mc: int, seed: int) ->
     """
     s2 = [np.square(s) for s in sigmas]  # the reduce below reads these alone
 
-    def sums(run: int, y: np.ndarray):
+    def sums(run: int, _lo: int, y: np.ndarray):
         # per sigma: the sum of 1/r and of y^2 / r^p over the sub-block; r = 0 adds nothing
         y2 = np.square(y, out=y)
         out = []

@@ -3,11 +3,11 @@
 Every batch of solves runs as a plain ordered loop on the calling thread,
 so outputs are identical for any cap by construction. The only other
 threads are the two workers of simulate.coefficient_runs, the one
-pipeline that draws and reduces Monte Carlo chunks: in the gc and
-integrated studies each draws a chunk of normals and takes the sign means
-of its sub-blocks, in the efficiency study it reduces them to J, Lambda
-and trace sums, and the calling thread adds those reductions in chunk
-order. Each chunk has its own Philox substream, and each sub-block's
+pipeline that draws and reduces Monte Carlo chunks: each draws a chunk of
+normals and, sub-block by sub-block, writes their paths into the sample's
+rows (sample_process), takes their sign means (the gc and integrated
+studies) or reduces them to J, Lambda and trace sums (the efficiency
+study), and the calling thread takes those reductions in chunk order. Each chunk has its own Philox substream, and each sub-block's
 reduction depends on its rows alone, so no output depends on which worker
 ran it; the two are joined before the study returns. No code path reads
 the cap; it stays for the public API, and ``--threads`` is checked and

@@ -51,27 +51,27 @@ Randomness uses the counter-based Philox generator with SeedSequence-spawned
 substreams, one per fixed-size chunk of paths, so results are reproducible
 bit for bit for a given seed, and the first paths do not change when more
 are requested. Since a chunk's draw depends on nothing but its substream,
-any thread may draw it: coefficient_chunks draws each chunk on the calling
-thread, and coefficient_runs, the one draw-and-reduce pipeline, hands each
-chunk to one of two worker threads, which draws it and applies the
-caller's reduction to it, while the caller takes the reductions in chunk
-order. The rate studies reach it through kl_coordinate_runs, the
-efficiency study's J, Lambda and trace streams directly. Those workers are
-the package's only threads besides BLAS's, and no output depends on them.
+any thread may draw it, and every draw of the module takes one route:
+coefficient_runs, the draw-and-reduce pipeline, hands each chunk to one of
+two worker threads, which draws it and applies the caller's reduction to
+it, while the caller takes the reductions in chunk order. sample_process
+and sample_blocks reduce a sub-block to its paths, kl_coordinate_runs to
+the caller's reduction of its coordinates, the efficiency study to its J,
+Lambda and trace sums. Those workers are the package's only threads
+besides BLAS's, and no output depends on them; a call that draws a single
+chunk draws it on the calling thread.
 
-Memory. coefficient_chunks allocates one (min(CHUNK, n), r) normals
-buffer and draws every chunk into it in place, so a stream's working set
-is one chunk however many paths it draws, and the heap is not shrunk and
-regrown from chunk to chunk; a block is overwritten by the next one.
-coefficient_runs draws a chunk in sub-blocks of about _BLOCK_BYTES (2048
-rows of c = 64 coordinates, 655 rows of 200 normals), each reduced as
+Memory. coefficient_runs draws a chunk in sub-blocks of about _BLOCK_BYTES
+(2048 rows of c = 64 coordinates, 655 rows of 200 normals), each reduced as
 soon as it is drawn, into one buffer per worker (plus one normals buffer
 when the blocks are wider than the draws, as kl_coordinate_runs' are when
 r < D), allocated once per call; so two sub-blocks and their reductions'
 workspaces are alive at a time, and what the caller receives is only the
-reductions. sample_process writes the paths straight into the (n, D) array
-that its FunctionalSample adopts, so every path is held once; sample_blocks
-yields CHUNK-row blocks of paths for callers that never hold all n paths.
+reductions, of at most _AHEAD chunks ahead of it. sample_process's
+reduction writes a sub-block's paths straight into its rows of the (n, D)
+array that the FunctionalSample adopts, so every path is held once;
+sample_blocks' makes each sub-block's paths a new array, for callers that
+never hold all n paths.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from .funcspace import Basis, ByValue, Curve, FunctionalSample, Grid, check_same
 
 GENERATOR_NAME = "numpy.random.Philox"
 # Names the sampling rule of the module notes in CSV metadata and rate reports.
-SAMPLER_NAME = "kl-whitened-3"
+SAMPLER_NAME = "kl-whitened-4"
 
 # Fixed chunk of paths per RNG substream. Changing this changes the stream
 # layout, so it is a module constant rather than a call argument.
@@ -368,9 +368,9 @@ def stream_seed(seed: int, *tags: int) -> int:
 
 
 def _chunks(n: int, seed: int) -> list:
-    """(substream, rows) of each chunk of an n-path stream: CHUNK rows each, the last one short."""
+    """(first row, substream, rows) of each chunk of an n-path stream: CHUNK rows, the last short."""
     children = np.random.SeedSequence(seed).spawn(max(1, math.ceil(n / CHUNK)))
-    return [(child, min(CHUNK, n - j * CHUNK)) for j, child in enumerate(children)]
+    return [(j * CHUNK, child, min(CHUNK, n - j * CHUNK)) for j, child in enumerate(children)]
 
 
 def _fill(spec: ProcessSpec, child: np.random.SeedSequence, m: int, out: np.ndarray):
@@ -394,21 +394,6 @@ def _fill(spec: ProcessSpec, child: np.random.SeedSequence, m: int, out: np.ndar
         yield y
 
 
-def coefficient_chunks(spec: ProcessSpec, n: int, k: int, seed: int):
-    """Yield (m, k) coefficient blocks Y, m <= CHUNK, totalling n rows.
-
-    Each chunk gets its own Philox substream spawned from the seed (_fill),
-    so a chunk's first rows do not depend on its length. The chunks are
-    drawn in turn on the calling thread, each as one block. Every block is
-    a view of one (min(CHUNK, n), k) buffer and is overwritten by the next
-    block: a caller that keeps a block copies it, and may use it as scratch
-    space.
-    """
-    buf = np.empty((min(CHUNK, n), k))
-    for child, m in _chunks(n, seed):
-        yield from _fill(spec, child, m, buf)
-
-
 def _system(spec: ProcessSpec, grid: Grid, n: int) -> _KLSystem:
     """Check the sampling arguments; the KL system of the paths."""
     if n < 1:
@@ -418,38 +403,39 @@ def _system(spec: ProcessSpec, grid: Grid, n: int) -> _KLSystem:
     return _kl_system(spec, grid)
 
 
-def _paths(spec: ProcessSpec, loadings: np.ndarray, n: int, seed: int, out=None):
-    """The sampling kernel: one (m, D) block of paths per RNG chunk, m <= CHUNK.
+def _path_blocks(spec: ProcessSpec, loadings: np.ndarray, n: int, seed: int, out=None):
+    """The sampling kernel: the n paths as (m, D) blocks, m <= CHUNK, in order.
 
-    Block b is Y_b @ loadings plus the mean, Y_b the block's r normals per
-    path. With out, an (n, D) array, the blocks are written into its
-    consecutive rows and yielded as views of them; without, each block is a
-    new array.
+    Block y @ loadings plus the mean, y a coefficient_runs sub-block of the
+    r normals per path, is made on the worker that drew y. With out, an
+    (n, D) array, each block is written into out's rows lo:lo + m and
+    yielded as a view of them; without, each block is a new array.
     """
-    row = 0
-    for y in coefficient_chunks(spec, n, loadings.shape[0], seed):
-        m = y.shape[0]
-        block = np.matmul(y, loadings, out=None if out is None else out[row : row + m])
+
+    def paths(_, lo, y):
+        block = np.matmul(y, loadings, out=None if out is None else out[lo : lo + y.shape[0]])
         if spec.mean is not None:
             block += spec.mean.values
-        row += m
-        yield block
+        return block
+
+    return (block for _, block in coefficient_runs(spec, loadings.shape[0], [(n, seed)], paths))
 
 
 def sample_blocks(spec: ProcessSpec, grid: Grid, n: int, seed: int):
     """The paths of sample_process(spec, grid, n, seed) as (m, D) blocks, m <= CHUNK.
 
-    Checks the arguments and builds the KL system at once, then draws one
-    block per RNG chunk on demand, so a caller that consumes the blocks in
-    turn holds O(CHUNK * D) floats whatever n is. Each block is a new
-    array; concatenated in order, the blocks are sample_process's values
-    bit for bit, drawn from r = min(k, D) normals per path (module notes).
-    A caller that needs only distances between paths and fixed curves can
-    skip the grid altogether: kl_coordinate_runs draws the same law as
-    (m, c) coordinate blocks and reduces each one where it is drawn, and
-    kl_coordinates maps the curves into them.
+    Checks the arguments and builds the KL system at once. The blocks are
+    the pipeline's sub-blocks (coefficient_runs), each a new array made on
+    the worker that drew it; concatenated in order, they are sample_process's
+    values bit for bit, drawn from r = min(k, D) normals per path (module
+    notes). At most _AHEAD chunks of blocks are made ahead of the caller, so
+    a caller that consumes the blocks in turn holds O(_AHEAD * CHUNK * D)
+    floats whatever n is. A caller that needs only distances between paths
+    and fixed curves can skip the grid altogether: kl_coordinate_runs draws
+    the same law as (m, c) coordinate blocks and reduces each one where it
+    is drawn, and kl_coordinates maps the curves into them.
     """
-    return _paths(spec, _system(spec, grid, n).sampling_loadings, n, seed)
+    return _path_blocks(spec, _system(spec, grid, n).sampling_loadings, n, seed)
 
 
 def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> FunctionalSample:
@@ -457,11 +443,11 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
 
     Deterministic in (spec, grid, n, seed); under every law, the first n
     paths do not change when more are requested. The paths are written
-    once, into the array the returned sample holds.
+    once, by the workers, into the array the returned sample holds.
     """
     loadings = _system(spec, grid, n).sampling_loadings
     values = np.empty((n, grid.size))
-    for _ in _paths(spec, loadings, n, seed, out=values):
+    for _ in _path_blocks(spec, loadings, n, seed, out=values):
         pass
     values.flags.writeable = False
     return FunctionalSample(grid, values)
@@ -470,13 +456,15 @@ def sample_process(spec: ProcessSpec, grid: Grid, n: int, seed: int) -> Function
 def coefficient_runs(spec: ProcessSpec, k: int, runs, reduce: Callable, width: int | None = None):
     """The coefficients of each (n, seed) of runs, in turn, drawn and reduced on the workers.
 
-    The package's one draw-and-reduce pipeline: kl_coordinate_runs and the
-    efficiency study's J, Lambda and trace streams run on it. Yields (i,
-    reduce(i, y)) for every (m, width) sub-block y of run i, runs and
-    sub-blocks in order. The first k columns of run i's sub-blocks
-    concatenate to coefficient_chunks(spec, n, k, seed), bit for bit, and
-    the other width - k columns (width defaults to k) are zero; a chunk's
-    sub-blocks hold about _BLOCK_BYTES of y each.
+    The package's one draw-and-reduce pipeline: sample_process,
+    sample_blocks, kl_coordinate_runs and the efficiency study's J, Lambda
+    and trace streams run on it. Yields (i, reduce(i, lo, y)) for every (m,
+    width) sub-block y of run i, runs and sub-blocks in order, lo the
+    sub-block's first row within its run. The first k columns of run i's
+    sub-blocks concatenate to the run's chunks (_chunks), each drawn by
+    _fill from its own substream, bit for bit, and the other width - k
+    columns (width defaults to k) are zero; a chunk's sub-blocks hold about
+    _BLOCK_BYTES of y each.
 
     Each chunk is one task on one of _WORKERS worker threads: it draws the
     chunk sub-block by sub-block into its worker's buffer and applies reduce
@@ -499,12 +487,12 @@ def coefficient_runs(spec: ProcessSpec, k: int, runs, reduce: Callable, width: i
 
 def _draw_runs(spec: ProcessSpec, k: int, width: int, runs: list, reduce: Callable):
     """coefficient_runs after its checks."""
-    plan = [(i, child, m) for i, (n, seed) in enumerate(runs) for child, m in _chunks(n, seed)]
-    rows = min(max((m for _, _, m in plan), default=1), max(1, _BLOCK_BYTES // (8 * width)))
+    plan = [(i, *chunk) for i, (n, seed) in enumerate(runs) for chunk in _chunks(n, seed)]
+    rows = min(max((m for *_, m in plan), default=1), max(1, _BLOCK_BYTES // (8 * width)))
     free = queue.SimpleQueue()  # (blocks, normals) buffers of finished tasks
 
     def task(j):
-        i, child, m = plan[j]
+        i, lo, child, m = plan[j]
         try:
             z, normals = free.get_nowait()
         except queue.Empty:  # a worker's first task
@@ -516,7 +504,8 @@ def _draw_runs(spec: ProcessSpec, k: int, width: int, runs: list, reduce: Callab
             if width > k:  # reduce may have written into the zero columns
                 block[:, :k] = y
                 block[:, k:] = 0.0
-            out.append((i, reduce(i, block)))
+            out.append((i, reduce(i, lo, block)))
+            lo += y.shape[0]
         free.put((z, normals))
         return out
 
@@ -537,17 +526,17 @@ def kl_coordinate_runs(spec: ProcessSpec, grid: Grid, runs, reduce: Callable):
     in place, so the blocks of a chunk are its sub-blocks of about
     _BLOCK_BYTES of coordinates, each drawn and reduced on a worker thread,
     and reduce has coefficient_runs' duties. A path's coordinates are z =
-    y * sigma, y its r = min(k, D) coefficients from coefficient_chunks(spec,
-    n, r, seed): the same substreams, rows and chi-square children, bit for
-    bit. Its values z V' / sqrt(w) plus the mean are sample_process's paths
-    up to rounding, since both draw the same r normals. c is r, or r + 1
-    when r < D: the last column is then the frame's off-span column
-    (kl_coordinates), zero for every path. Arguments are checked at once.
+    y * sigma, y its r = min(k, D) coefficients, the ones sample_process
+    draws for it: the same substreams, rows and chi-square children, bit
+    for bit. Its values z V' / sqrt(w) plus the mean are sample_process's
+    paths up to rounding. c is r, or r + 1 when r < D: the last column is
+    then the frame's off-span column (kl_coordinates), zero for every path.
+    Arguments are checked at once.
     """
     sigma = _system(spec, grid, 1).sigma
     r = sigma.size
 
-    def scaled(_, z):
+    def scaled(_, _lo, z):
         np.multiply(z[:, :r], sigma, out=z[:, :r])
         return reduce(z)
 

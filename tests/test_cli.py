@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,7 +62,14 @@ def test_simulate_writes_readable_csv(tmp_path):
     assert meta["process"] == "bm"
     assert meta["seed"] == "5"
     assert meta["version"] == __version__
-    assert meta["sampler"] == "kl-whitened-3"
+    assert meta["sampler"] == "kl-whitened-4"
+
+
+def test_simulate_leaves_no_worker_thread_behind(tmp_path):
+    # 1e5 paths are 25 chunks, drawn on the pipeline's two workers
+    before = set(threading.enumerate())
+    simulate(tmp_path, n=100_000, grid=16)
+    assert set(threading.enumerate()) == before
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -239,7 +247,7 @@ def test_converge_gc_with_csv(tmp_path):
     assert rc == 0
     doc = json.loads(js.read_text())
     assert doc["kind"] == "rate-report"
-    assert doc["sampler"] == "kl-whitened-3"
+    assert doc["sampler"] == "kl-whitened-4"
     assert doc["report"]["study"] == "gc"
     assert doc["report"]["n_values"] == [50, 200]
     lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]

@@ -23,7 +23,7 @@ from spatialfda import (
 )
 from spatialfda import efficiency, simulate
 from spatialfda.efficiency import _TAG_GRID, _TAG_J, _TAG_LAMBDA
-from spatialfda.simulate import CHUNK, _kl_system, coefficient_chunks, stream_seed
+from spatialfda.simulate import CHUNK, _kl_system, stream_seed
 
 
 def t_factor(df):
@@ -32,7 +32,7 @@ def t_factor(df):
     return df / (df - 2) * mean_s**2
 
 
-def full_sandwich(spec, grid, mc, seed):
+def full_sandwich(spec, grid, mc, seed, serial_chunks):
     """trace(J^-1 Lambda J^-1) from full D x D Monte Carlo matrices of whitened
     paths y @ tilde, tilde = Sigma V' of the KL system, on the same two tagged
     streams as v0_estimate."""
@@ -40,12 +40,12 @@ def full_sandwich(spec, grid, mc, seed):
     tilde = kl.sigma[:, None] * kl.v.T
     k, D = tilde.shape
     J, Lam = np.zeros((D, D)), np.zeros((D, D))
-    for y in coefficient_chunks(spec, mc, k, stream_seed(seed, _TAG_J)):
+    for y in serial_chunks(spec, mc, k, stream_seed(seed, _TAG_J)):
         x = y @ tilde
         r = np.linalg.norm(x, axis=1)
         m = x / r[:, None] ** 1.5
         J += np.sum(1.0 / r) * np.eye(D) - m.T @ m
-    for y in coefficient_chunks(spec, mc, k, stream_seed(seed, _TAG_LAMBDA)):
+    for y in serial_chunks(spec, mc, k, stream_seed(seed, _TAG_LAMBDA)):
         x = y @ tilde
         v = x / np.linalg.norm(x, axis=1)[:, None]
         Lam += v.T @ v
@@ -237,13 +237,13 @@ def test_efficiency_table_small_run():
         (ProcessSpec(KernelSpec.gaussian_kernel()), domain_grid("real-line", 20, 2)),
     ],
 )
-def test_diagonal_estimator_matches_the_full_sandwich(spec, grid):
+def test_diagonal_estimator_matches_the_full_sandwich(spec, grid, serial_chunks):
     # both estimators read the same draws z = y * sigma, the full sandwich
     # rotated onto the grid by V'; they differ only by the Monte Carlo
     # off-diagonals of J and Lambda, measured at 1.3e-4 to 3.3e-4 relative
     # over seeds 0-5
     for seed in (0, 1):
-        full = full_sandwich(spec, grid, 5000, seed)
+        full = full_sandwich(spec, grid, 5000, seed, serial_chunks)
         assert v0_estimate(spec, grid, mc=5000, seed=seed) == pytest.approx(full, rel=1e-3)
 
 

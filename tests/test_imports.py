@@ -56,9 +56,10 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_no_module_starts_threads_or_processes():
     # every loop runs on the calling thread, so outputs cannot depend on
     # scheduling; a pool would bring back a second code path. The one
-    # exception is the two workers of simulate.coefficient_runs, the
-    # pipeline of the rate studies and the efficiency study, whose chunks
-    # each have their own substream and, while drawn, their own buffer
+    # exception is the two workers of simulate.coefficient_runs, the one
+    # draw route (sample_process, sample_blocks, the rate studies and the
+    # efficiency study), whose chunks each have their own substream and,
+    # while drawn, their own buffer
     banned = {"concurrent", "threading", "multiprocessing"}
     found = set()
     for path in Path(spatialfda.__file__).parent.glob("*.py"):

@@ -30,7 +30,6 @@ from spatialfda.efficiency import _gaussian_twin, domain_grid
 from spatialfda.simulate import (
     CHUNK,
     _kl_system,
-    coefficient_chunks,
     coefficient_runs,
     kl_coordinate_runs,
     kl_coordinates,
@@ -369,11 +368,14 @@ def test_student_t_draws_nest_in_n(draw):
         assert large[:n].tobytes() == small.tobytes()
 
 
-def test_chunk_layout_is_fixed():
-    # substreams change at CHUNK boundaries and nowhere else
+def test_chunk_layout_is_fixed(serial_chunks):
+    # substreams change at CHUNK boundaries and nowhere else, and a chunk's
+    # first rows do not depend on its length
     spec = ProcessSpec(KernelSpec.brownian(), truncation=3)
-    blocks = list(coefficient_chunks(spec, CHUNK + 10, 3, seed=0))
-    assert [b.shape[0] for b in blocks] == [CHUNK, 10]
+    assert [(lo, m) for lo, _, m in simulate._chunks(CHUNK + 10, 0)] == [(0, CHUNK), (CHUNK, 10)]
+    blocks = serial_chunks(spec, CHUNK + 10, 3, seed=0)
+    assert [b.shape for b in blocks] == [(CHUNK, 3), (10, 3)]
+    assert np.array_equal(serial_chunks(spec, 10, 3, seed=0)[0], blocks[0][:10])
 
 
 @pytest.mark.parametrize("case", ["bm", "fbm", "t-with-mean"])
@@ -392,6 +394,40 @@ def test_sample_blocks_concatenate_to_sample_process_bitwise(case):
     assert np.concatenate(blocks).tobytes() == sample_process(spec, g, n, seed=21).values.tobytes()
 
 
+def test_sample_blocks_are_the_pipeline_sub_blocks():
+    # at D = 100 a chunk splits into sub-blocks of 1310 rows and a short tail
+    g = Grid.uniform(0.0, 1.0, 100)
+    spec = ProcessSpec(KernelSpec.brownian(), mean=Curve(g, g.points))
+    n = 2 * CHUNK + 5
+    blocks = list(sample_blocks(spec, g, n, seed=21))
+    assert all(b.shape[0] <= CHUNK and b.shape[1] == 100 for b in blocks)
+    assert len(blocks) > 3
+    assert np.concatenate(blocks).tobytes() == sample_process(spec, g, n, seed=21).values.tobytes()
+    # blocks made on the workers: closing the generator early joins them
+    before = threading.active_count()
+    blocks = sample_blocks(spec, g, n, seed=21)
+    next(blocks)
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_sample_process_does_not_depend_on_the_workers(monkeypatch):
+    # the workers write disjoint rows of the sample's array, in any order
+    g = Grid.uniform(0.0, 1.0, 100)
+    spec = ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5, mean=Curve(g, g.points))
+    n = 2 * CHUNK + 5
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(simulate, "_WORKERS", workers)
+            got.append(sample_process(spec, g, n, seed=8).values.tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[0] == got[1]
+
+
 def test_sample_process_holds_each_path_once():
     g = Grid.uniform(0.0, 1.0, 64)
     tracemalloc.start()
@@ -402,12 +438,6 @@ def test_sample_process_holds_each_path_once():
         tracemalloc.stop()
     # one chunk of normals and the KL loading ride on top of the 51 MB of paths
     assert peak < 1.25 * sample.values.nbytes
-
-
-def test_coefficient_blocks_share_one_buffer():
-    spec = ProcessSpec(KernelSpec.brownian(), "student-t", df=5, truncation=3)
-    blocks = list(coefficient_chunks(spec, 2 * CHUNK + 10, 3, seed=0))
-    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
 
 
 def test_sample_blocks_checks_its_arguments_before_the_first_block():
@@ -436,8 +466,11 @@ def test_truncation_limits():
     assert sample_process(bm, g, 5, seed=1).values.shape == (5, 12)
 
 
-# sha256 of sample_process(...).values.tobytes() under the kl-whitened-3 rule
+# sha256 of sample_process(...).values.tobytes() under the kl-whitened-4 rule;
+# the first three are kl-whitened-3's too, bm-100-1312's last two paths moved
+# (a 2-row sub-block's product)
 PINNED_PATHS = {
+    "bm-100-1312": "7e185eccc02264e2c879c9ae4393328ce0d518d93e8f7b251ef6f12e799dd4e2",
     "bm-128": "2afc2a612b287af8dd3da21a4755e014fba2c2b0d94a34279c7f4324c466c64b",
     "fbm-32": "8caa28feb6571c7f9e703478b9bec746dd24b4819ab1fa772fe5d2f9c859a63a",
     "t-min-24": "e65fb2e39563157729b6424f3740f514824d6793879ce1ab01ff14c9cd993ee5",
@@ -446,13 +479,14 @@ PINNED_PATHS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_PATHS))
 def test_sample_process_at_d_at_least_k_is_pinned(case):
-    spec, D, seed = {
-        "bm-128": (ProcessSpec(KernelSpec.brownian()), 128, 5),  # k = 100
-        "fbm-32": (ProcessSpec(KernelSpec.fractional_brownian(0.7)), 32, 6),  # k = D
-        "t-min-24": (ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5), 24, 7),
+    spec, D, n, seed = {
+        "bm-100-1312": (ProcessSpec(KernelSpec.brownian()), 100, 1312, 5),  # 1310 + 2 rows
+        "bm-128": (ProcessSpec(KernelSpec.brownian()), 128, 300, 5),  # k = 100
+        "fbm-32": (ProcessSpec(KernelSpec.fractional_brownian(0.7)), 32, 300, 6),  # k = D
+        "t-min-24": (ProcessSpec(KernelSpec.min_kernel(), "student-t", df=5), 24, 300, 7),
     }[case]
     g = Grid.uniform(0.0, 1.0, D)
-    values = sample_process(spec, g, 300, seed).values
+    values = sample_process(spec, g, n, seed).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_PATHS[case]
 
 
@@ -523,10 +557,9 @@ RUN_LISTS = {
 @pytest.mark.parametrize("runs", RUN_LISTS.values(), ids=RUN_LISTS.keys())
 @pytest.mark.parametrize("truncation", [None, 5])
 @pytest.mark.parametrize("law", ["gaussian", "student-t"])
-def test_coordinate_runs_are_the_serial_chunks(monkeypatch, law, truncation, runs):
+def test_coordinate_runs_are_the_serial_chunks(monkeypatch, serial_chunks, law, truncation, runs):
     # drawn and reduced on the workers, with thread switches forced often,
-    # the sub-blocks of each run concatenate to coefficient_chunks' blocks
-    # (the serial reference path) times sigma, bit for bit, so no buffer is
+    # the sub-blocks of each run concatenate to the serial chunks times sigma, bit for bit, so no buffer is
     # shared by two tasks at once; at truncation 5 r = 5 < D = 16 and the
     # off-span column is 0. Sub-blocks hold _BLOCK_BYTES of coordinates: a
     # whole chunk at c <= 32 by default, and then 1000 rows, which divide
@@ -551,7 +584,7 @@ def test_coordinate_runs_are_the_serial_chunks(monkeypatch, law, truncation, run
         assert [i for i, _ in got] == sorted(i for i, _ in got)
         for i, (n, seed) in enumerate(runs):
             blocks = [z for j, z in got if j == i]
-            chunks = [y * sigma for y in coefficient_chunks(spec, n, r, seed)]
+            chunks = [y * sigma for y in serial_chunks(spec, n, r, seed)]
             sizes = [min(rows, len(y) - lo) for y in chunks for lo in range(0, len(y), rows)]
             assert [z.shape for z in blocks] == [(m, c) for m in sizes]
             z = np.concatenate(blocks)
@@ -559,7 +592,7 @@ def test_coordinate_runs_are_the_serial_chunks(monkeypatch, law, truncation, run
             assert not z[:, r:].any()
 
 
-def test_coefficient_runs_hand_each_run_its_index_and_zero_columns(monkeypatch):
+def test_coefficient_runs_hand_each_run_its_index_and_zero_columns(monkeypatch, serial_chunks):
     # 700-row sub-blocks of 3 coefficients and 2 zero columns on one worker,
     # which reuses its buffer: a reduce that scribbles over its block, zero
     # columns included, changes no later block
@@ -568,17 +601,19 @@ def test_coefficient_runs_hand_each_run_its_index_and_zero_columns(monkeypatch):
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * 5 * 700)
     monkeypatch.setattr(simulate, "_WORKERS", 1)
 
-    def scribble(i, y):
-        kept = (i, y.copy())
+    def scribble(i, lo, y):
+        kept = (i, lo, y.copy())
         y[...] = np.nan
         return kept
 
     got = list(coefficient_runs(spec, 3, runs, scribble, 5))
-    assert all(i == j for i, (j, _) in got)
+    assert all(i == j for i, (j, *_) in got)
     for i, (n, seed) in enumerate(runs):
-        y = np.concatenate([b for j, (_, b) in got if j == i])
-        chunks = [c.copy() for c in coefficient_chunks(spec, n, 3, seed)]
-        assert np.array_equal(y[:, :3], np.concatenate(chunks))
+        blocks = [(lo, b) for j, (_, lo, b) in got if j == i]
+        # lo is each sub-block's first row within its run
+        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks])[:-1])
+        y = np.concatenate([b for _, b in blocks])
+        assert np.array_equal(y[:, :3], np.concatenate(serial_chunks(spec, n, 3, seed)))
         assert not y[:, 3:].any()
     with pytest.raises(ValueError, match="n must be >= 1"):
         coefficient_runs(spec, 3, [(5, 1), (0, 2)], scribble)
