@@ -27,24 +27,32 @@ coordinates z = xi * sigma, plus a zero off-span column when r < D, and the
 sign kernel runs there with unit weights. Distances, sign means and
 ||S_n - S|| are the grid's exactly, and no path is ever formed on the grid.
 
-Threads. Those three hand their runs (the reference first, then every
-replicate in order) to simulate.kl_coordinate_runs, whose two worker
-threads each draw a chunk of coordinates and take the sign mean of each of
-its sub-blocks where it is drawn; the calling thread only sums those means
-in order, so the first replicate's chunks are drawn while the reference's
-last ones are reduced. Each chunk's draw depends only on its substream,
-and each sub-block's sign mean only on its rows, so no output depends on
-those threads. Everything else, the bahadur study included, runs on the
-calling thread.
+Threads. Every draw runs on simulate's one pipeline, coefficient_runs,
+whose two worker threads draw chunks of coefficients and reduce each
+sub-block where it is drawn. The gc and integrated studies and
+reference_spatial_dist hand their runs (the reference first, then every
+replicate in order) to kl_coordinate_runs, which reduces each sub-block to
+its sum of signs against the probes; the calling thread only adds those
+sums in order, so the first replicate's chunks are drawn while the
+reference's last ones are reduced. probe_sample and the bahadur study's
+reference and replicate draws go through sample_process, on the same
+workers; the bahadur study's PCA, quantile solves and Bahadur splits run on
+the calling thread. Each chunk's draw depends only on its substream, and
+each sub-block's reduction only on its rows, so no output depends on those
+threads.
 
 Memory. Those three never hold a sample: the reference and each replicate
-arrive as the sign means of sub-blocks of about 1 MiB of coordinates, each
+arrive as the sign sums of sub-blocks of about 1 MiB of coordinates, each
 is added in as soon as it arrives, and each run is scored as soon as its
-last one is in. Their working set is one sub-block and one sign-mean
-workspace per worker, O(min(k, D)) in n_ref and n, plus the probes, the
-reference sign mean and at most four chunks' sign means. The bahadur study
-still holds all n_ref reference paths on the grid, since its PCA and
-reference quantile need the whole sample at once.
+last one is in. The probes are prepared once per study (SignQueries, at
+the frame's origin, in one tile for up to 32 probes) and shared by both
+workers; each block is evaluated in place, with no centred copy, so each
+worker holds one sub-block and the kernel's per-call workspace of two
+(rows, tile) buffers and the probes' sums, O(min(k, D)) in n_ref and n.
+Besides that the study holds the probes, the reference sign mean and at
+most four chunks' sign sums. The bahadur study still holds all n_ref
+reference paths on the grid, since its PCA and reference quantile need
+the whole sample at once.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from .simulate import (
     sample_process,
     stream_seed,
 )
-from .spatialdist import SpatialDistValue, _sign_mean
+from .spatialdist import SignQueries, SpatialDistValue
 
 DEFAULT_N_REF = 100_000
 DEFAULT_GC_PROBES = 20
@@ -97,16 +105,13 @@ def _frame_sign_means(spec: ProcessSpec, grid: Grid, coords: np.ndarray, runs):
     """Sign mean of each kl_coordinates row over the paths of each (n, seed) run.
 
     Yields one mean per run, in order, as soon as the run's last block is
-    in. The paths are reduced where kl_coordinate_runs draws them and are
-    never held together: run i's mean is sum_b m_b * _sign_mean(coords,
-    block_b, 1) / n_i.
+    in. The probes are prepared once, at the frame's origin, which is the
+    law's mean, and each block is reduced where kl_coordinate_runs draws it,
+    in place, to its sum of signs: run i's mean is sum_b probes.sums(block_b)
+    / n_i, and the paths are never held together.
     """
-    ones = np.ones(coords.shape[1])
-
-    def weighted_sign_mean(z):  # looks _sign_mean up at each call: perfbench wraps it
-        return z.shape[0] * _sign_mean(coords, z, ones)
-
-    blocks = kl_coordinate_runs(spec, grid, runs, weighted_sign_mean)
+    probes = SignQueries(coords, np.ones(coords.shape[1]))
+    blocks = kl_coordinate_runs(spec, grid, runs, probes.sums)
     for i, sums in itertools.groupby(blocks, key=operator.itemgetter(0)):
         yield sum(s for _, s in sums) / runs[i][0]
 

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="accepted and checked (>= 1), with no effect on any artifact: the work, "
-        "BLAS included, runs on one thread, except that the gc and integrated studies "
-        "draw and score their chunks on two worker threads",
+        "BLAS included, runs on one thread, except that every Monte Carlo draw (simulate, "
+        "every converge study and efficiency) runs in chunks on two worker threads",
     )
 
     process = argparse.ArgumentParser(add_help=False)

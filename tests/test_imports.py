@@ -11,7 +11,6 @@ import spatialfda
 # these callers need. Everything else goes through public names.
 ALLOWED = {
     ("depth", "_sign_mean"),
-    ("asymptotics", "_sign_mean"),
     ("efficiency", "_kl_system"),
 }
 

@@ -329,3 +329,90 @@ def test_spatial_dist_value_rejects_a_bare_array():
 
     with pytest.raises(ValueError, match="Curve"):
         SpatialDistValue(np.array([0.25, 0.5]), 0.5)
+
+
+def frame_blocks(grid, n, seed):
+    """The KL-frame blocks that kl_coordinate_runs hands its reduce, copied."""
+    from spatialfda.simulate import kl_coordinate_runs
+
+    return [z for _, z in kl_coordinate_runs(BM, grid, [(n, seed)], np.copy)]
+
+
+def frame_probes(grid, m, seed):
+    from spatialfda.simulate import kl_coordinates
+
+    return kl_coordinates(BM, grid, sample_process(BM, grid, m, seed=seed).values)
+
+
+# at 128 points the frame has an off-span column; the grid's own weights
+# take the weighted ||x||^2 instead of the frame's unweighted one
+@pytest.mark.parametrize("size,unit", [(48, True), (128, True), (48, False)])
+def test_prepared_probes_match_the_one_shot_kernel_on_frame_blocks(size, unit):
+    from spatialfda.spatialdist import _CANCEL, SignQueries, _sign_mean
+
+    g = Grid.uniform(0.0, 1.0, size)
+    z = frame_blocks(g, 3000, 21)[0]
+    w = np.ones(z.shape[1]) if unit else g.weights
+    probes = frame_probes(g, 20, 22).copy()
+    probes[3] = z[5]  # a coincident pair: its sign is zero
+    e = np.zeros(z.shape[1])
+    e[0] = 1.0 / np.sqrt(w[0])
+    probes[11] = z[9] + 1e-3 * np.sqrt(z[9] @ (w * z[9])) * e  # inside the _CANCEL bound
+    assert 1e-6 * (z[9] @ (w * z[9])) < _CANCEL * (probes[11] @ (w * probes[11]))
+    got = SignQueries(probes, w).sums(z) / len(z)
+    np.testing.assert_allclose(got, _sign_mean(probes, z, w), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, direct_sign_mean(probes, z, w), rtol=0.0, atol=1e-12)
+
+
+def test_prepared_tiles_agree_across_probe_splits():
+    # 40 probes are two tiles of _TILE, the second padded; two sets of 20
+    # are one unpadded tile each
+    from spatialfda.spatialdist import _TILE, SignQueries
+
+    g = Grid.uniform(0.0, 1.0, 64)
+    z = frame_blocks(g, 2000, 23)[0]
+    ones = np.ones(z.shape[1])
+    probes = frame_probes(g, 40, 24)
+    whole = SignQueries(probes, ones)
+    halves = [SignQueries(p, ones) for p in np.split(probes, 2)]
+    assert whole.tile == _TILE and whole.centred.shape[0] == 2 * _TILE
+    assert [h.tile for h in halves] == [20, 20] and [h.centred.shape[0] for h in halves] == [20, 20]
+    np.testing.assert_allclose(
+        whole.sums(z), np.vstack([h.sums(z) for h in halves]), rtol=0.0, atol=1e-12 * len(z)
+    )
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_prepared_sign_means_are_scale_free(scale):
+    from spatialfda.spatialdist import SignQueries
+
+    g = Grid.uniform(0.0, 1.0, 64)
+    z = frame_blocks(g, 2000, 25)[0]
+    ones = np.ones(z.shape[1])
+    probes = frame_probes(g, 20, 26).copy()
+    probes[7] = z[13]  # the coincident pair stays coincident at any scale
+    base = SignQueries(probes, ones).sums(z) / len(z)
+    scaled = SignQueries(probes * scale, ones).sums(z * scale) / len(z)
+    np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12 * np.abs(base).max())
+
+
+def test_prepared_block_is_evaluated_in_place():
+    # at the origin a block is neither copied nor centred: the workspace is
+    # the two (n, tile) buffers, a few n-vectors and the (m, D) sums
+    from spatialfda.spatialdist import SignQueries
+
+    g = Grid.uniform(0.0, 1.0, 128)
+    z = frame_blocks(g, 4000, 27)[0]
+    (n, D), probes = z.shape, frame_probes(g, 20, 28)
+    prepared = SignQueries(probes, np.ones(D))
+    z.flags.writeable = False
+    tracemalloc.start()
+    try:
+        prepared.sums(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, tile = len(probes), prepared.tile
+    slack = 96 * 1024  # the broadcasts' iterator buffers and small per-call vectors
+    assert peak < 8 * n * tile + n * tile + 8 * (3 * n + (D + 1) * tile + m * D) + slack
+    assert peak < 8 * n * D / 2  # a copy of the block alone would exceed this
